@@ -80,6 +80,7 @@ from .techmodel import (
     preset,
     save_tech,
     sense_latency,
+    tap_delays,
     zero_delay_tech,
 )
 from .workload import (

@@ -102,16 +102,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    mix = {}
-    for part in args.mix.split(","):
-        label, _, frac = part.partition("=")
-        mix[label.strip()] = float(frac)
     params = GenParams(
         clusters=args.clusters,
-        pre_range=_parse_range(args.pre),
-        post_range=_parse_range(args.post),
+        pre_range=args.pre,
+        post_range=args.post,
         density=args.density,
-        state_mix=mix,
+        state_mix=args.mix,
         spike_rate=args.rate,
         duration=args.duration,
         seed=args.seed,
@@ -126,9 +122,20 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+# argparse types: a ValueError becomes a usage error (exit 2) naming the option
+
+def _lo_hi(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
     return (int(lo), int(hi)) if hi else (int(lo), int(lo))
+
+
+def _state_mix(text: str) -> dict:
+    pairs = (part.partition("=") for part in text.split(","))
+    return {label.strip(): float(frac) for label, _, frac in pairs}
+
+
+def _int_set(text: str) -> list[int]:
+    return sorted({int(x) for x in text.split(",")})
 
 
 def cmd_map(args) -> int:
@@ -185,11 +192,10 @@ def cmd_dse(args) -> int:
     names = [Path(p).stem for p in args.networks]
     spec = load_spec(args.spec)
     tech = resolve_tech(args.node)
-    values = sorted({int(x) for x in args.grid.split(",")})
     if args.full_grid:
-        grid = [(p, q) for p in values for q in values]
+        grid = [(p, q) for p in args.grid for q in args.grid]
     else:
-        grid = [(v, v) for v in values]
+        grid = [(v, v) for v in args.grid]
     sweeps = sweep_pq(networks, spec, tech, grid, spike_rate=args.rate,
                       duration=args.duration, seed=args.seed, names=names)
     write_sweep_csv(sweeps, args.out)
@@ -214,10 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic workload")
     p.add_argument("--clusters", type=int, required=True)
-    p.add_argument("--pre", default="4:32", help="pre-neuron count range LO:HI")
-    p.add_argument("--post", default="4:32", help="post-neuron count range LO:HI")
+    p.add_argument("--pre", type=_lo_hi, default="4:32", help="pre-neuron count range LO:HI")
+    p.add_argument("--post", type=_lo_hi, default="4:32", help="post-neuron count range LO:HI")
     p.add_argument("--density", type=float, default=0.2)
-    p.add_argument("--mix", default="HRS=0.25,LRS1=0.25,LRS2=0.25,LRS3=0.25",
+    p.add_argument("--mix", type=_state_mix, default="HRS=0.25,LRS1=0.25,LRS2=0.25,LRS3=0.25",
                    help="state mix, e.g. HRS=0.5,LRS1=0.5")
     p.add_argument("--rate", type=float, default=30.0, help="spike rate, Hz")
     p.add_argument("--duration", type=float, default=1.0, help="trace duration, s")
@@ -246,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dse", help="P/Q partition sweep and tradeoff selection")
     p.add_argument("--networks", nargs="+", required=True)
     p.add_argument("--spec", required=True, help="base crossbar spec JSON")
-    p.add_argument("--grid", required=True, help="comma-separated P=Q values, e.g. 64,96,128")
+    p.add_argument("--grid", type=_int_set, required=True,
+                   help="comma-separated P=Q values, e.g. 64,96,128")
     p.add_argument("--full-grid", action="store_true", help="sweep the full PxQ product")
     p.add_argument("--node", default="16nm")
     p.add_argument("--rate", type=float, default=30.0)

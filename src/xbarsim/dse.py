@@ -1,10 +1,11 @@
 """Design-space exploration over partition points and region sizes.
 
-The P/Q sweep maps each workload onto hardware with the candidate partition,
-simulates it under one seeded activity draw, and normalizes energy, mean
-path latency, and corner-extremes variation against the degenerate partition
-P = Q = N. The N_h/N_l sweep is pure geometry: how far the region rules pull
-the fastest and slowest achievable paths together.
+The P/Q sweep maps each workload once, re-selects every crossbar's
+configuration at each candidate partition, evaluates it under one seeded
+activity draw, and normalizes energy, mean path latency, and corner-extremes
+variation against the degenerate partition P = Q = N. The N_h/N_l sweep is
+pure geometry: how far the region rules pull the fastest and slowest
+achievable paths together.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .crossbar import CONFIG_11, CrossbarSpec
-from .errors import Infeasible, InvalidGrid, NoFeasibleKnee
-from .mapper import Hardware, map_network
-from .simulate import Activity, corner_extremes, energy_report, latency_stats
+from .errors import InvalidGrid, NoFeasibleKnee
+from .mapper import Assignment, Hardware, Placement, map_network, select_configuration
+from .simulate import Activity, _activity, corner_extremes, energy_report, latency_stats
 from .techmodel import TechnologyParams
 from .workload import Network
 
@@ -40,13 +41,20 @@ def _seeded_activity(network: Network, spike_rate: float, duration: float, seed:
     for cluster in network.clusters:
         for nid in cluster.pre_neurons:
             counts[nid] = int(rng.poisson(spike_rate * duration))
-    hops = sum(counts.get(r.src_neuron, 0) * r.hops for r in network.routes)
-    return Activity(spike_counts=counts, routed_spike_hops=float(hops), duration=duration)
+    return _activity(counts, network.routes, duration)
 
 
-def _evaluate(network: Network, spec: CrossbarSpec, tech: TechnologyParams, activity: Activity):
-    hardware = Hardware(crossbar_count=len(network.clusters), spec=spec, tech=tech)
-    placement = map_network(network, hardware)
+def _repartition(placement: Placement, spec: CrossbarSpec) -> Placement:
+    """The same cell assignment on crossbars partitioned as `spec`."""
+    crossbars = []
+    for xb in placement.crossbars:
+        cells = tuple((s.row, s.col) for s in xb.synapses)
+        config = select_configuration(Assignment(xb.row_of_pre, xb.col_of_post, cells), spec)
+        crossbars.append(replace(xb, spec=spec, config=config))
+    return replace(placement, crossbars=tuple(crossbars))
+
+
+def _evaluate(placement: Placement, spec: CrossbarSpec, tech: TechnologyParams, activity: Activity):
     energy = float(energy_report(placement, activity, tech).total_j)
     report = latency_stats(placement, tech)
     # A degenerate partition (P = Q = N) has no far region, so nothing is
@@ -61,8 +69,10 @@ def sweep_pq(networks, base_spec: CrossbarSpec, tech: TechnologyParams, grid,
              names=None) -> list[list[SweepPoint]]:
     """Evaluate each (P, Q) grid point for each network.
 
-    Returns one SweepPoint list per network, in grid order. A point whose
-    mapping is infeasible is flagged rather than fatal.
+    Returns one SweepPoint list per network, in grid order. Each network is
+    mapped once, at P = Q = N: the mapper's cell assignment reads only N,
+    N_h and N_l, so every grid point reuses it and only re-selects the
+    configurations. A network that cannot be mapped raises Infeasible.
     """
     grid = list(grid)
     if not grid:
@@ -77,16 +87,13 @@ def sweep_pq(networks, base_spec: CrossbarSpec, tech: TechnologyParams, grid,
     for name, network in zip(names, networks):
         activity = _seeded_activity(network, spike_rate, duration, seed)
         base = replace(base_spec, p=base_spec.n, q=base_spec.n)
-        e0, l0, v0, _ = _evaluate(network, base, tech, activity)
+        hardware = Hardware(crossbar_count=len(network.clusters), spec=base, tech=tech)
+        mapped = map_network(network, hardware)
+        e0, l0, v0, _ = _evaluate(mapped, base, tech, activity)
         points = []
         for p, q in grid:
-            try:
-                e, l, v, frac = _evaluate(network, replace(base_spec, p=p, q=q), tech, activity)
-            except Infeasible:
-                points.append(SweepPoint(network=name, p=p, q=q, norm_energy=float("nan"),
-                                         norm_latency=float("nan"), norm_variation=float("nan"),
-                                         expanded_fraction=float("nan"), feasible=False))
-                continue
+            spec = replace(base_spec, p=p, q=q)
+            e, l, v, frac = _evaluate(_repartition(mapped, spec), spec, tech, activity)
             points.append(SweepPoint(network=name, p=p, q=q,
                                      norm_energy=e / e0, norm_latency=l / l0,
                                      norm_variation=v / v0, expanded_fraction=frac))

@@ -91,10 +91,6 @@ class CrossbarPlacement:
     def n_hrs(self) -> int:
         return sum(1 for s in self.synapses if s.state == HRS)
 
-    @property
-    def used_cells(self) -> set:
-        return {(s.row, s.col) for s in self.synapses}
-
 
 @dataclass(frozen=True)
 class Placement:

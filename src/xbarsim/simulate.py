@@ -11,18 +11,11 @@ transistors when a far-region cell is accessed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 import numpy as np
 
-from .crossbar import (
-    CONFIG_11,
-    HRS,
-    LRS1,
-    Configuration,
-    CrossbarSpec,
-    config_dimensions,
-    static_energy_weight,
-)
+from .crossbar import CONFIG_11, HRS, LRS1, Configuration, CrossbarSpec, static_energy_weight
 from .errors import (
     EmptyCounts,
     EmptyPlacement,
@@ -32,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .mapper import CrossbarPlacement, Placement
-from .techmodel import PathLatency, TechnologyParams, line_tap_delay, path_latency, sense_latency
+from .techmodel import TechnologyParams, sense_latency, tap_delays
 from .workload import SpikeTrain
 
 
@@ -110,10 +103,14 @@ class Activity:
         return int(sum(self.spike_counts.values()))
 
 
-def activity_from_trains(trains, routes, duration: float) -> Activity:
-    counts = {t.neuron: len(t.times) for t in trains if t.times}
+def _activity(counts: dict, routes, duration: float) -> Activity:
+    """Activity of per-neuron spike counts; each route carries its source's spikes."""
     hops = sum(counts.get(r.src_neuron, 0) * r.hops for r in routes)
     return Activity(spike_counts=counts, routed_spike_hops=float(hops), duration=duration)
+
+
+def activity_from_trains(trains, routes, duration: float) -> Activity:
+    return _activity({t.neuron: len(t.times) for t in trains if t.times}, routes, duration)
 
 
 # ---------------------------------------------------------------------------
@@ -148,38 +145,21 @@ class ArrivalTrain:
     times: tuple[float, ...]
 
 
-def _synapse_latency(xb: CrossbarPlacement, synapse, tech: TechnologyParams) -> PathLatency:
-    return path_latency(synapse.row, synapse.col, tech.state(synapse.state), xb.config, xb.spec, tech)
-
-
 def synapse_latency_totals(xb: CrossbarPlacement, tech: TechnologyParams) -> np.ndarray:
-    """Total path latency per placed synapse, vectorized.
+    """Total path latency per placed synapse, indexed out of tap_delays.
 
     Equivalent to path_latency(...).total per synapse minus the validity
     checks; placements produced by the mapper are sound by construction.
     """
-    if not xb.synapses:
-        return np.zeros(0)
-    rows = np.array([s.row for s in xb.synapses], dtype=float)
-    cols = np.array([s.col for s in xb.synapses], dtype=float)
-    resistance = {s.label: s.resistance for s in tech.states}
-    res = np.array([resistance[s.state] for s in xb.synapses])
-    spec, config = xb.spec, xb.config
-    wl_len = spec.n if config.cols_expanded else spec.q
-    bl_len = spec.n if config.rows_expanded else spec.p
-    k_wl = cols + 1
-    k_bl = rows + 1
-    wl = tech.r_wordline_unit * tech.c_wordline_unit * (k_wl * wl_len - k_wl * (k_wl - 1) / 2)
-    bl = tech.r_bitline_unit * tech.c_bitline_unit * (k_bl * bl_len - k_bl * (k_bl - 1) / 2)
-    iso = tech.t_iso_on * (
-        int(config.rows_expanded) * (rows >= spec.p)
-        + int(config.cols_expanded) * (cols >= spec.q)
-    )
-    return wl + bl + iso + res * tech.c_sense
+    row, col = tap_delays(xb.spec, xb.config, tech)
+    sense = {s.label: sense_latency(s, tech) for s in tech.states}
+    return (row[np.array([s.row for s in xb.synapses], dtype=int)]
+            + col[np.array([s.col for s in xb.synapses], dtype=int)]
+            + np.array([sense[s.state] for s in xb.synapses], dtype=float))
 
 
-def propagate(placement: Placement, trains, tech: TechnologyParams) -> list[ArrivalTrain]:
-    """Per-synapse arrival trains: spike time plus the cell's path latency."""
+def _spike_times(placement: Placement, trains) -> dict:
+    """{pre-neuron id: spike times}; every train must belong to a placed pre-neuron."""
     known = set()
     for xb in placement.crossbars:
         known.update(xb.row_of_pre)
@@ -188,14 +168,18 @@ def propagate(placement: Placement, trains, tech: TechnologyParams) -> list[Arri
         if t.neuron not in known:
             raise UnknownNeuron(f"neuron {t.neuron} spikes but is not placed as a pre-synaptic neuron")
         by_neuron[t.neuron] = t.times
+    return by_neuron
 
+
+def propagate(placement: Placement, trains, tech: TechnologyParams) -> list[ArrivalTrain]:
+    """Per-synapse arrival trains: spike time plus the cell's path latency."""
+    by_neuron = _spike_times(placement, trains)
     arrivals = []
     for xb in placement.crossbars:
-        for idx, s in enumerate(xb.synapses):
+        for idx, (s, delay) in enumerate(zip(xb.synapses, synapse_latency_totals(xb, tech).tolist())):
             times = by_neuron.get(s.pre)
             if not times:
                 continue
-            delay = _synapse_latency(xb, s, tech).total
             arrivals.append(ArrivalTrain(
                 crossbar_id=xb.crossbar_id, synapse_index=idx, pre=s.pre, post=s.post,
                 state=s.state, times=tuple(t + delay for t in times)))
@@ -247,34 +231,16 @@ def corner_extremes(spec: CrossbarSpec, tech: TechnologyParams,
     slowest current path the crossbar could ever exercise given its region
     rules, independent of any particular workload.
     """
-    rows, cols = config_dimensions(config, spec)
-    wl_len = spec.n if config.cols_expanded else spec.q
-    bl_len = spec.n if config.rows_expanded else spec.p
-    wl_tap = np.array([line_tap_delay(c + 1, wl_len, tech.r_wordline_unit, tech.c_wordline_unit)
-                       for c in range(cols)])
-    bl_tap = np.array([line_tap_delay(r + 1, bl_len, tech.r_bitline_unit, tech.c_bitline_unit)
-                       for r in range(rows)])
-    r_idx = np.arange(rows)[:, None]
-    c_idx = np.arange(cols)[None, :]
-    base = bl_tap[:, None] + wl_tap[None, :]
-    if config.rows_expanded:
-        base = base + tech.t_iso_on * (r_idx >= spec.p)
-    if config.cols_expanded:
-        base = base + tech.t_iso_on * (c_idx >= spec.q)
-
+    row, col = tap_delays(spec, config, tech)
+    base = row[:, None] + col[None, :]
+    r_idx = np.arange(len(row))[:, None]
+    c_idx = np.arange(len(col))[None, :]
     in_a = (r_idx < spec.n_h) & (c_idx < spec.n_h)
     in_b = (r_idx >= spec.n - spec.n_l) & (c_idx >= spec.n - spec.n_l)
-    best = np.inf
-    worst = -np.inf
-    total = 0.0
-    count = 0
+    barred = {HRS: in_b, LRS1: in_a}  # A admits only HRS, B only LRS1
+    best, worst, total, count = inf, -inf, 0.0, 0
     for state in tech.states:
-        if state.label == HRS:
-            mask = ~in_b
-        elif state.label == LRS1:
-            mask = ~in_a
-        else:
-            mask = ~in_a & ~in_b
+        mask = ~barred.get(state.label, in_a | in_b)
         if not mask.any():
             continue
         totals = base[mask] + sense_latency(state, tech)
@@ -306,19 +272,16 @@ def latency_stats(placement: Placement, tech: TechnologyParams) -> LatencyReport
         raise EmptyPlacement("placement maps no crossbars")
     per = []
     all_totals = []
-    ext_best, ext_worst, ext_means = [], [], []
     for xb in placement.crossbars:
         totals = synapse_latency_totals(xb, tech)
         all_totals.extend(totals.tolist())
-        ext = corner_extremes(xb.spec, tech, xb.config)
-        ext_best.append(ext.best)
-        ext_worst.append(ext.worst)
-        ext_means.append(ext.mean)
         per.append(CrossbarLatencyReport(crossbar_id=xb.crossbar_id, cluster_id=xb.cluster_id,
-                                         placed=LatencyStats.from_values(totals), extremes=ext))
-    best, worst = min(ext_best), max(ext_worst)
+                                         placed=LatencyStats.from_values(totals),
+                                         extremes=corner_extremes(xb.spec, tech, xb.config)))
+    best = min(r.extremes.best for r in per)
+    worst = max(r.extremes.worst for r in per)
     extremes = LatencyStats(best=best, worst=worst, diff=worst - best, ratio=best / worst,
-                            mean=float(np.mean(ext_means)))
+                            mean=float(np.mean([r.extremes.mean for r in per])))
     return LatencyReport(per_crossbar=tuple(per),
                          aggregate=LatencyStats.from_values(all_totals),
                          extremes=extremes)
@@ -345,26 +308,24 @@ def average_latency_delta(m: int, n: int, delta: float) -> float:
 def neuron_isi_distortion(placement: Placement, trains, tech: TechnologyParams) -> dict:
     """Per post-neuron |ISI(out) - ISI(in)| of the merged trains at its column.
 
-    Post-neurons whose merged input or arrival train has fewer than two
+    The average ISI of a merged train of k spikes is (last - first) / (k - 1),
+    so only the spike count and the first and last input and arrival times
+    are needed; a synapse's arrivals are its pre-neuron's spikes shifted by
+    one path latency. Post-neurons whose merged train has fewer than two
     spikes are omitted.
     """
-    arrivals = propagate(placement, trains, tech)
-    by_neuron = {t.neuron: t.times for t in trains}
-    merged_in: dict[int, list] = {}
-    merged_out: dict[int, list] = {}
-    for a in arrivals:
-        merged_in.setdefault(a.post, []).extend(by_neuron[a.pre])
-        merged_out.setdefault(a.post, []).extend(a.times)
-    result = {}
-    for post in sorted(merged_out):
-        t_in = sorted(merged_in[post])
-        t_out = sorted(merged_out[post])
-        if len(t_in) < 2 or len(t_out) < 2:
-            continue
-        isi_in = (t_in[-1] - t_in[0]) / (len(t_in) - 1)
-        isi_out = (t_out[-1] - t_out[0]) / (len(t_out) - 1)
-        result[post] = abs(isi_out - isi_in)
-    return result
+    by_neuron = _spike_times(placement, trains)
+    merged = {}  # post -> (k, first_in, last_in, first_out, last_out)
+    for xb in placement.crossbars:
+        for s, delay in zip(xb.synapses, synapse_latency_totals(xb, tech).tolist()):
+            times = by_neuron.get(s.pre)
+            if not times:
+                continue
+            k, first_in, last_in, first_out, last_out = merged.get(s.post, (0, inf, -inf, inf, -inf))
+            merged[s.post] = (k + len(times), min(first_in, times[0]), max(last_in, times[-1]),
+                              min(first_out, times[0] + delay), max(last_out, times[-1] + delay))
+    return {post: abs((last_out - first_out) / (k - 1) - (last_in - first_in) / (k - 1))
+            for post, (k, first_in, last_in, first_out, last_out) in sorted(merged.items()) if k >= 2}
 
 
 # ---------------------------------------------------------------------------

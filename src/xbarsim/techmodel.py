@@ -10,6 +10,9 @@ Two latency primitives:
   bitline) or to the full line otherwise, so collapsing a crossbar shortens
   the loaded line and the delay drops without moving the cell.
 
+`tap_delays` is the one batch kernel (per active row and column: tap delay
+plus isolation crossing); `path_latency` is its checked per-cell form.
+
 Unit convention for the bundled presets: capacitances are normalized so that
 one wordline RC segment at 45nm equals exactly 1 time unit, and capacitance
 scales with 1/feature-size. The absolute time unit is arbitrary; every
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .crossbar import (
     HRS,
@@ -212,9 +217,9 @@ def sense_latency(state: ResistanceState, tech: TechnologyParams) -> float:
     return state.resistance * tech.c_sense
 
 
-def ladder_delay(segments: int, r_unit: float, c_unit: float) -> float:
-    """Elmore delay at the end of a uniform RC ladder of `segments` stages."""
-    if segments < 0:
+def ladder_delay(segments, r_unit: float, c_unit: float):
+    """Elmore delay at the end of a uniform RC ladder of `segments` (int or int array) stages."""
+    if np.any(np.asarray(segments) < 0):
         raise ValidationError(f"segment count must be >= 0, got {segments}")
     return r_unit * c_unit * segments * (segments + 1) / 2.0
 
@@ -252,6 +257,26 @@ def path_latency(row: int, col: int, state: ResistanceState, config: Configurati
     return PathLatency(parasitic_component=parasitic,
                        sense_component=sense_latency(state, tech),
                        iso_component=crossings * tech.t_iso_on)
+
+
+def tap_delays(spec: CrossbarSpec, config: Configuration,
+               tech: TechnologyParams) -> tuple[np.ndarray, np.ndarray]:
+    """Per active row and per active column: tap delay plus isolation crossing.
+
+    The batch form of path_latency: taps equal line_tap_delay bit for bit, so
+    cell (r, c) in a given state takes row[r] + col[c] + sense_latency(state).
+    Region rules are not checked.
+    """
+    rows, cols = config_dimensions(config, spec)
+
+    def axis(count, cut, expanded, r_unit, c_unit):
+        length = spec.n if expanded else cut
+        k = np.arange(1, count + 1)
+        tap = ladder_delay(length, r_unit, c_unit) - ladder_delay(length - k, r_unit, c_unit)
+        return tap + tech.t_iso_on * (expanded & (k > cut))
+
+    return (axis(rows, spec.p, config.rows_expanded, tech.r_bitline_unit, tech.c_bitline_unit),
+            axis(cols, spec.q, config.cols_expanded, tech.r_wordline_unit, tech.c_wordline_unit))
 
 
 def zero_delay_tech(reference: TechnologyParams | None = None) -> TechnologyParams:

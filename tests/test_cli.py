@@ -181,6 +181,37 @@ def test_outputs_byte_identical_across_runs(tmp_path):
         assert (paths_a[4] / name).read_bytes() == (paths_b[4] / name).read_bytes()
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--mix", "HRS=abc"),
+    ("--mix", "HRS"),
+    ("--pre", "8:x"),
+    ("--post", "8:x"),
+    ("--post", "many"),
+])
+def test_gen_malformed_value_is_usage_error(tmp_path, capsys, option, value):
+    with pytest.raises(SystemExit) as exc:
+        run(["gen", "--clusters", "2", option, value,
+             "--out-network", str(tmp_path / "n.json"), "--out-spikes", str(tmp_path / "s.csv")])
+    assert exc.value.code == 2
+    assert f"error: argument {option}: invalid" in capsys.readouterr().err
+    assert not (tmp_path / "n.json").exists()
+
+
+@pytest.mark.parametrize("grid", ["64,abc", "", "64;96"])
+def test_dse_malformed_grid_is_usage_error(tmp_path, capsys, grid):
+    net_path = tmp_path / "net.json"
+    save_network(mapping_demo_network(), net_path)
+    spec_path = tmp_path / "spec.json"
+    save_spec(CrossbarSpec(n=8), spec_path)
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["dse", "--networks", str(net_path), "--spec", str(spec_path),
+             "--grid", grid, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "error: argument --grid: invalid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run(["--version"])

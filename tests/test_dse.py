@@ -1,18 +1,22 @@
-import numpy as np
+import dataclasses
+
 import pytest
 
 import xbarsim.dse as dse_mod
 from xbarsim import (
     CrossbarSpec,
     GenParams,
+    Hardware,
     SweepPoint,
     generate_synthetic,
+    map_network,
     preset,
     select_tradeoff,
     sweep_nhnl,
     sweep_pq,
 )
 from xbarsim.errors import Infeasible, InvalidGrid, NoFeasibleKnee
+from xbarsim.fixtures import mapping_demo_network
 
 TECH = preset("16nm")
 
@@ -84,21 +88,47 @@ def test_sweep_deterministic():
     assert a == b
 
 
-def test_sweep_infeasible_points_flagged(monkeypatch):
+def test_sweep_unmappable_network_raises():
+    # The sweep maps each network once; a cluster no crossbar can hold is
+    # fatal for the whole sweep, not a flagged grid point.
+    net = mapping_demo_network()
+    with pytest.raises(Infeasible):
+        sweep_pq([net], CrossbarSpec(n=2), TECH, [(2, 2), (1, 1)])
+
+
+def test_sweep_maps_each_network_once(monkeypatch):
     net = fitting_network()
-    base = CrossbarSpec(n=128)
+    calls = []
     real_map = dse_mod.map_network
 
-    def flaky_map(network, hardware):
-        if hardware.spec.p < 128:
-            raise Infeasible("forced for test")
+    def counting_map(network, hardware):
+        calls.append(hardware.spec)
         return real_map(network, hardware)
 
-    monkeypatch.setattr(dse_mod, "map_network", flaky_map)
-    (points,) = sweep_pq([net], base, TECH, [(128, 128), (96, 96)], seed=0)
-    assert points[0].feasible
-    assert not points[1].feasible
-    assert np.isnan(points[1].norm_energy)
+    monkeypatch.setattr(dse_mod, "map_network", counting_map)
+    grid = [(128, 128), (96, 96), (64, 112)]
+    (points,) = sweep_pq([net], CrossbarSpec(n=128), TECH, grid, seed=0)
+    assert calls == [CrossbarSpec(n=128)]
+    assert [(pt.p, pt.q) for pt in points] == grid
+
+
+def test_sweep_matches_mapping_at_each_point():
+    # Re-selecting configurations on the one mapping gives what mapping the
+    # network afresh at every grid point would.
+    net = fitting_network(seed=5, hi=100)
+    base = CrossbarSpec(n=128, n_h=16, n_l=16)
+    grid = [(64, 64), (96, 80), (128, 128)]
+    (points,) = sweep_pq([net], base, TECH, grid, seed=2)
+    activity = dse_mod._seeded_activity(net, 30.0, 1.0, 2)
+    ref = dataclasses.replace(base, p=128, q=128)
+    e0, l0, v0, _ = dse_mod._evaluate(
+        map_network(net, Hardware(crossbar_count=6, spec=ref, tech=TECH)), ref, TECH, activity)
+    for pt in points:
+        spec = dataclasses.replace(base, p=pt.p, q=pt.q)
+        placement = map_network(net, Hardware(crossbar_count=6, spec=spec, tech=TECH))
+        e, l, v, frac = dse_mod._evaluate(placement, spec, TECH, activity)
+        assert (pt.norm_energy, pt.norm_latency, pt.norm_variation, pt.expanded_fraction) \
+            == (e / e0, l / l0, v / v0, frac)
 
 
 def test_sweep_nhnl_baseline_and_monotonicity():

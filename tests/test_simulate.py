@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from xbarsim import (
     CONFIG_01,
     CONFIG_10,
     CONFIG_11,
+    CONFIGURATIONS,
     Activity,
     CrossbarPlacement,
     CrossbarSpec,
@@ -19,6 +22,7 @@ from xbarsim import (
     activity_from_trains,
     average_latency_delta,
     compute_isi,
+    config_dimensions,
     corner_extremes,
     default_if_neuron,
     energy_report,
@@ -28,9 +32,11 @@ from xbarsim import (
     latency_stats,
     map_network,
     path_latency,
+    permits,
     preset,
     propagate,
     neuron_isi_distortion,
+    region_of,
     zero_delay_tech,
 )
 from xbarsim import ControlMode
@@ -267,6 +273,22 @@ def test_corner_extremes_stats_invariants():
     assert stats.diff == pytest.approx(stats.worst - stats.best)
 
 
+def test_corner_extremes_match_brute_force_path_latency():
+    # Every active cell in every state its region permits, through the
+    # checked per-cell model, for each configuration of a small crossbar.
+    spec = CrossbarSpec(n=12, n_h=3, n_l=3, p=8, q=7)
+    for tech in (TECH, preset("45nm")):
+        for config in CONFIGURATIONS:
+            rows, cols = config_dimensions(config, spec)
+            totals = [path_latency(r, c, state, config, spec, tech).total
+                      for r in range(rows) for c in range(cols) for state in tech.states
+                      if permits(r, c, state.label, spec)]
+            stats = corner_extremes(spec, tech, config)
+            assert stats.best == pytest.approx(min(totals), rel=1e-12)
+            assert stats.worst == pytest.approx(max(totals), rel=1e-12)
+            assert stats.mean == pytest.approx(sum(totals) / len(totals), rel=1e-12)
+
+
 def test_latency_stats_empty():
     with pytest.raises(EmptyPlacement):
         latency_stats(Placement(crossbars=(), crossbar_count=1), TECH)
@@ -314,16 +336,32 @@ def test_average_latency_delta_matches_paired_means(rng):
 # vectorized latency equals the scalar path model
 
 
+def _permitted_state(row, col, spec, pick):
+    allowed = sorted(region_of(row, col, spec).permitted_states)
+    return allowed[pick % len(allowed)]
+
+
 def test_synapse_latency_totals_match_path_latency(rng):
     spec = CrossbarSpec(n=32, n_h=8, n_l=8, p=24, q=24)
     cluster = planted_cluster(rng, 0, spec, size_hi=30)
     net = Network(clusters=(cluster,))
     placement = map_network(net, Hardware(crossbar_count=1, spec=spec, tech=TECH))
-    xb = placement.crossbars[0]
-    vec = synapse_latency_totals(xb, TECH)
-    for s, total in zip(xb.synapses, vec):
-        scalar = path_latency(s.row, s.col, TECH.state(s.state), xb.config, xb.spec, TECH)
-        assert total == pytest.approx(scalar.total, rel=1e-12)
+    mapped = placement.crossbars[0]
+    for config in CONFIGURATIONS:
+        # the mapped synapses, then one synapse on every active cell, so the
+        # far rows and columns past the isolation transistors are covered too
+        rows, cols = config_dimensions(config, spec)
+        every_cell = tuple(PlacedSynapse(r, 1000 + c, _permitted_state(r, c, spec, r + c), r, c)
+                           for r in range(rows) for c in range(cols))
+        for synapses in (mapped.synapses, every_cell):
+            xb = dataclasses.replace(mapped, config=config, synapses=tuple(
+                s for s in synapses if s.row < rows and s.col < cols))
+            assert xb.synapses
+            vec = synapse_latency_totals(xb, TECH)
+            assert len(vec) == len(xb.synapses)
+            for s, total in zip(xb.synapses, vec):
+                scalar = path_latency(s.row, s.col, TECH.state(s.state), xb.config, xb.spec, TECH)
+                assert total == pytest.approx(scalar.total, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -461,3 +499,72 @@ def test_neuron_isi_distortion_single_synapse_is_zero():
     trains = [SpikeTrain(neuron=0, times=(0.5, 1.0, 2.0))]
     distortions = neuron_isi_distortion(placement, trains, TECH)
     assert distortions[100] == pytest.approx(0.0, abs=1e-9)
+
+
+def _random_shared_placement(rng):
+    """Three crossbars whose pre- and post-neurons are drawn from shared pools."""
+    specs = [(CrossbarSpec(n=10, n_h=2, n_l=2, p=7, q=6), CONFIG_11),
+             (CrossbarSpec(n=10, n_h=2, n_l=2, p=7, q=6), CONFIG_01),
+             (CrossbarSpec(n=8), CONFIG_11)]
+    crossbars = []
+    for xid, (spec, config) in enumerate(specs):
+        rows, cols = config_dimensions(config, spec)
+        pres = rng.choice(12, size=min(rows, 6), replace=False)
+        posts = 100 + rng.choice(6, size=min(cols, 4), replace=False)
+        row_of_pre = {int(p): int(r) for p, r in zip(pres, rng.permutation(rows))}
+        col_of_post = {int(q): int(c) for q, c in zip(posts, rng.permutation(cols))}
+        synapses = []
+        for pre, row in row_of_pre.items():
+            for post, col in col_of_post.items():
+                if rng.random() < 0.6:
+                    state = _permitted_state(row, col, spec, int(rng.integers(4)))
+                    synapses.append(PlacedSynapse(pre, post, state, row, col))
+        crossbars.append(CrossbarPlacement(crossbar_id=xid, cluster_id=xid, spec=spec,
+                                           config=config, row_of_pre=row_of_pre,
+                                           col_of_post=col_of_post, synapses=tuple(synapses)))
+    return Placement(crossbars=tuple(crossbars), crossbar_count=len(crossbars))
+
+
+def _sort_merge_isi(placement, trains, tech):
+    """ISI distortion by definition: merge and sort every post-neuron's trains."""
+    by_neuron = {t.neuron: t.times for t in trains}
+    merged_in, merged_out = {}, {}
+    for a in propagate(placement, trains, tech):
+        merged_in.setdefault(a.post, []).extend(by_neuron[a.pre])
+        merged_out.setdefault(a.post, []).extend(a.times)
+    result = {}
+    for post in merged_out:
+        t_in, t_out = sorted(merged_in[post]), sorted(merged_out[post])
+        if len(t_out) >= 2:
+            result[post] = abs((t_out[-1] - t_out[0]) / (len(t_out) - 1)
+                               - (t_in[-1] - t_in[0]) / (len(t_in) - 1))
+    return result
+
+
+def test_neuron_isi_distortion_matches_sort_merge(rng):
+    seen_shared = seen_silent = 0
+    for _ in range(20):
+        placement = _random_shared_placement(rng)
+        placed = sorted({nid for xb in placement.crossbars for nid in xb.row_of_pre})
+        trains = []
+        for nid in placed:
+            draw = rng.random()
+            if draw < 0.2:
+                continue                                  # no train at all
+            count = 0 if draw < 0.3 else int(rng.integers(1, 4))
+            trains.append(SpikeTrain(nid, tuple(np.sort(rng.uniform(0, 1e-3, size=count)))))
+        # exact: t + delay rounds monotonically in t, so a synapse's first and
+        # last arrivals are its pre-neuron's first and last spikes shifted
+        expected = _sort_merge_isi(placement, trains, TECH)
+        assert neuron_isi_distortion(placement, trains, TECH) == expected
+        posts = [set(xb.col_of_post) for xb in placement.crossbars]
+        seen_shared += sum(map(len, posts)) > len(set().union(*posts))
+        seen_silent += len(placed) > sum(1 for t in trains if t.times)
+    assert seen_shared and seen_silent
+
+
+def test_neuron_isi_distortion_unknown_neuron():
+    net = mapping_demo_network()
+    placement = map_network(net, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4), tech=TECH))
+    with pytest.raises(UnknownNeuron):
+        neuron_isi_distortion(placement, [SpikeTrain(neuron=777, times=(0.1, 0.2))], TECH)

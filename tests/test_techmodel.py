@@ -5,6 +5,7 @@ import pytest
 from xbarsim import (
     CONFIG_00,
     CONFIG_11,
+    CONFIGURATIONS,
     DEFAULT_STATES,
     CrossbarSpec,
     ResistanceState,
@@ -15,6 +16,7 @@ from xbarsim import (
     preset,
     save_tech,
     sense_latency,
+    tap_delays,
 )
 from xbarsim.errors import OutOfActiveRegion, StateForbidden, ValidationError
 
@@ -84,6 +86,22 @@ def test_line_tap_delay_against_oracle():
         for k in range(1, length + 1):
             assert line_tap_delay(k, length, r, c) == pytest.approx(
                 elmore_tap_oracle(k, length, r, c))
+
+
+def test_tap_delays_equal_line_tap_delay_bit_for_bit():
+    spec = CrossbarSpec(n=12, n_h=3, n_l=3, p=8, q=7)
+    for tech in (preset("45nm"), preset("16nm")):
+        for config in CONFIGURATIONS:
+            row, col = tap_delays(spec, config, tech)
+            bl_len = spec.n if config.rows_expanded else spec.p
+            wl_len = spec.n if config.cols_expanded else spec.q
+            assert len(row) == bl_len and len(col) == wl_len
+            for r, value in enumerate(row):
+                tap = line_tap_delay(r + 1, bl_len, tech.r_bitline_unit, tech.c_bitline_unit)
+                assert value == tap + (tech.t_iso_on if r >= spec.p else 0.0)
+            for c, value in enumerate(col):
+                tap = line_tap_delay(c + 1, wl_len, tech.r_wordline_unit, tech.c_wordline_unit)
+                assert value == tap + (tech.t_iso_on if c >= spec.q else 0.0)
 
 
 def test_path_latency_worst_cell_iso_count():
