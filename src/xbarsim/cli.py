@@ -7,6 +7,7 @@ Summaries go to stdout; tables go to the requested output files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -15,7 +16,6 @@ from . import __version__
 from .analysis import cost_per_bit, die_area_overhead, total_bits
 from .crossbar import (
     ControlMode,
-    CrossbarSpec,
     Granularity,
     isolation_transistor_count,
     load_spec,
@@ -65,22 +65,12 @@ def resolve_tech(label_or_path: str) -> TechnologyParams:
                           f"(bundled: {sorted(PRESETS)}; set {TECH_DIR_ENV} for custom files)")
 
 
-def _parse_sweep(text: str) -> range:
-    try:
-        a, b, step = (int(x) for x in text.split(":"))
-    except ValueError:
-        raise ValidationError(f"--sweep-n wants a:b:step, got {text!r}") from None
-    if step <= 0 or b < a:
-        raise ValidationError(f"bad sweep range {text!r}")
-    return range(a, b + 1, step)
-
-
 def cmd_analyze(args) -> int:
     tech = resolve_tech(args.node)
     f_nm = tech.feature_size_nm
-    ns = list(_parse_sweep(args.sweep_n)) if args.sweep_n else [args.n]
-    if not ns or any(n < 1 for n in ns):
-        raise ValidationError("need --n >= 1 or a --sweep-n range")
+    ns = list(args.sweep_n or [args.n])
+    if any(n < 1 for n in ns):
+        raise ValidationError("crossbar dimension must be >= 1")
     rows = []
     for n in ns:
         overhead = die_area_overhead(n)
@@ -129,6 +119,13 @@ def _lo_hi(text: str) -> tuple[int, int]:
     return (int(lo), int(hi)) if hi else (int(lo), int(lo))
 
 
+def _sweep_range(text: str) -> range:
+    a, b, step = (int(x) for x in text.split(":"))
+    if step <= 0 or b < a:
+        raise ValueError(text)
+    return range(a, b + 1, step)
+
+
 def _state_mix(text: str) -> dict:
     pairs = (part.partition("=") for part in text.split(","))
     return {label.strip(): float(frac) for label, _, frac in pairs}
@@ -142,8 +139,7 @@ def cmd_map(args) -> int:
     network = load_network(args.network)
     spec = load_spec(args.spec)
     if args.control:
-        spec = CrossbarSpec(n=spec.n, n_h=spec.n_h, n_l=spec.n_l, p=spec.p, q=spec.q,
-                            control=ControlMode(args.control))
+        spec = dataclasses.replace(spec, control=ControlMode(args.control))
     count = args.crossbars or len(network.clusters)
     hardware = Hardware(crossbar_count=count, spec=spec, tech=resolve_tech(args.node))
     placement = map_network(network, hardware)
@@ -212,9 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="cost-per-bit, capacity, and die-area table")
-    p.add_argument("--n", type=int, help="crossbar dimension")
+    dims = p.add_mutually_exclusive_group(required=True)
+    dims.add_argument("--n", type=int, help="crossbar dimension")
+    dims.add_argument("--sweep-n", type=_sweep_range, help="dimension sweep a:b:step (inclusive)")
     p.add_argument("--node", required=True, help="tech preset label or JSON path")
-    p.add_argument("--sweep-n", help="dimension sweep a:b:step (inclusive)")
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.set_defaults(func=cmd_analyze)
 

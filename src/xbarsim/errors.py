@@ -49,7 +49,8 @@ class Infeasible(XbarError):
     """No legal placement found for a cluster.
 
     Carries the offending cluster id (when known) and a list of violation
-    descriptions, one per unplaceable synapse.
+    descriptions, one per synapse still violating its region at the final
+    seats (for an oversized cluster, its dimensions).
     """
 
     def __init__(self, message, cluster_id=None, violations=()):

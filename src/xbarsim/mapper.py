@@ -10,15 +10,16 @@ The algorithm is greedy-with-repair and fully deterministic:
 
 1. sort post-neurons by descending HRS-synapse count into columns 0.., ties
    by original index; pre-neurons likewise into rows;
-2. count region violations (non-HRS in A, non-LRS1 in B);
-3. repair with best-improvement row swaps, then column swaps (batches of
-   disjoint improving swaps per pair scan, until an axis is stable);
-4. if violations remain, solve the band assignment exactly: a cell violates
+2. while region violations remain (non-HRS in A, non-LRS1 in B), repair
+   with one best-improvement swap pass over rows, then one over columns
+   (batches of disjoint improving swaps per pair scan, until the axis is
+   stable);
+3. if violations still remain, search the band assignment: a cell violates
    only through its row/column bands, which reduces feasibility to a small
-   constraint problem per cluster (see _band_stage);
-5. shift any still-violating neuron into the first free index at or beyond
-   N_h that clears its violations;
-6. raise Infeasible if violations persist.
+   constraint problem per cluster. The formulation is exact, but the search
+   is a single greedy trial propagation without backtracking, so it can
+   reject a feasible cluster (see _band_stage);
+4. raise Infeasible if violations persist.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def _violations(arrays: _SynapseArrays, rows, cols, spec):
     return np.nonzero(bad)[0]
 
 
-def _swap_repair(spec, occupants, cost_a, cost_b) -> int:
+def _swap_repair(spec, occupants, cost_a, cost_b) -> None:
     """Best-improvement swap passes over one axis; mutates `occupants`.
 
     occupants[slot] = neuron index or -1. cost_a[i]/cost_b[i] is the number of
@@ -130,14 +131,12 @@ def _swap_repair(spec, occupants, cost_a, cost_b) -> int:
     Each pass evaluates every slot pair once, then applies improving swaps in
     ascending-delta order while the pairs stay disjoint; a swap's improvement
     depends only on its own two slots, so every applied swap keeps its exact
-    pre-pass delta and the pass strictly reduces the violation count. Returns
-    the number of swaps applied.
+    pre-pass delta and the pass strictly reduces the violation count.
     """
     n, n_h, n_l = spec.n, spec.n_h, spec.n_l
     slots = np.arange(n)
     in_a = slots < n_h
     in_b = slots >= n - n_l
-    applied_total = 0
     while True:
         ca = np.where(occupants >= 0, cost_a[np.maximum(occupants, 0)], 0)
         cb = np.where(occupants >= 0, cost_b[np.maximum(occupants, 0)], 0)
@@ -148,17 +147,23 @@ def _swap_repair(spec, occupants, cost_a, cost_b) -> int:
         upper = ii < jj  # delta is symmetric
         ii, jj = ii[upper], jj[upper]
         if ii.size == 0:
-            return applied_total
+            return
         touched = np.zeros(n, dtype=bool)
-        applied = 0
         for k in np.argsort(delta[ii, jj], kind="stable"):
             i, j = int(ii[k]), int(jj[k])
             if touched[i] or touched[j]:
                 continue
             occupants[i], occupants[j] = occupants[j], occupants[i]
             touched[i] = touched[j] = True
-            applied += 1
-        applied_total += applied
+
+
+def _seat(order, n):
+    """(seat per neuron, occupant per slot) packing `order` into slots 0.."""
+    seats = np.empty(len(order), dtype=int)
+    seats[order] = np.arange(len(order))
+    occ = np.full(n, -1, dtype=int)
+    occ[:len(order)] = order
+    return seats, occ
 
 
 def assign_cluster(cluster: Cluster, spec: CrossbarSpec) -> Assignment:
@@ -170,28 +175,17 @@ def assign_cluster(cluster: Cluster, spec: CrossbarSpec) -> Assignment:
                          cluster_id=cluster.id,
                          violations=[f"cluster dimensions {n_pre}x{n_post}"])
 
-    hrs_pre = np.zeros(n_pre, dtype=int)
-    hrs_post = np.zeros(n_post, dtype=int)
-    for s in cluster.synapses:
-        if s.state == HRS:
-            hrs_pre[s.pre] += 1
-            hrs_post[s.post] += 1
-
-    rows = np.full(n_pre, -1, dtype=int)
-    cols = np.full(n_post, -1, dtype=int)
-    occ_rows = np.full(n, -1, dtype=int)
-    occ_cols = np.full(n, -1, dtype=int)
-    for slot, i in enumerate(sorted(range(n_pre), key=lambda i: (-hrs_pre[i], i))):
-        rows[i] = slot
-        occ_rows[slot] = i
-    for slot, j in enumerate(sorted(range(n_post), key=lambda j: (-hrs_post[j], j))):
-        cols[j] = slot
-        occ_cols[slot] = j
+    arrays = _SynapseArrays(cluster)
+    is_hrs = ~arrays.not_hrs
+    hrs_pre = np.bincount(arrays.pre[is_hrs], minlength=n_pre)
+    hrs_post = np.bincount(arrays.post[is_hrs], minlength=n_post)
+    # Stable sort: ties keep their original index order.
+    rows, occ_rows = _seat(np.argsort(-hrs_pre, kind="stable"), n)
+    cols, occ_cols = _seat(np.argsort(-hrs_post, kind="stable"), n)
 
     if spec.n_h > 0 or spec.n_l > 0:
-        arrays = _SynapseArrays(cluster)
         if len(_violations(arrays, rows, cols, spec)):
-            _repair(cluster, arrays, spec, rows, cols, occ_rows, occ_cols)
+            _repair(arrays, spec, hrs_pre, hrs_post, rows, cols, occ_rows, occ_cols)
         bad = _violations(arrays, rows, cols, spec)
         if len(bad):
             details = [f"synapse {i} ({cluster.synapses[i].state}) at "
@@ -206,96 +200,40 @@ def assign_cluster(cluster: Cluster, spec: CrossbarSpec) -> Assignment:
     )
 
 
-def _repair(cluster, arrays, spec, rows, cols, occ_rows, occ_cols):
-    n, n_h, n_l = spec.n, spec.n_h, spec.n_l
-    n_pre, n_post = len(cluster.pre_neurons), len(cluster.post_neurons)
+def _axis_pass(spec, arrays, own, other_seat, seats, occ):
+    """Swap-repair one axis with the other held fixed; mutates `seats` and `occ`.
 
-    def row_pass():
-        # Per pre-neuron: violations incurred seated in each band, columns fixed.
-        pre_a = np.zeros(n_pre, dtype=int)
-        pre_b = np.zeros(n_pre, dtype=int)
-        for s in cluster.synapses:
-            if s.state != HRS and cols[s.post] < n_h:
-                pre_a[s.pre] += 1
-            if s.state != LRS1 and cols[s.post] >= n - n_l:
-                pre_b[s.pre] += 1
-        applied = _swap_repair(spec, occ_rows, pre_a, pre_b)
-        rows[:] = -1
-        for slot in range(n):
-            if occ_rows[slot] >= 0:
-                rows[occ_rows[slot]] = slot
-        return applied
+    own[k] is synapse k's neuron on this axis and other_seat[k] the slot of
+    its partner on the other axis, so a neuron's near-band (far-band) cost
+    counts its synapses that would then land in region A (B) and may not.
+    """
+    n = len(seats)
+    cost_near = np.bincount(own[arrays.not_hrs & (other_seat < spec.n_h)], minlength=n)
+    cost_far = np.bincount(own[arrays.not_lrs1 & (other_seat >= spec.n - spec.n_l)], minlength=n)
+    _swap_repair(spec, occ, cost_near, cost_far)
+    placed = np.nonzero(occ >= 0)[0]
+    seats[occ[placed]] = placed
 
-    def col_pass():
-        post_a = np.zeros(n_post, dtype=int)
-        post_b = np.zeros(n_post, dtype=int)
-        for s in cluster.synapses:
-            if s.state != HRS and rows[s.pre] < n_h:
-                post_a[s.post] += 1
-            if s.state != LRS1 and rows[s.pre] >= n - n_l:
-                post_b[s.post] += 1
-        applied = _swap_repair(spec, occ_cols, post_a, post_b)
-        cols[:] = -1
-        for slot in range(n):
-            if occ_cols[slot] >= 0:
-                cols[occ_cols[slot]] = slot
-        return applied
 
+def _repair(arrays, spec, hrs_pre, hrs_post, rows, cols, occ_rows, occ_cols):
     # One best-improvement cycle over each axis catches the easy cases.
-    row_pass()
+    _axis_pass(spec, arrays, arrays.pre, cols[arrays.post], rows, occ_rows)
     if not len(_violations(arrays, rows, cols, spec)):
         return
-    col_pass()
+    _axis_pass(spec, arrays, arrays.post, rows[arrays.pre], cols, occ_cols)
     if not len(_violations(arrays, rows, cols, spec)):
         return
 
     # Swap repair is local search and stalls on tightly coupled clusters, so
-    # fall back to the exact band formulation: a cell violates only through
-    # the bands its row and column sit in, which makes feasibility a small
-    # constraint problem over per-neuron band choices.
-    if _band_stage(cluster, arrays, spec, rows, cols, occ_rows, occ_cols):
-        return
-
-    # Last resort: move still-violating neurons to a free slot, preferring the
-    # first free index >= N_h (region C rows/columns).
-    pre_syn = [[] for _ in range(n_pre)]
-    post_syn = [[] for _ in range(n_post)]
-    for s in cluster.synapses:
-        pre_syn[s.pre].append(s)
-        post_syn[s.post].append(s)
-
-    def own_violations_pre(i, row):
-        return sum(1 for s in pre_syn[i]
-                   if (s.state != HRS and row < n_h and cols[s.post] < n_h)
-                   or (s.state != LRS1 and row >= n - n_l and cols[s.post] >= n - n_l))
-
-    def own_violations_post(j, col):
-        return sum(1 for s in post_syn[j]
-                   if (s.state != HRS and rows[s.pre] < n_h and col < n_h)
-                   or (s.state != LRS1 and rows[s.pre] >= n - n_l and col >= n - n_l))
-
-    def shift(idx_owner, own_violations, placed, occ):
-        free = [slot for slot in range(n) if occ[slot] < 0]
-        for slot in sorted(free, key=lambda x: (x < n_h, x)):
-            if own_violations(idx_owner, slot) == 0:
-                occ[placed[idx_owner]] = -1
-                occ[slot] = idx_owner
-                placed[idx_owner] = slot
-                return True
-        return False
-
-    for idx in _violations(arrays, rows, cols, spec):
-        s = cluster.synapses[idx]
-        r, c = rows[s.pre], cols[s.post]
-        if s.state != HRS and r < n_h and c < n_h or s.state != LRS1 and r >= n - n_l and c >= n - n_l:
-            if own_violations_pre(s.pre, rows[s.pre]) and shift(s.pre, own_violations_pre, rows, occ_rows):
-                continue
-            if own_violations_post(s.post, cols[s.post]):
-                shift(s.post, own_violations_post, cols, occ_cols)
+    # fall back to the band formulation: a cell violates only through the
+    # bands its row and column sit in, which makes feasibility a small
+    # constraint problem over per-neuron band choices. The formulation is
+    # exact, but _band_stage searches it greedily and can miss a solution.
+    _band_stage(arrays, spec, hrs_pre, hrs_post, rows, cols, occ_rows, occ_cols)
 
 
-def _band_stage(cluster, arrays, spec, rows, cols, occ_rows, occ_cols) -> bool:
-    """Exact band assignment; reseats every neuron on success.
+def _band_stage(arrays, spec, hrs_pre, hrs_post, rows, cols, occ_rows, occ_cols) -> None:
+    """Greedy band assignment; reseats every neuron on success.
 
     Violations depend only on which horizontal/vertical band a neuron sits
     in: region A cells pair a near-band row (slot < N_h) with a near-band
@@ -304,35 +242,34 @@ def _band_stage(cluster, arrays, spec, rows, cols, occ_rows, occ_cols) -> bool:
     everything. Assignment is therefore a 3-valued constraint problem: a
     synapse barred from region A forbids near-near between its endpoints,
     one barred from region B forbids far-far, and each band has as many
-    seats per axis as it has slots.
+    seats per axis as it has slots. The formulation is exact; the search is
+    not.
 
-    Solved by deterministic trial propagation: bands are tried per neuron in
-    a fixed preference order, each trial propagating forbidden-band and
+    Searched by deterministic trial propagation: bands are tried per neuron
+    in a fixed preference order, each trial propagating forbidden-band and
     band-full eliminations; a trial that empties some neuron's domain is
-    rolled back. On success, every group packs as low as its band allows,
-    HRS-heavy neurons first so they keep the shortest paths.
+    rolled back. There is no backtracking over earlier commits, so when no
+    trial fits some neuron the stage gives up and leaves every seat as it
+    was, even if the cluster is feasible. On success, every group packs as
+    low as its band allows, HRS-heavy neurons first so they keep the
+    shortest paths.
     """
     n, n_h, n_l = spec.n, spec.n_h, spec.n_l
     NEAR, MIDDLE, FAR = 0, 1, 2
     caps = (n_h, n - n_h - n_l, n_l)
-    n_pre, n_post = len(cluster.pre_neurons), len(cluster.post_neurons)
+    n_pre, n_post = len(rows), len(cols)
     n_vars = n_pre + n_post
 
-    hrs_pre = np.zeros(n_pre, dtype=int)
-    hrs_post = np.zeros(n_post, dtype=int)
-    adj_near = [[] for _ in range(n_vars)]  # partners that must leave NEAR if var is NEAR
-    adj_far = [[] for _ in range(n_vars)]
-    for s in cluster.synapses:
-        u, v = s.pre, n_pre + s.post
-        if s.state == HRS:
-            hrs_pre[s.pre] += 1
-            hrs_post[s.post] += 1
-        elif n_h > 0:
-            adj_near[u].append(v)
-            adj_near[v].append(u)
-        if s.state != LRS1 and n_l > 0:
-            adj_far[u].append(v)
-            adj_far[v].append(u)
+    def adjacency(barred):
+        # Per neuron: the partners that must leave a band if it takes it.
+        adj = [[] for _ in range(n_vars)]
+        for u, v in zip(arrays.pre[barred].tolist(), (n_pre + arrays.post[barred]).tolist()):
+            adj[u].append(v)
+            adj[v].append(u)
+        return adj
+
+    adj_near = adjacency(arrays.not_hrs & (n_h > 0))
+    adj_far = adjacency(arrays.not_lrs1 & (n_l > 0))
 
     # Seat supply per axis: near commits may overflow into middle slots and
     # far commits likewise, so the binding budgets are near+middle vs
@@ -434,30 +371,27 @@ def _band_stage(cluster, arrays, spec, rows, cols, occ_rows, occ_cols) -> bool:
         else:
             preference = (NEAR, MIDDLE, FAR)
         if not any(propagate(var, band) for band in preference if domain[var] & (1 << band)):
-            return False
+            return
 
-    def seat(count, offset, hrs_counts, placed, occ):
+    def seat(bands, hrs_counts, seats, occ):
         # Everything packs as low as its band allows, maximizing the
         # utilization of the collapsed region: near from slot 0 (overflow
-        # into middle slots is safe), the middle group next (never past
-        # N-N_l by the budgets), then far-committed neurons, which may use
-        # middle slots too. HRS-heavy neurons lead each group so they keep
-        # the shortest paths.
+        # into middle slots is safe), the middle group next from
+        # max(N_h, near count) (never past N-N_l by the budgets), then
+        # far-committed neurons right after it, which may use middle slots
+        # too. HRS-heavy neurons lead each group so they keep the shortest
+        # paths.
+        bands = np.array(bands)
+        order = np.lexsort((-hrs_counts, bands))
+        n_near = np.count_nonzero(bands == NEAR)
+        pos = np.arange(len(order))
+        slots = pos + (pos >= n_near) * max(n_h - n_near, 0)
+        seats[order] = slots
         occ[:] = -1
-        groups = [sorted((i for i in range(count) if committed[offset + i] == b),
-                         key=lambda i: (-hrs_counts[i], i)) for b in (NEAR, MIDDLE, FAR)]
-        slots = list(range(len(groups[NEAR])))
-        base = max(n_h, len(groups[NEAR]))
-        slots += [base + k for k in range(len(groups[MIDDLE]))]
-        far_base = base + len(groups[MIDDLE])
-        slots += [far_base + k for k in range(len(groups[FAR]))]
-        for slot, i in zip(slots, groups[NEAR] + groups[MIDDLE] + groups[FAR]):
-            placed[i] = slot
-            occ[slot] = i
+        occ[slots] = order
 
-    seat(n_pre, 0, hrs_pre, rows, occ_rows)
-    seat(n_post, n_pre, hrs_post, cols, occ_cols)
-    return not len(_violations(arrays, rows, cols, spec))
+    seat(committed[:n_pre], hrs_pre, rows, occ_rows)
+    seat(committed[n_pre:], hrs_post, cols, occ_cols)
 
 
 def select_configuration(assignment: Assignment, spec: CrossbarSpec) -> Configuration:

@@ -48,6 +48,21 @@ def test_analyze_stdout_when_no_out(capsys):
     assert "cost_per_bit" in captured.out
 
 
+@pytest.mark.parametrize("dims", [
+    [],
+    ["--n", "128", "--sweep-n", "16:64:16"],
+    ["--sweep-n", "1:0:1"],
+    ["--sweep-n", "a:b"],
+])
+def test_analyze_dimension_usage_error(tmp_path, capsys, dims):
+    out = tmp_path / "analysis.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", "--node", "16nm", "--out", str(out), *dims])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_tech_label(tmp_path):
     out = tmp_path / "x.csv"
     assert run(["analyze", "--n", "4", "--node", "3nm", "--out", str(out)]) == 2

@@ -28,7 +28,7 @@ from xbarsim import (
 )
 from xbarsim.crossbar import legal_configurations
 from xbarsim.fixtures import mapping_demo_network
-from xbarsim.mapper import load_placement
+from xbarsim.mapper import _SynapseArrays, _violations, load_placement
 from xbarsim.errors import CapacityExceeded, Infeasible, ValidationError
 
 from conftest import planted_cluster, random_cluster
@@ -70,6 +70,25 @@ def test_random_feasible_clusters_have_zero_violations(rng):
                             a.col_of_post[cluster.post_neurons[s.post]])
             cells.add(cell)
         assert len(cells) == len(cluster.synapses)
+
+
+@pytest.mark.parametrize("spec", [
+    CrossbarSpec(n=16, n_h=0, n_l=6),
+    CrossbarSpec(n=16, n_h=6, n_l=0),
+    CrossbarSpec(n=16, n_h=7, n_l=9),
+    CrossbarSpec(n=16, n_h=5, n_l=4),
+])
+def test_violations_match_permits_brute_force(rng, spec):
+    # _violations decides accept or Infeasible; check it cell by cell
+    # against the region table on random seats.
+    for cid in range(40):
+        cluster = random_cluster(rng, cid, int(rng.integers(1, 17)), int(rng.integers(1, 17)), 0.4)
+        rows = rng.permutation(spec.n)[:len(cluster.pre_neurons)]
+        cols = rng.permutation(spec.n)[:len(cluster.post_neurons)]
+        expected = [k for k, s in enumerate(cluster.synapses)
+                    if not permits(int(rows[s.pre]), int(cols[s.post]), s.state, spec)]
+        got = _violations(_SynapseArrays(cluster), rows, cols, spec)
+        assert got.tolist() == expected
 
 
 def test_infeasible_cluster_reported():
