@@ -44,16 +44,6 @@ def _seeded_activity(network: Network, spike_rate: float, duration: float, seed:
     return _activity(counts, network.routes, duration)
 
 
-def _repartition(placement: Placement, spec: CrossbarSpec) -> Placement:
-    """The same cell assignment on crossbars partitioned as `spec`."""
-    crossbars = []
-    for xb in placement.crossbars:
-        cells = tuple((s.row, s.col) for s in xb.synapses)
-        config = select_configuration(Assignment(xb.row_of_pre, xb.col_of_post, cells), spec)
-        crossbars.append(replace(xb, spec=spec, config=config))
-    return replace(placement, crossbars=tuple(crossbars))
-
-
 def _evaluate(placement: Placement, spec: CrossbarSpec, tech: TechnologyParams, activity: Activity):
     energy = float(energy_report(placement, activity, tech).total_j)
     report = latency_stats(placement, tech)
@@ -90,10 +80,15 @@ def sweep_pq(networks, base_spec: CrossbarSpec, tech: TechnologyParams, grid,
         hardware = Hardware(crossbar_count=len(network.clusters), spec=base, tech=tech)
         mapped = map_network(network, hardware)
         e0, l0, v0, _ = _evaluate(mapped, base, tech, activity)
+        assignments = [Assignment(xb.row_of_pre, xb.col_of_post,
+                                  tuple((s.row, s.col) for s in xb.synapses))
+                       for xb in mapped.crossbars]
         points = []
         for p, q in grid:
             spec = replace(base_spec, p=p, q=q)
-            e, l, v, frac = _evaluate(_repartition(mapped, spec), spec, tech, activity)
+            crossbars = tuple(replace(xb, spec=spec, config=select_configuration(a, spec))
+                              for xb, a in zip(mapped.crossbars, assignments))
+            e, l, v, frac = _evaluate(replace(mapped, crossbars=crossbars), spec, tech, activity)
             points.append(SweepPoint(network=name, p=p, q=q,
                                      norm_energy=e / e0, norm_latency=l / l0,
                                      norm_variation=v / v0, expanded_fraction=frac))

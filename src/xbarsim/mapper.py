@@ -43,7 +43,7 @@ from .crossbar import (
 )
 from .errors import CapacityExceeded, Infeasible, ValidationError
 from .techmodel import TechnologyParams
-from .workload import Cluster, Network, Route
+from .workload import Cluster, Network, Route, _routes_from_json, _routes_to_json
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,8 @@ def _swap_repair(spec, occupants, cost_a, cost_b) -> None:
     < N_h) / far-region band (slots >= N - N_l). Empty slots cost nothing, so
     a "swap" with one covers moving a neuron to a free slot.
 
-    Each pass evaluates every slot pair once, then applies improving swaps in
+    Each pass evaluates every pair of slots in different bands once (a swap
+    inside one band changes no cost), then applies improving swaps in
     ascending-delta order while the pairs stay disjoint; a swap's improvement
     depends only on its own two slots, so every applied swap keeps its exact
     pre-pass delta and the pass strictly reduces the violation count.
@@ -137,20 +138,21 @@ def _swap_repair(spec, occupants, cost_a, cost_b) -> None:
     slots = np.arange(n)
     in_a = slots < n_h
     in_b = slots >= n - n_l
+    # A pair i < j in different bands has i below the far band and j above
+    # the near band: slot i is never far and slot j never near.
+    lo, hi = slice(0, n - n_l), slice(n_h, n)
     while True:
         ca = np.where(occupants >= 0, cost_a[np.maximum(occupants, 0)], 0)
         cb = np.where(occupants >= 0, cost_b[np.maximum(occupants, 0)], 0)
-        cost_at = ca[:, None] * in_a[None, :] + cb[:, None] * in_b[None, :]
-        cur = np.diagonal(cost_at).copy()
-        delta = cost_at + cost_at.T - cur[:, None] - cur[None, :]
+        # delta[i, j - N_h]: change in violations if slots i and j swap.
+        delta = ((ca[None, hi] - ca[lo, None]) * in_a[lo, None]
+                 + (cb[lo, None] - cb[None, hi]) * in_b[None, hi])
         ii, jj = np.nonzero(delta < 0)
-        upper = ii < jj  # delta is symmetric
-        ii, jj = ii[upper], jj[upper]
         if ii.size == 0:
             return
         touched = np.zeros(n, dtype=bool)
         for k in np.argsort(delta[ii, jj], kind="stable"):
-            i, j = int(ii[k]), int(jj[k])
+            i, j = int(ii[k]), int(jj[k]) + n_h
             if touched[i] or touched[j]:
                 continue
             occupants[i], occupants[j] = occupants[j], occupants[i]
@@ -416,29 +418,31 @@ def select_configuration(assignment: Assignment, spec: CrossbarSpec) -> Configur
     return candidates[0][2]
 
 
-def _build(crossbar_id, cluster, spec, assignment, config) -> CrossbarPlacement:
-    placed = tuple(
-        PlacedSynapse(pre=cluster.pre_neurons[s.pre], post=cluster.post_neurons[s.post],
-                      state=s.state, row=cell[0], col=cell[1])
-        for s, cell in zip(cluster.synapses, assignment.cells)
-    )
-    return CrossbarPlacement(crossbar_id=crossbar_id, cluster_id=cluster.id, spec=spec,
-                             config=config, row_of_pre=dict(assignment.row_of_pre),
-                             col_of_post=dict(assignment.col_of_post), synapses=placed)
+def _map_clusters(network: Network, hardware: Hardware, assign) -> Placement:
+    """First-fit in descending synapse count; assign(cluster) seats a cluster."""
+    if len(network.clusters) > hardware.crossbar_count:
+        raise CapacityExceeded(f"{len(network.clusters)} clusters > {hardware.crossbar_count} crossbars")
+    spec = hardware.spec
+    order = sorted(network.clusters, key=lambda c: (-len(c.synapses), c.id))
+    crossbars = []
+    for crossbar_id, cluster in enumerate(order):
+        assignment = assign(cluster)
+        placed = tuple(
+            PlacedSynapse(pre=cluster.pre_neurons[s.pre], post=cluster.post_neurons[s.post],
+                          state=s.state, row=cell[0], col=cell[1])
+            for s, cell in zip(cluster.synapses, assignment.cells)
+        )
+        crossbars.append(CrossbarPlacement(
+            crossbar_id=crossbar_id, cluster_id=cluster.id, spec=spec,
+            config=select_configuration(assignment, spec), row_of_pre=dict(assignment.row_of_pre),
+            col_of_post=dict(assignment.col_of_post), synapses=placed))
+    return Placement(crossbars=tuple(crossbars), crossbar_count=hardware.crossbar_count,
+                     routes=network.routes)
 
 
 def map_network(network: Network, hardware: Hardware) -> Placement:
     """Map clusters to crossbars, first-fit in descending synapse count."""
-    if len(network.clusters) > hardware.crossbar_count:
-        raise CapacityExceeded(f"{len(network.clusters)} clusters > {hardware.crossbar_count} crossbars")
-    order = sorted(network.clusters, key=lambda c: (-len(c.synapses), c.id))
-    crossbars = []
-    for crossbar_id, cluster in enumerate(order):
-        assignment = assign_cluster(cluster, hardware.spec)
-        config = select_configuration(assignment, hardware.spec)
-        crossbars.append(_build(crossbar_id, cluster, hardware.spec, assignment, config))
-    return Placement(crossbars=tuple(crossbars), crossbar_count=hardware.crossbar_count,
-                     routes=network.routes)
+    return _map_clusters(network, hardware, lambda cluster: assign_cluster(cluster, hardware.spec))
 
 
 def map_network_control(network: Network, hardware: Hardware, seed: int = 0) -> Placement:
@@ -450,26 +454,21 @@ def map_network_control(network: Network, hardware: Hardware, seed: int = 0) -> 
     spec = hardware.spec
     if spec.n_h or spec.n_l:
         raise ValidationError("control mapper ignores regions; use a spec with N_h = N_l = 0")
-    if len(network.clusters) > hardware.crossbar_count:
-        raise CapacityExceeded(f"{len(network.clusters)} clusters > {hardware.crossbar_count} crossbars")
     rng = np.random.default_rng(seed)
-    order = sorted(network.clusters, key=lambda c: (-len(c.synapses), c.id))
-    crossbars = []
-    for crossbar_id, cluster in enumerate(order):
+
+    def shuffled(cluster):
         n_pre, n_post = len(cluster.pre_neurons), len(cluster.post_neurons)
         if n_pre > spec.n or n_post > spec.n:
             raise Infeasible(f"cluster {cluster.id} exceeds crossbar", cluster_id=cluster.id)
         row_slots = rng.permutation(spec.n)[:n_pre]
         col_slots = rng.permutation(spec.n)[:n_post]
-        assignment = Assignment(
+        return Assignment(
             row_of_pre={nid: int(row_slots[i]) for i, nid in enumerate(cluster.pre_neurons)},
             col_of_post={nid: int(col_slots[j]) for j, nid in enumerate(cluster.post_neurons)},
             cells=tuple((int(row_slots[s.pre]), int(col_slots[s.post])) for s in cluster.synapses),
         )
-        config = select_configuration(assignment, spec)
-        crossbars.append(_build(crossbar_id, cluster, spec, assignment, config))
-    return Placement(crossbars=tuple(crossbars), crossbar_count=hardware.crossbar_count,
-                     routes=network.routes)
+
+    return _map_clusters(network, hardware, shuffled)
 
 
 def check_placement(placement: Placement) -> list[str]:
@@ -513,11 +512,7 @@ def placement_to_json(placement: Placement) -> dict:
             }
             for xb in placement.crossbars
         ],
-        "routes": [
-            {"src_cluster": r.src_cluster, "src_neuron": r.src_neuron,
-             "dst_cluster": r.dst_cluster, "dst_neuron": r.dst_neuron, "hops": r.hops}
-            for r in placement.routes
-        ],
+        "routes": _routes_to_json(placement.routes),
     }
 
 
@@ -538,12 +533,8 @@ def placement_from_json(doc: dict) -> Placement:
             )
             for x in doc["crossbars"]
         )
-        routes = tuple(
-            Route(int(r["src_cluster"]), int(r["src_neuron"]),
-                  int(r["dst_cluster"]), int(r["dst_neuron"]), int(r["hops"]))
-            for r in doc.get("routes", ())
-        )
-        return Placement(crossbars=crossbars, crossbar_count=int(doc["crossbar_count"]), routes=routes)
+        return Placement(crossbars=crossbars, crossbar_count=int(doc["crossbar_count"]),
+                         routes=_routes_from_json(doc.get("routes", ())))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad placement document: {exc}") from exc
 

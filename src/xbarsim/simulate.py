@@ -11,7 +11,9 @@ transistors when a far-region cell is accessed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from math import inf
+from operator import add
 
 import numpy as np
 
@@ -272,12 +274,16 @@ def latency_stats(placement: Placement, tech: TechnologyParams) -> LatencyReport
         raise EmptyPlacement("placement maps no crossbars")
     per = []
     all_totals = []
+    extremes_of = {}  # corner extremes depend only on (spec, config)
     for xb in placement.crossbars:
         totals = synapse_latency_totals(xb, tech)
         all_totals.extend(totals.tolist())
+        key = (xb.spec, xb.config)
+        if key not in extremes_of:
+            extremes_of[key] = corner_extremes(xb.spec, tech, xb.config)
         per.append(CrossbarLatencyReport(crossbar_id=xb.crossbar_id, cluster_id=xb.cluster_id,
                                          placed=LatencyStats.from_values(totals),
-                                         extremes=corner_extremes(xb.spec, tech, xb.config)))
+                                         extremes=extremes_of[key]))
     best = min(r.extremes.best for r in per)
     worst = max(r.extremes.worst for r in per)
     extremes = LatencyStats(best=best, worst=worst, diff=worst - best, ratio=best / worst,
@@ -332,21 +338,15 @@ def neuron_isi_distortion(placement: Placement, trains, tech: TechnologyParams) 
 # energy
 
 
-def _access_multiplier(synapse, config: Configuration, spec: CrossbarSpec) -> int:
-    # Far-region access drives two isolation transistors plus the access
-    # transistor (3x a plain wordline raise); a single-side expansion drives
-    # one isolation transistor (2x); collapsed-region accesses stay at 1x.
-    far = synapse.row >= spec.p or synapse.col >= spec.q
-    if not far:
-        return 1
-    return 3 if config == CONFIG_11 else 2
-
-
 def energy_report(placement: Placement, activity: Activity, tech: TechnologyParams) -> EnergyReport:
     """Energy ledger over the activity window.
 
     Idle crossbars (beyond the mapped ones) are fully power-gated and
-    contribute nothing to the static term.
+    contribute nothing to the static term. Each spike reaching a synapse
+    raises its wordline for the cell's path latency: a far-region cell (row
+    >= P or column >= Q) drives two isolation transistors plus the access
+    transistor under '11' (3x a plain raise) and one under a single-side
+    expansion (2x); collapsed-region accesses stay at 1x.
     """
     static = sum(static_energy_weight(xb.config, xb.spec) for xb in placement.crossbars)
     static_j = static * tech.leakage_per_cell * activity.duration
@@ -354,12 +354,11 @@ def energy_report(placement: Placement, activity: Activity, tech: TechnologyPara
     routing_j = activity.routed_spike_hops * tech.e_route_hop
     access_j = 0.0
     for xb in placement.crossbars:
-        totals = synapse_latency_totals(xb, tech)
-        for s, t_access in zip(xb.synapses, totals):
-            count = activity.spike_counts.get(s.pre, 0)
-            if not count:
-                continue
-            k = _access_multiplier(s, xb.config, xb.spec)
-            access_j += count * tech.p_wordline_raise * float(t_access) * k
+        counts = np.array([activity.spike_counts.get(s.pre, 0) for s in xb.synapses], dtype=float)
+        far = np.array([s.row >= xb.spec.p or s.col >= xb.spec.q for s in xb.synapses])
+        k = np.where(far, 3 if xb.config == CONFIG_11 else 2, 1)
+        terms = counts * tech.p_wordline_raise * synapse_latency_totals(xb, tech) * k
+        # A left fold, as sum() of floats is compensated from Python 3.12 on.
+        access_j = reduce(add, terms[counts > 0].tolist(), access_j)
     return EnergyReport(static_j=static_j, spike_j=spike_j, routing_j=routing_j,
                         access_overhead_j=access_j)

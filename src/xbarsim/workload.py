@@ -112,6 +112,19 @@ class SpikeTrain:
 # file formats
 
 
+def _routes_to_json(routes) -> list:
+    """Route records shared by the network and placement documents."""
+    return [{"src_cluster": r.src_cluster, "src_neuron": r.src_neuron,
+             "dst_cluster": r.dst_cluster, "dst_neuron": r.dst_neuron, "hops": r.hops}
+            for r in routes]
+
+
+def _routes_from_json(docs) -> tuple[Route, ...]:
+    return tuple(Route(int(r["src_cluster"]), int(r["src_neuron"]),
+                       int(r["dst_cluster"]), int(r["dst_neuron"]), int(r["hops"]))
+                 for r in docs)
+
+
 def network_to_json(network: Network) -> dict:
     return {
         "clusters": [
@@ -123,11 +136,7 @@ def network_to_json(network: Network) -> dict:
             }
             for c in network.clusters
         ],
-        "routes": [
-            {"src_cluster": r.src_cluster, "src_neuron": r.src_neuron,
-             "dst_cluster": r.dst_cluster, "dst_neuron": r.dst_neuron, "hops": r.hops}
-            for r in network.routes
-        ],
+        "routes": _routes_to_json(network.routes),
     }
 
 
@@ -142,11 +151,7 @@ def network_from_json(doc: dict) -> Network:
             )
             for c in doc["clusters"]
         )
-        routes = tuple(
-            Route(int(r["src_cluster"]), int(r["src_neuron"]),
-                  int(r["dst_cluster"]), int(r["dst_neuron"]), int(r["hops"]))
-            for r in doc.get("routes", ())
-        )
+        routes = _routes_from_json(doc.get("routes", ()))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad network document: {exc}") from exc
     return Network(clusters=clusters, routes=routes)

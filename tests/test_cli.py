@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -194,6 +195,39 @@ def test_outputs_byte_identical_across_runs(tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
     for name in ("latency.csv", "energy.csv", "isi.csv", "report.json"):
         assert (paths_a[4] / name).read_bytes() == (paths_b[4] / name).read_bytes()
+
+
+def _output_digests(tmp_path):
+    """sha256 of every file the pipeline and a dse sweep of its network write."""
+    net_path, spk_path, spec_path, place_path, report_dir = _pipeline(tmp_path)
+    sweep_path = tmp_path / "sweep.csv"
+    assert run(["dse", "--networks", str(net_path), "--spec", str(spec_path),
+                "--grid", "96,112,128", "--out", str(sweep_path)]) == 0
+    paths = [net_path, spk_path, spec_path, place_path, sweep_path, *sorted(report_dir.iterdir())]
+    return {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in paths}
+
+
+GOLDEN_DIGESTS = {
+    "net.json": "b8499b82c40e265c302ee822ecee35186a5055fd20d0c89eed5d18393fc49dcc",
+    "placement.json": "5c99a3128c49f6fb368262332fc156368054db292dd4bc6c639fbaa51d3b25bc",
+    "reports/energy.csv": "d127cec1c2f37e7870eb2940340c235015600f83fb5497eda5aa71d1f61d6fbb",
+    "reports/isi.csv": "e3d2e13c2f3b4ab1f37454dbbe0f0e81bd595c2d1639495cac0f2ad3aca9770d",
+    "reports/latency.csv": "7e696fa0f911d71ea57f0d65d58bc5098c20c64ef8aee87ec98fb5fe68e0fca6",
+    "reports/report.json": "ba56345084e6c23008798e9bcfd55f1a4fbc0fc9e2a6cf7383bc0b3c9a8cd00b",
+    "spec.json": "f1e7d4c2eafe96c9a1e2b3845453bef0cf02536b3c961dfa2d354a851246adac",
+    "spk.csv": "de652fa7b06fc323fd05a3072acb308153d740aad288cc168a6bac3d614baaf3",
+    "sweep.csv": "0f28c68690a588078d1f81785d723dca6a8276ddcc6fe7bfd7fcdd44d327873b",
+}
+
+
+def test_outputs_match_golden_digests(tmp_path):
+    """The CLI writes the same bytes as when these digests were taken.
+
+    A change that alters any output on purpose (a defect fix) updates the
+    digests here and records the change and its reason in CHANGES.md.
+    """
+    assert _output_digests(tmp_path) == GOLDEN_DIGESTS
 
 
 @pytest.mark.parametrize("option, value", [

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from xbarsim import (
@@ -28,7 +29,7 @@ from xbarsim import (
 )
 from xbarsim.crossbar import legal_configurations
 from xbarsim.fixtures import mapping_demo_network
-from xbarsim.mapper import _SynapseArrays, _violations, load_placement
+from xbarsim.mapper import _SynapseArrays, _swap_repair, _violations, load_placement
 from xbarsim.errors import CapacityExceeded, Infeasible, ValidationError
 
 from conftest import planted_cluster, random_cluster
@@ -72,12 +73,15 @@ def test_random_feasible_clusters_have_zero_violations(rng):
         assert len(cells) == len(cluster.synapses)
 
 
-@pytest.mark.parametrize("spec", [
+BAND_SPECS = [
     CrossbarSpec(n=16, n_h=0, n_l=6),
     CrossbarSpec(n=16, n_h=6, n_l=0),
     CrossbarSpec(n=16, n_h=7, n_l=9),
     CrossbarSpec(n=16, n_h=5, n_l=4),
-])
+]
+
+
+@pytest.mark.parametrize("spec", BAND_SPECS)
 def test_violations_match_permits_brute_force(rng, spec):
     # _violations decides accept or Infeasible; check it cell by cell
     # against the region table on random seats.
@@ -89,6 +93,49 @@ def test_violations_match_permits_brute_force(rng, spec):
                     if not permits(int(rows[s.pre]), int(cols[s.post]), s.state, spec)]
         got = _violations(_SynapseArrays(cluster), rows, cols, spec)
         assert got.tolist() == expected
+
+
+def _swap_repair_full_matrix(spec, occupants, cost_a, cost_b):
+    # Reference: scores every slot pair on the full N x N delta matrix and
+    # keeps the upper triangle, then applies disjoint swaps as _swap_repair.
+    n, n_h, n_l = spec.n, spec.n_h, spec.n_l
+    slots = np.arange(n)
+    in_a = slots < n_h
+    in_b = slots >= n - n_l
+    while True:
+        ca = np.where(occupants >= 0, cost_a[np.maximum(occupants, 0)], 0)
+        cb = np.where(occupants >= 0, cost_b[np.maximum(occupants, 0)], 0)
+        cost_at = ca[:, None] * in_a[None, :] + cb[:, None] * in_b[None, :]
+        cur = np.diagonal(cost_at).copy()
+        delta = cost_at + cost_at.T - cur[:, None] - cur[None, :]
+        ii, jj = np.nonzero(delta < 0)
+        upper = ii < jj
+        ii, jj = ii[upper], jj[upper]
+        if ii.size == 0:
+            return
+        touched = np.zeros(n, dtype=bool)
+        for k in np.argsort(delta[ii, jj], kind="stable"):
+            i, j = int(ii[k]), int(jj[k])
+            if touched[i] or touched[j]:
+                continue
+            occupants[i], occupants[j] = occupants[j], occupants[i]
+            touched[i] = touched[j] = True
+
+
+@pytest.mark.parametrize("spec", BAND_SPECS)
+def test_swap_repair_matches_full_matrix_pass(rng, spec):
+    # Only slot pairs in different bands are scored; the swaps must be the
+    # ones the full pairwise scan makes, in the same order.
+    for _ in range(200):
+        k = int(rng.integers(1, spec.n + 1))
+        occupants = np.full(spec.n, -1, dtype=int)
+        occupants[rng.permutation(spec.n)[:k]] = rng.permutation(k)
+        cost_a = rng.integers(0, 4, size=k)
+        cost_b = rng.integers(0, 4, size=k)
+        expected = occupants.copy()
+        _swap_repair_full_matrix(spec, expected, cost_a, cost_b)
+        _swap_repair(spec, occupants, cost_a, cost_b)
+        assert occupants.tolist() == expected.tolist()
 
 
 def test_infeasible_cluster_reported():

@@ -41,6 +41,7 @@ from xbarsim import (
 )
 from xbarsim import ControlMode
 from xbarsim.fixtures import isi_demo, mapping_demo_network
+from xbarsim import simulate
 from xbarsim.simulate import synapse_latency_totals
 from xbarsim.errors import (
     EmptyCounts,
@@ -51,7 +52,7 @@ from xbarsim.errors import (
     ValidationError,
 )
 
-from conftest import planted_cluster
+from conftest import planted_cluster, random_cluster
 
 TECH = preset("16nm")
 
@@ -63,6 +64,20 @@ def one_crossbar(spec, config, placed):
     xb = CrossbarPlacement(crossbar_id=0, cluster_id=0, spec=spec, config=config,
                            row_of_pre=rows, col_of_post=cols, synapses=synapses)
     return Placement(crossbars=(xb,), crossbar_count=1)
+
+
+def mixed_placement(rng):
+    """Twelve crossbars on two partitioned specs, covering every configuration."""
+    sizes = [(10, 10), (28, 10), (10, 28), (28, 28), (12, 14), (26, 26)]
+    clusters = [random_cluster(rng, k, n_pre, n_post, 0.5, id_base=100 * k)
+                for k, (n_pre, n_post) in enumerate(sizes)]
+    net = Network(clusters=tuple(clusters))
+    crossbars = []
+    for spec in (CrossbarSpec(n=32, p=20, q=20), CrossbarSpec(n=32, p=16, q=24)):
+        crossbars += map_network(net, Hardware(crossbar_count=6, spec=spec, tech=TECH)).crossbars
+    crossbars = tuple(dataclasses.replace(xb, crossbar_id=i) for i, xb in enumerate(crossbars))
+    assert {xb.config for xb in crossbars} == set(CONFIGURATIONS)
+    return Placement(crossbars=crossbars, crossbar_count=len(crossbars))
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +304,23 @@ def test_corner_extremes_match_brute_force_path_latency():
             assert stats.mean == pytest.approx(sum(totals) / len(totals), rel=1e-12)
 
 
+def test_latency_stats_extremes_once_per_spec_and_config(rng, monkeypatch):
+    placement = mixed_placement(rng)
+    expected = [corner_extremes(xb.spec, TECH, xb.config) for xb in placement.crossbars]
+    calls = []
+
+    def counted(spec, tech, config=CONFIG_11):
+        calls.append((spec, config))
+        return corner_extremes(spec, tech, config)
+
+    monkeypatch.setattr(simulate, "corner_extremes", counted)
+    report = latency_stats(placement, TECH)
+    assert [r.extremes for r in report.per_crossbar] == expected
+    assert sorted(calls, key=repr) == sorted({(xb.spec, xb.config) for xb in placement.crossbars},
+                                             key=repr)
+    assert len(calls) < len(placement.crossbars)
+
+
 def test_latency_stats_empty():
     with pytest.raises(EmptyPlacement):
         latency_stats(Placement(crossbars=(), crossbar_count=1), TECH)
@@ -413,6 +445,33 @@ def test_energy_access_multipliers():
     r00 = energy_report(one_crossbar(spec, CONFIG_00, near_cell), activity, TECH)
     t00 = path_latency(0, 0, TECH.state("LRS1"), CONFIG_00, spec, TECH).total
     assert r00.access_overhead_j == pytest.approx(1 * TECH.p_wordline_raise * t00)
+
+
+def access_overhead_by_synapse(placement, activity, tech):
+    # Reference: the ledger's access term summed synapse by synapse, in
+    # placement order, with the far-region multiplier decided per cell.
+    access_j = 0.0
+    for xb in placement.crossbars:
+        for s, t_access in zip(xb.synapses, synapse_latency_totals(xb, tech)):
+            count = activity.spike_counts.get(s.pre, 0)
+            if not count:
+                continue
+            far = s.row >= xb.spec.p or s.col >= xb.spec.q
+            k = (3 if xb.config == CONFIG_11 else 2) if far else 1
+            access_j += count * tech.p_wordline_raise * float(t_access) * k
+    return access_j
+
+
+def test_energy_access_overhead_matches_per_synapse_sum(rng):
+    placement = mixed_placement(rng)
+    pre = sorted({s.pre for xb in placement.crossbars for s in xb.synapses})
+    # Zero counts, and pre-neurons missing from the activity, add nothing.
+    counts = {nid: int(rng.integers(0, 4)) for nid in pre if rng.random() < 0.8}
+    assert 0 in counts.values() and len(counts) < len(pre)
+    activity = Activity(spike_counts=counts, routed_spike_hops=0.0, duration=1.0)
+    for tech in (TECH, preset("45nm")):
+        got = energy_report(placement, activity, tech).access_overhead_j
+        assert got == access_overhead_by_synapse(placement, activity, tech)
 
 
 def test_energy_routing_and_spikes():
