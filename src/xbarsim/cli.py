@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
@@ -69,8 +70,6 @@ def cmd_analyze(args) -> int:
     tech = resolve_tech(args.node)
     f_nm = tech.feature_size_nm
     ns = list(args.sweep_n or [args.n])
-    if any(n < 1 for n in ns):
-        raise ValidationError("crossbar dimension must be >= 1")
     rows = []
     for n in ns:
         overhead = die_area_overhead(n)
@@ -121,7 +120,7 @@ def _lo_hi(text: str) -> tuple[int, int]:
 
 def _sweep_range(text: str) -> range:
     a, b, step = (int(x) for x in text.split(":"))
-    if step <= 0 or b < a:
+    if a < 1 or step <= 0 or b < a:
         raise ValueError(text)
     return range(a, b + 1, step)
 
@@ -133,6 +132,27 @@ def _state_mix(text: str) -> dict:
 
 def _int_set(text: str) -> list[int]:
     return sorted({int(x) for x in text.split(",")})
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(text)
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(text)
+    return value
 
 
 def cmd_map(args) -> int:
@@ -209,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="cost-per-bit, capacity, and die-area table")
     dims = p.add_mutually_exclusive_group(required=True)
-    dims.add_argument("--n", type=int, help="crossbar dimension")
+    dims.add_argument("--n", type=_positive_int, help="crossbar dimension")
     dims.add_argument("--sweep-n", type=_sweep_range, help="dimension sweep a:b:step (inclusive)")
     p.add_argument("--node", required=True, help="tech preset label or JSON path")
     p.add_argument("--out", help="CSV output path (default: stdout)")
@@ -222,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=0.2)
     p.add_argument("--mix", type=_state_mix, default="HRS=0.25,LRS1=0.25,LRS2=0.25,LRS3=0.25",
                    help="state mix, e.g. HRS=0.5,LRS1=0.5")
-    p.add_argument("--rate", type=float, default=30.0, help="spike rate, Hz")
-    p.add_argument("--duration", type=float, default=1.0, help="trace duration, s")
+    p.add_argument("--rate", type=_non_negative_float, default=30.0, help="spike rate, Hz")
+    p.add_argument("--duration", type=_positive_float, default=1.0, help="trace duration, s")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-network", required=True)
     p.add_argument("--out-spikes", required=True)
@@ -233,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True)
     p.add_argument("--spec", required=True, help="crossbar spec JSON")
     p.add_argument("--control", choices=["double", "single"], help="override control mode")
-    p.add_argument("--crossbars", type=int, help="crossbar count (default: one per cluster)")
+    p.add_argument("--crossbars", type=_positive_int, help="crossbar count (default: one per cluster)")
     p.add_argument("--node", default="16nm")
     p.add_argument("--out", required=True, help="placement JSON output")
     p.set_defaults(func=cmd_map)
@@ -241,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="evaluate a placement under spike traces")
     p.add_argument("--placement", required=True)
     p.add_argument("--spikes", required=True)
-    p.add_argument("--duration", type=float, required=True, help="observation window, s")
+    p.add_argument("--duration", type=_positive_float, required=True, help="observation window, s")
     p.add_argument("--node", default="16nm")
     p.add_argument("--out", required=True, help="report output directory")
     p.set_defaults(func=cmd_simulate)
@@ -253,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated P=Q values, e.g. 64,96,128")
     p.add_argument("--full-grid", action="store_true", help="sweep the full PxQ product")
     p.add_argument("--node", default="16nm")
-    p.add_argument("--rate", type=float, default=30.0)
-    p.add_argument("--duration", type=float, default=1.0)
+    p.add_argument("--rate", type=_non_negative_float, default=30.0)
+    p.add_argument("--duration", type=_positive_float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=0.0, help="allowed latency regression")
     p.add_argument("--out", required=True, help="sweep CSV output")

@@ -11,7 +11,6 @@ near and far N_h/N_l squares.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,6 +21,7 @@ from .errors import (
     IndexOutOfRange,
     ValidationError,
 )
+from .files import read_json, write_json
 
 HRS = "HRS"
 LRS1 = "LRS1"
@@ -88,14 +88,11 @@ class CrossbarSpec:
 
 
 def load_spec(path) -> CrossbarSpec:
-    with open(path) as fh:
-        return CrossbarSpec.from_json(json.load(fh))
+    return CrossbarSpec.from_json(read_json(path))
 
 
 def save_spec(spec: CrossbarSpec, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(spec.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(spec.to_json(), path)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .crossbar import CONFIG_11, CrossbarSpec
 from .errors import InvalidGrid, NoFeasibleKnee
-from .mapper import Assignment, Hardware, Placement, map_network, select_configuration
+from .mapper import Hardware, Placement, _cheapest_config, map_network
 from .simulate import Activity, _activity, corner_extremes, energy_report, latency_stats
 from .techmodel import TechnologyParams
 from .workload import Network
@@ -80,14 +80,13 @@ def sweep_pq(networks, base_spec: CrossbarSpec, tech: TechnologyParams, grid,
         hardware = Hardware(crossbar_count=len(network.clusters), spec=base, tech=tech)
         mapped = map_network(network, hardware)
         e0, l0, v0, _ = _evaluate(mapped, base, tech, activity)
-        assignments = [Assignment(xb.row_of_pre, xb.col_of_post,
-                                  tuple((s.row, s.col) for s in xb.synapses))
-                       for xb in mapped.crossbars]
+        extents = [(max(s.row for s in xb.synapses), max(s.col for s in xb.synapses))
+                   for xb in mapped.crossbars]
         points = []
         for p, q in grid:
             spec = replace(base_spec, p=p, q=q)
-            crossbars = tuple(replace(xb, spec=spec, config=select_configuration(a, spec))
-                              for xb, a in zip(mapped.crossbars, assignments))
+            crossbars = tuple(replace(xb, spec=spec, config=_cheapest_config(*extent, spec))
+                              for xb, extent in zip(mapped.crossbars, extents))
             e, l, v, frac = _evaluate(replace(mapped, crossbars=crossbars), spec, tech, activity)
             points.append(SweepPoint(network=name, p=p, q=q,
                                      norm_energy=e / e0, norm_latency=l / l0,

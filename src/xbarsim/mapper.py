@@ -24,7 +24,6 @@ The algorithm is greedy-with-repair and fully deterministic:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,8 @@ from .crossbar import (
     permits,
     static_energy_weight,
 )
-from .errors import CapacityExceeded, Infeasible, ValidationError
+from .errors import CapacityExceeded, IllegalConfig, Infeasible, ValidationError
+from .files import read_json, write_json
 from .techmodel import TechnologyParams
 from .workload import Cluster, Network, Route, _routes_from_json, _routes_to_json
 
@@ -397,7 +397,13 @@ def _band_stage(arrays, spec, hrs_pre, hrs_post, rows, cols, occ_rows, occ_cols)
 
 
 def select_configuration(assignment: Assignment, spec: CrossbarSpec) -> Configuration:
-    """Cheapest legal configuration whose active array contains every cell.
+    """Cheapest legal configuration whose active array contains every cell."""
+    rows, cols = zip(*assignment.cells)
+    return _cheapest_config(max(rows), max(cols), spec)
+
+
+def _cheapest_config(max_row: int, max_col: int, spec: CrossbarSpec) -> Configuration:
+    """Cheapest legal configuration containing cells up to (max_row, max_col).
 
     Weight ties can only occur between configurations with identical
     dimensions (degenerate P or Q); they go to the one with fewer control
@@ -406,8 +412,6 @@ def select_configuration(assignment: Assignment, spec: CrossbarSpec) -> Configur
     """
     if spec.p == spec.n and spec.q == spec.n:
         return CONFIG_11
-    max_row = max(r for r, _ in assignment.cells)
-    max_col = max(c for _, c in assignment.cells)
     candidates = []
     for config in legal_configurations(spec):
         rows, cols = config_dimensions(config, spec)
@@ -472,10 +476,14 @@ def map_network_control(network: Network, hardware: Hardware, seed: int = 0) -> 
 
 
 def check_placement(placement: Placement) -> list[str]:
-    """Independent soundness audit; returns human-readable problems (empty = sound)."""
+    """Independent soundness audit; returns human-readable problems (empty = sound), never raises."""
     problems = []
     for xb in placement.crossbars:
-        rows, cols = config_dimensions(xb.config, xb.spec)
+        try:
+            rows, cols = config_dimensions(xb.config, xb.spec)
+        except IllegalConfig as exc:
+            problems.append(f"crossbar {xb.crossbar_id}: {exc}")
+            rows = cols = xb.spec.n
         cells = [(s.row, s.col) for s in xb.synapses]
         if len(set(cells)) != len(cells):
             problems.append(f"crossbar {xb.crossbar_id}: synapse cells not injective")
@@ -484,7 +492,7 @@ def check_placement(placement: Placement) -> list[str]:
                 problems.append(f"crossbar {xb.crossbar_id}: cell ({s.row},{s.col}) inconsistent with neuron maps")
             if not (0 <= s.row < rows and 0 <= s.col < cols):
                 problems.append(f"crossbar {xb.crossbar_id}: cell ({s.row},{s.col}) outside config '{xb.config.name}'")
-            if not permits(s.row, s.col, s.state, xb.spec):
+            elif not permits(s.row, s.col, s.state, xb.spec):
                 problems.append(f"crossbar {xb.crossbar_id}: state {s.state} forbidden at ({s.row},{s.col})")
     return problems
 
@@ -535,16 +543,18 @@ def placement_from_json(doc: dict) -> Placement:
         )
         return Placement(crossbars=crossbars, crossbar_count=int(doc["crossbar_count"]),
                          routes=_routes_from_json(doc.get("routes", ())))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IllegalConfig, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad placement document: {exc}") from exc
 
 
 def load_placement(path) -> Placement:
-    with open(path) as fh:
-        return placement_from_json(json.load(fh))
+    """Read a placement document and audit it with check_placement."""
+    placement = placement_from_json(read_json(path))
+    problems = check_placement(placement)
+    if problems:
+        raise ValidationError(f"{path}: {len(problems)} placement problem(s), first: {problems[0]}")
+    return placement
 
 
 def save_placement(placement: Placement, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(placement_to_json(placement), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(placement_to_json(placement), path)

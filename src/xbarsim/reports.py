@@ -6,13 +6,21 @@ report bundles everything a downstream tool needs in one document.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 
 from .dse import SweepPoint
 from .errors import ParseError
+from .files import read_table, write_json, write_table
 from .simulate import EnergyReport, LatencyReport
+
+# column name -> cell parser, shared by each table's writer and reader
+_LATENCY_COLUMNS = {"crossbar": int, "cluster": int, **dict.fromkeys(
+    ["best", "worst", "diff", "ratio", "mean",
+     "extreme_best", "extreme_worst", "extreme_diff", "extreme_ratio"], float)}
+_ENERGY_COLUMNS = dict.fromkeys(["static_j", "spike_j", "routing_j", "access_overhead_j", "total_j"], float)
+_ISI_COLUMNS = {"neuron": int, "isi_distortion": float}
+_SWEEP_COLUMNS = {"network": str, "P": int, "Q": int, **dict.fromkeys(
+    ["norm_energy", "norm_latency", "norm_variation", "expanded_fraction"], float)}
 
 
 def _r(x) -> str:
@@ -21,64 +29,36 @@ def _r(x) -> str:
 
 
 def write_latency_csv(report: LatencyReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["crossbar", "cluster", "best", "worst", "diff", "ratio", "mean",
-                         "extreme_best", "extreme_worst", "extreme_diff", "extreme_ratio"])
-        for xb in report.per_crossbar:
-            p, e = xb.placed, xb.extremes
-            writer.writerow([xb.crossbar_id, xb.cluster_id,
-                             _r(p.best), _r(p.worst), _r(p.diff), _r(p.ratio), _r(p.mean),
-                             _r(e.best), _r(e.worst), _r(e.diff), _r(e.ratio)])
+    write_table(path, _LATENCY_COLUMNS, (
+        [xb.crossbar_id, xb.cluster_id,
+         _r(xb.placed.best), _r(xb.placed.worst), _r(xb.placed.diff), _r(xb.placed.ratio), _r(xb.placed.mean),
+         _r(xb.extremes.best), _r(xb.extremes.worst), _r(xb.extremes.diff), _r(xb.extremes.ratio)]
+        for xb in report.per_crossbar))
 
 
 def read_latency_csv(path) -> list[dict]:
     """Per-crossbar latency rows as dicts keyed by the column names."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or reader.fieldnames[0] != "crossbar":
-            raise ParseError(f"{path}: not a latency table")
-        rows = []
-        for row in reader:
-            rows.append({k: (int(v) if k in ("crossbar", "cluster") else float(v))
-                         for k, v in row.items()})
-        return rows
+    return [dict(zip(_LATENCY_COLUMNS, row)) for row in read_table(path, _LATENCY_COLUMNS, "latency")]
 
 
 def write_energy_csv(report: EnergyReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["static_j", "spike_j", "routing_j", "access_overhead_j", "total_j"])
-        writer.writerow([_r(report.static_j), _r(report.spike_j), _r(report.routing_j),
-                         _r(report.access_overhead_j), _r(report.total_j)])
+    write_table(path, _ENERGY_COLUMNS, [[_r(report.static_j), _r(report.spike_j), _r(report.routing_j),
+                                         _r(report.access_overhead_j), _r(report.total_j)]])
 
 
 def read_energy_csv(path) -> EnergyReport:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        row = next(iter(reader), None)
-        if row is None or "static_j" not in row:
-            raise ParseError(f"{path}: not an energy table")
-        return EnergyReport(static_j=float(row["static_j"]), spike_j=float(row["spike_j"]),
-                            routing_j=float(row["routing_j"]),
-                            access_overhead_j=float(row["access_overhead_j"]))
+    for static_j, spike_j, routing_j, access_overhead_j, _ in read_table(path, _ENERGY_COLUMNS, "energy"):
+        return EnergyReport(static_j=static_j, spike_j=spike_j, routing_j=routing_j,
+                            access_overhead_j=access_overhead_j)
+    raise ParseError(f"{path}: empty energy table")
 
 
 def write_isi_csv(distortions: dict, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["neuron", "isi_distortion"])
-        for neuron in sorted(distortions):
-            writer.writerow([neuron, _r(distortions[neuron])])
+    write_table(path, _ISI_COLUMNS, ([neuron, _r(distortions[neuron])] for neuron in sorted(distortions)))
 
 
 def read_isi_csv(path) -> dict:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["neuron", "isi_distortion"]:
-            raise ParseError(f"{path}: not an ISI table")
-        return {int(row[0]): float(row[1]) for row in reader if row}
+    return dict(read_table(path, _ISI_COLUMNS, "ISI"))
 
 
 def _stats_json(stats) -> dict:
@@ -103,40 +83,23 @@ def write_simulation_json(latency: LatencyReport, energy: EnergyReport,
                    "total_j": energy.total_j},
         "isi_distortion": {str(k): v for k, v in sorted(distortions.items())},
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def write_sweep_csv(sweeps, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["network", "P", "Q", "norm_energy", "norm_latency",
-                         "norm_variation", "expanded_fraction"])
-        for points in sweeps:
-            for pt in points:
-                writer.writerow([pt.network, pt.p, pt.q, _r(pt.norm_energy),
-                                 _r(pt.norm_latency), _r(pt.norm_variation),
-                                 _r(pt.expanded_fraction)])
+    write_table(path, _SWEEP_COLUMNS, (
+        [pt.network, pt.p, pt.q, _r(pt.norm_energy), _r(pt.norm_latency),
+         _r(pt.norm_variation), _r(pt.expanded_fraction)]
+        for points in sweeps for pt in points))
 
 
 def read_sweep_csv(path) -> list[list[SweepPoint]]:
     per_network: dict[str, list[SweepPoint]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != ["network", "P", "Q"]:
-            raise ParseError(f"{path}: not a sweep table")
-        for row in reader:
-            if not row:
-                continue
-            name = row[0]
-            values = [float(x) for x in row[3:7]]
-            pt = SweepPoint(network=name, p=int(row[1]), q=int(row[2]),
-                            norm_energy=values[0], norm_latency=values[1],
-                            norm_variation=values[2], expanded_fraction=values[3],
-                            feasible=not math.isnan(values[0]))
-            per_network.setdefault(name, []).append(pt)
+    for name, p, q, energy, latency, variation, expanded in read_table(path, _SWEEP_COLUMNS, "sweep"):
+        pt = SweepPoint(network=name, p=p, q=q, norm_energy=energy, norm_latency=latency,
+                        norm_variation=variation, expanded_fraction=expanded,
+                        feasible=not math.isnan(energy))
+        per_network.setdefault(name, []).append(pt)
     return list(per_network.values())
 
 

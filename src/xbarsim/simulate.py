@@ -151,7 +151,8 @@ def synapse_latency_totals(xb: CrossbarPlacement, tech: TechnologyParams) -> np.
     """Total path latency per placed synapse, indexed out of tap_delays.
 
     Equivalent to path_latency(...).total per synapse minus the validity
-    checks; placements produced by the mapper are sound by construction.
+    checks: the mapper emits only sound placements, and load_placement
+    rejects any file that check_placement finds a problem in.
     """
     row, col = tap_delays(xb.spec, xb.config, tech)
     sense = {s.label: sense_latency(s, tech) for s in tech.states}

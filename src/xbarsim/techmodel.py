@@ -23,7 +23,6 @@ absolute seconds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +39,7 @@ from .crossbar import (
     permits,
 )
 from .errors import OutOfActiveRegion, StateForbidden, ValidationError
+from .files import read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -153,14 +153,11 @@ class TechnologyParams:
 
 
 def load_tech(path) -> TechnologyParams:
-    with open(path) as fh:
-        return TechnologyParams.from_json(json.load(fh))
+    return TechnologyParams.from_json(read_json(path))
 
 
 def save_tech(tech: TechnologyParams, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(tech.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(tech.to_json(), path)
 
 
 _C_WL_45 = 0.4  # chosen so r_wl * c_wl = 1 at 45nm

@@ -8,14 +8,13 @@ triple. Inter-cluster traffic is summarized as routes with a fixed hop count.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .crossbar import HRS, LRS1, LRS2, LRS3, STATE_LABELS
-from .errors import InvalidParams, NonPositiveWeight, ParseError, ValidationError
+from .errors import InvalidParams, NonPositiveWeight, ValidationError
+from .files import read_json, read_table, write_json, write_table
 from .techmodel import DEFAULT_STATES
 
 
@@ -158,46 +157,27 @@ def network_from_json(doc: dict) -> Network:
 
 
 def load_network(path) -> Network:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return network_from_json(doc)
+    return network_from_json(read_json(path))
 
 
 def save_network(network: Network, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(network_to_json(network), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(network_to_json(network), path)
+
+
+_SPIKE_COLUMNS = {"neuron": int, "time_us": float}
 
 
 def load_spikes(path) -> list[SpikeTrain]:
     """Read a spike trace CSV with header `neuron,time_us` (times in us)."""
     per_neuron: dict[int, list[float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["neuron", "time_us"]:
-            raise ParseError(f"{path}: expected header 'neuron,time_us', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                neuron, t_us = int(row[0]), float(row[1])
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            per_neuron.setdefault(neuron, []).append(t_us / 1e6)
+    for neuron, t_us in read_table(path, _SPIKE_COLUMNS, "spike"):
+        per_neuron.setdefault(neuron, []).append(t_us / 1e6)
     return [SpikeTrain(neuron=nid, times=tuple(sorted(ts))) for nid, ts in sorted(per_neuron.items())]
 
 
 def save_spikes(trains, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["neuron", "time_us"])
-        for train in trains:
-            for t in train.times:
-                writer.writerow([train.neuron, repr(t * 1e6)])
+    write_table(path, _SPIKE_COLUMNS,
+                ([train.neuron, repr(t * 1e6)] for train in trains for t in train.times))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,26 @@
-"""Shared helpers: independent oracles and workload builders."""
+"""Shared helpers: independent oracles, workload builders and malformed input files."""
+
+import copy
+import json
 
 import numpy as np
 import pytest
 
-from xbarsim import CrossbarSpec, Cluster, Synapse, region_of
+from xbarsim import (
+    CrossbarSpec,
+    Cluster,
+    Hardware,
+    SpikeTrain,
+    Synapse,
+    map_network,
+    preset,
+    region_of,
+    save_network,
+    save_placement,
+    save_spec,
+    save_spikes,
+)
+from xbarsim.fixtures import mapping_demo_network
 
 ALL_STATES = ("LRS1", "LRS2", "LRS3", "HRS")
 
@@ -64,3 +81,45 @@ def planted_cluster(rng, cid, spec: CrossbarSpec, size_hi=128, lo_d=0.02, hi_d=0
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def _seat_first_synapse(xb, row):
+    """Move the first synapse, and its pre-neuron, to `row`."""
+    syn = xb["synapses"][0]
+    syn["row"] = row
+    xb["rows"][str(syn["pre"])] = row
+
+
+# placement documents that parse as JSON but are malformed or unsound;
+# each edits the first crossbar of a valid placement
+BAD_PLACEMENTS = {
+    "rows-not-a-map": lambda xb: xb.update(rows=[]),
+    "config-zz": lambda xb: xb.update(config="zz"),
+    "config-01-single": lambda xb: xb.update(config="01", spec={**xb["spec"], "control": "single"}),
+    "row-minus-1": lambda xb: _seat_first_synapse(xb, -1),
+    "row-500": lambda xb: _seat_first_synapse(xb, 500),
+}
+
+
+def write_boundary_files(directory):
+    """Valid inputs for every command, plus malformed files, into `directory`.
+
+    Valid: net.json, spec.json (N = 4), spk.csv, placement.json. Malformed:
+    bad.json (invalid JSON), bad.bin (not UTF-8) and placement-<name>.json
+    for each BAD_PLACEMENTS entry.
+    """
+    network = mapping_demo_network()
+    spec = CrossbarSpec(n=4)
+    save_network(network, directory / "net.json")
+    save_spec(spec, directory / "spec.json")
+    pre = [nid for c in network.clusters for nid in c.pre_neurons]
+    save_spikes([SpikeTrain(neuron=nid, times=(0.1, 0.2 + 0.01 * nid)) for nid in pre], directory / "spk.csv")
+    placement = map_network(network, Hardware(crossbar_count=3, spec=spec, tech=preset("16nm")))
+    save_placement(placement, directory / "placement.json")
+    (directory / "bad.json").write_text("{not json")
+    (directory / "bad.bin").write_bytes(b"\xff\xfe\x00\x81neuron,time_us\r\n")
+    doc = json.loads((directory / "placement.json").read_text())
+    for name, edit in BAD_PLACEMENTS.items():
+        bad = copy.deepcopy(doc)
+        edit(bad["crossbars"][0])
+        (directory / f"placement-{name}.json").write_text(json.dumps(bad))

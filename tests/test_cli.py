@@ -11,6 +11,8 @@ from xbarsim.techmodel import preset, save_tech
 from xbarsim.workload import SpikeTrain
 from xbarsim.errors import ValidationError
 
+from conftest import BAD_PLACEMENTS, write_boundary_files
+
 
 def run(argv):
     return main(argv)
@@ -259,6 +261,64 @@ def test_dse_malformed_grid_is_usage_error(tmp_path, capsys, grid):
     assert exc.value.code == 2
     assert "error: argument --grid: invalid" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _simulate(*, placement="placement.json", spikes="spk.csv", duration="1.0"):
+    return ["simulate", "--placement", placement, "--spikes", spikes, "--duration", duration, "--out", "out"]
+
+
+def _map(*extra, network="net.json", spec="spec.json"):
+    return ["map", "--network", network, "--spec", spec, *extra, "--out", "out"]
+
+
+def _dse(*extra):
+    return ["dse", "--networks", "net.json", "--spec", "spec.json", "--grid", "2,4", *extra, "--out", "out"]
+
+
+# each command reads one malformed file or gets one bad numeric flag;
+# files as written by conftest.write_boundary_files
+MALFORMED_INPUTS = {
+    "spec-invalid-json": _map(spec="bad.json"),
+    "node-invalid-json": _map("--node", "bad.json"),
+    "placement-invalid-json": _simulate(placement="bad.json"),
+    "network-not-utf8": _map(network="bad.bin"),
+    "spikes-not-utf8": _simulate(spikes="bad.bin"),
+    **{f"placement-{name}": _simulate(placement=f"placement-{name}.json") for name in BAD_PLACEMENTS},
+    "simulate-duration-0": _simulate(duration="0"),
+    "simulate-duration-nan": _simulate(duration="nan"),
+    "simulate-duration-inf": _simulate(duration="inf"),
+    "dse-duration-0": _dse("--duration", "0"),
+    "dse-rate-negative": _dse("--rate", "-1"),
+    "dse-rate-nan": _dse("--rate", "nan"),
+    "map-crossbars-0": _map("--crossbars", "0"),
+    "gen-rate-nan": ["gen", "--clusters", "2", "--rate", "nan", "--out-network", "out", "--out-spikes", "out"],
+}
+
+
+def _exit_code(argv):
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [_simulate(), _map(), _dse(), _map("--crossbars", "3")])
+def test_boundary_files_are_valid(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_boundary_files(tmp_path)
+    assert run(argv) == 0
+    assert (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    """A bad file or flag exits 2 with an error line, no traceback and no output."""
+    monkeypatch.chdir(tmp_path)
+    write_boundary_files(tmp_path)
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_version_flag():

@@ -290,6 +290,30 @@ def test_check_placement_detects_corruption():
     assert check_placement(corrupted) != []
 
 
+def _replace_first_crossbar(placement, xb):
+    return dataclasses.replace(placement, crossbars=(xb,) + placement.crossbars[1:])
+
+
+@pytest.mark.parametrize("row", [-1, 500])
+def test_check_placement_reports_cells_outside_crossbar(row):
+    placement = map_network(mapping_demo_network(), Hardware(crossbar_count=3, spec=CrossbarSpec(n=4), tech=TECH))
+    xb = placement.crossbars[0]
+    s = xb.synapses[0]
+    moved = dataclasses.replace(xb, row_of_pre={**xb.row_of_pre, s.pre: row},
+                                synapses=(dataclasses.replace(s, row=row),) + xb.synapses[1:])
+    problems = check_placement(_replace_first_crossbar(placement, moved))
+    assert problems == [f"crossbar {xb.crossbar_id}: cell ({row},{s.col}) outside config '{xb.config.name}'"]
+
+
+def test_check_placement_reports_illegal_configuration():
+    spec = CrossbarSpec(n=4, p=2, q=2, control=ControlMode.SINGLE)
+    placement = map_network(mapping_demo_network(), Hardware(crossbar_count=3, spec=spec, tech=TECH))
+    assert check_placement(placement) == []
+    xb = dataclasses.replace(placement.crossbars[0], config=CONFIG_01)
+    problems = check_placement(_replace_first_crossbar(placement, xb))
+    assert problems[0] == f"crossbar {xb.crossbar_id}: configuration '01' illegal under single control"
+
+
 def test_region_constrained_states_still_respected_with_random_states(rng):
     # Clusters whose states ignore the planted-cell trick must either map
     # cleanly or raise Infeasible; emitted placements are always sound.
