@@ -50,7 +50,6 @@ from .mapper import (
 )
 from .simulate import (
     Activity,
-    ArrivalTrain,
     EnergyReport,
     IFNeuron,
     LatencyReport,
@@ -65,7 +64,6 @@ from .simulate import (
     isi_distortion,
     latency_stats,
     neuron_isi_distortion,
-    propagate,
 )
 from .techmodel import (
     DEFAULT_STATES,

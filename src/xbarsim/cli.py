@@ -134,25 +134,22 @@ def _int_set(text: str) -> list[int]:
     return sorted({int(x) for x in text.split(",")})
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(text)
-    return value
+def _checked(parse, accept, name: str):
+    """Type that parses with `parse` and rejects values failing `accept`; `name` is for messages."""
+    def convert(text: str):
+        value = parse(text)
+        if not accept(value):
+            raise ValueError(text)
+        return value
+    convert.__name__ = name
+    return convert
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(text)
-    return value
-
-
-def _non_negative_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(text)
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, "positive integer")
+_non_negative_int = _checked(int, lambda v: v >= 0, "non-negative integer")
+_finite_float = _checked(float, math.isfinite, "finite number")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "positive finite number")
+_non_negative_float = _checked(float, lambda v: math.isfinite(v) and v >= 0, "non-negative finite number")
 
 
 def cmd_map(args) -> int:
@@ -170,7 +167,7 @@ def cmd_map(args) -> int:
         histogram[xb.config.name] = histogram.get(xb.config.name, 0) + 1
     print(f"placement -> {args.out}")
     for xb in placement.crossbars:
-        util = synapse_utilization(len(xb.synapses), spec.n)
+        util = synapse_utilization(len(xb.pre), spec.n)
         print(f"  crossbar {xb.crossbar_id}: cluster {xb.cluster_id}, config '{xb.config.name}', "
               f"utilization {100 * util:.5g}%")
     print("config histogram: " + ", ".join(f"'{k}'={histogram[k]}" for k in sorted(histogram)))
@@ -244,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="state mix, e.g. HRS=0.5,LRS1=0.5")
     p.add_argument("--rate", type=_non_negative_float, default=30.0, help="spike rate, Hz")
     p.add_argument("--duration", type=_positive_float, default=1.0, help="trace duration, s")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out-network", required=True)
     p.add_argument("--out-spikes", required=True)
     p.set_defaults(func=cmd_gen)
@@ -275,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node", default="16nm")
     p.add_argument("--rate", type=_non_negative_float, default=30.0)
     p.add_argument("--duration", type=_positive_float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=0.0, help="allowed latency regression")
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--tolerance", type=_finite_float, default=0.0, help="allowed latency regression")
     p.add_argument("--out", required=True, help="sweep CSV output")
     p.set_defaults(func=cmd_dse)
     return parser

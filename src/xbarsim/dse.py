@@ -11,11 +11,12 @@ achievable paths together.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import isfinite
 
 import numpy as np
 
 from .crossbar import CONFIG_11, CrossbarSpec
-from .errors import InvalidGrid, NoFeasibleKnee
+from .errors import InvalidGrid, NoFeasibleKnee, ValidationError
 from .mapper import Hardware, Placement, _cheapest_config, map_network
 from .simulate import Activity, _activity, corner_extremes, energy_report, latency_stats
 from .techmodel import TechnologyParams
@@ -80,8 +81,7 @@ def sweep_pq(networks, base_spec: CrossbarSpec, tech: TechnologyParams, grid,
         hardware = Hardware(crossbar_count=len(network.clusters), spec=base, tech=tech)
         mapped = map_network(network, hardware)
         e0, l0, v0, _ = _evaluate(mapped, base, tech, activity)
-        extents = [(max(s.row for s in xb.synapses), max(s.col for s in xb.synapses))
-                   for xb in mapped.crossbars]
+        extents = [(int(xb.row.max()), int(xb.col.max())) for xb in mapped.crossbars]
         points = []
         for p, q in grid:
             spec = replace(base_spec, p=p, q=q)
@@ -128,6 +128,8 @@ def select_tradeoff(sweeps, *, latency_tolerance: float = 0.0) -> tuple[int, int
     """
     if not sweeps:
         raise InvalidGrid("no sweeps given")
+    if not isfinite(latency_tolerance):
+        raise ValidationError(f"latency tolerance must be finite, got {latency_tolerance}")
     grid0 = [(pt.p, pt.q) for pt in sweeps[0]]
     for points in sweeps:
         if [(pt.p, pt.q) for pt in points] != grid0:

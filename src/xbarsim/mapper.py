@@ -24,7 +24,7 @@ The algorithm is greedy-with-repair and fully deterministic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,12 +32,12 @@ from .crossbar import (
     CONFIG_11,
     HRS,
     LRS1,
+    STATE_LABELS,
     Configuration,
     CrossbarSpec,
     config_by_name,
     config_dimensions,
     legal_configurations,
-    permits,
     static_energy_weight,
 )
 from .errors import CapacityExceeded, IllegalConfig, Infeasible, ValidationError
@@ -73,24 +73,63 @@ class PlacedSynapse:
     col: int
 
 
+# Per-synapse columns of a CrossbarPlacement, in PlacedSynapse field order.
+_COLUMNS = {"pre": np.intp, "post": np.intp, "state": np.int8, "row": np.intp, "col": np.intp}
+
+
+def _state_code(label: str) -> int:
+    if label not in STATE_LABELS:
+        raise ValueError(f"unknown resistance state {label!r}")
+    return STATE_LABELS.index(label)
+
+
 @dataclass(frozen=True)
 class CrossbarPlacement:
+    """One mapped cluster. Its synapses are read-only columns, one entry each:
+    global pre/post neuron ids, the cell's row/col, and the state as an index
+    into STATE_LABELS. dataclasses.replace shares them; == compares values.
+    """
+
     crossbar_id: int
     cluster_id: int
     spec: CrossbarSpec
     config: Configuration
     row_of_pre: dict
     col_of_post: dict
-    synapses: tuple[PlacedSynapse, ...]
+    pre: np.ndarray
+    post: np.ndarray
+    state: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in _COLUMNS.items():
+            column = getattr(self, name)
+            if not (isinstance(column, np.ndarray) and column.dtype == dtype and not column.flags.writeable):
+                column = np.array(column, dtype=dtype)
+                column.flags.writeable = False
+                object.__setattr__(self, name, column)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) if f.name in _COLUMNS
+                   else getattr(self, f.name) == getattr(other, f.name) for f in fields(self))
+
+    @property
+    def synapses(self) -> tuple[PlacedSynapse, ...]:
+        """One PlacedSynapse per synapse, built from the columns on each access."""
+        return tuple(PlacedSynapse(pre, post, STATE_LABELS[state], row, col) for pre, post, state, row, col
+                     in zip(*(getattr(self, name).tolist() for name in _COLUMNS)))
 
     @property
     def m(self) -> int:
         """Count of LRS-state synapses."""
-        return sum(1 for s in self.synapses if s.state != HRS)
+        return len(self.state) - self.n_hrs
 
     @property
     def n_hrs(self) -> int:
-        return sum(1 for s in self.synapses if s.state == HRS)
+        return int(np.count_nonzero(self.state == _state_code(HRS)))
 
 
 @dataclass(frozen=True)
@@ -431,15 +470,14 @@ def _map_clusters(network: Network, hardware: Hardware, assign) -> Placement:
     crossbars = []
     for crossbar_id, cluster in enumerate(order):
         assignment = assign(cluster)
-        placed = tuple(
-            PlacedSynapse(pre=cluster.pre_neurons[s.pre], post=cluster.post_neurons[s.post],
-                          state=s.state, row=cell[0], col=cell[1])
-            for s, cell in zip(cluster.synapses, assignment.cells)
-        )
+        rows, cols = np.array(assignment.cells, dtype=np.intp).T
         crossbars.append(CrossbarPlacement(
             crossbar_id=crossbar_id, cluster_id=cluster.id, spec=spec,
             config=select_configuration(assignment, spec), row_of_pre=dict(assignment.row_of_pre),
-            col_of_post=dict(assignment.col_of_post), synapses=placed))
+            col_of_post=dict(assignment.col_of_post),
+            pre=np.array(cluster.pre_neurons)[[s.pre for s in cluster.synapses]],
+            post=np.array(cluster.post_neurons)[[s.post for s in cluster.synapses]],
+            state=[_state_code(s.state) for s in cluster.synapses], row=rows, col=cols))
     return Placement(crossbars=tuple(crossbars), crossbar_count=hardware.crossbar_count,
                      routes=network.routes)
 
@@ -475,6 +513,12 @@ def map_network_control(network: Network, hardware: Hardware, seed: int = 0) -> 
     return _map_clusters(network, hardware, shuffled)
 
 
+def _disagrees(mapping: dict, keys, values) -> np.ndarray:
+    """Per entry, mapping.get(key) != value; one lookup per distinct (key, value)."""
+    pairs, inverse = np.unique(np.stack([keys, values], axis=1), axis=0, return_inverse=True)
+    return np.array([mapping.get(k) != v for k, v in pairs.tolist()], dtype=bool)[inverse.reshape(-1)]
+
+
 def check_placement(placement: Placement) -> list[str]:
     """Independent soundness audit; returns human-readable problems (empty = sound), never raises."""
     problems = []
@@ -484,16 +528,24 @@ def check_placement(placement: Placement) -> list[str]:
         except IllegalConfig as exc:
             problems.append(f"crossbar {xb.crossbar_id}: {exc}")
             rows = cols = xb.spec.n
-        cells = [(s.row, s.col) for s in xb.synapses]
-        if len(set(cells)) != len(cells):
+        if len(np.unique(np.stack([xb.row, xb.col], axis=1), axis=0)) != len(xb.row):
             problems.append(f"crossbar {xb.crossbar_id}: synapse cells not injective")
-        for s in xb.synapses:
-            if xb.row_of_pre.get(s.pre) != s.row or xb.col_of_post.get(s.post) != s.col:
-                problems.append(f"crossbar {xb.crossbar_id}: cell ({s.row},{s.col}) inconsistent with neuron maps")
-            if not (0 <= s.row < rows and 0 <= s.col < cols):
-                problems.append(f"crossbar {xb.crossbar_id}: cell ({s.row},{s.col}) outside config '{xb.config.name}'")
-            elif not permits(s.row, s.col, s.state, xb.spec):
-                problems.append(f"crossbar {xb.crossbar_id}: state {s.state} forbidden at ({s.row},{s.col})")
+        inconsistent = _disagrees(xb.row_of_pre, xb.pre, xb.row) | _disagrees(xb.col_of_post, xb.post, xb.col)
+        outside = ~((0 <= xb.row) & (xb.row < rows) & (0 <= xb.col) & (xb.col < cols))
+        # Region A admits only HRS, B only LRS1, C every state.
+        far = xb.spec.n - xb.spec.n_l
+        in_a = (xb.row < xb.spec.n_h) & (xb.col < xb.spec.n_h)
+        in_b = (xb.row >= far) & (xb.col >= far)
+        forbidden = ~outside & ((in_a & (xb.state != _state_code(HRS)))
+                                | (in_b & (xb.state != _state_code(LRS1))))
+        for i in np.nonzero(inconsistent | outside | forbidden)[0].tolist():
+            cell = f"({xb.row[i]},{xb.col[i]})"
+            if inconsistent[i]:
+                problems.append(f"crossbar {xb.crossbar_id}: cell {cell} inconsistent with neuron maps")
+            if outside[i]:
+                problems.append(f"crossbar {xb.crossbar_id}: cell {cell} outside config '{xb.config.name}'")
+            elif forbidden[i]:
+                problems.append(f"crossbar {xb.crossbar_id}: state {STATE_LABELS[xb.state[i]]} forbidden at {cell}")
     return problems
 
 
@@ -513,8 +565,8 @@ def placement_to_json(placement: Placement) -> dict:
                 "rows": {str(k): v for k, v in sorted(xb.row_of_pre.items())},
                 "cols": {str(k): v for k, v in sorted(xb.col_of_post.items())},
                 "synapses": [
-                    {"pre": s.pre, "post": s.post, "state": s.state, "row": s.row, "col": s.col}
-                    for s in xb.synapses
+                    {"pre": pre, "post": post, "state": STATE_LABELS[state], "row": row, "col": col}
+                    for pre, post, state, row, col in zip(*(getattr(xb, name).tolist() for name in _COLUMNS))
                 ],
                 "stats": {"m": xb.m, "n_hrs": xb.n_hrs},
             }
@@ -534,16 +586,14 @@ def placement_from_json(doc: dict) -> Placement:
                 config=config_by_name(x["config"]),
                 row_of_pre={int(k): int(v) for k, v in x["rows"].items()},
                 col_of_post={int(k): int(v) for k, v in x["cols"].items()},
-                synapses=tuple(
-                    PlacedSynapse(int(s["pre"]), int(s["post"]), str(s["state"]), int(s["row"]), int(s["col"]))
-                    for s in x["synapses"]
-                ),
+                **{name: [int(s[name]) for s in x["synapses"]] for name in ("pre", "post", "row", "col")},
+                state=[_state_code(str(s["state"])) for s in x["synapses"]],
             )
             for x in doc["crossbars"]
         )
         return Placement(crossbars=crossbars, crossbar_count=int(doc["crossbar_count"]),
                          routes=_routes_from_json(doc.get("routes", ())))
-    except (AttributeError, IllegalConfig, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IllegalConfig, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad placement document: {exc}") from exc
 
 

@@ -11,9 +11,7 @@ transistors when a far-region cell is accessed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from math import inf
-from operator import add
 
 import numpy as np
 
@@ -134,17 +132,7 @@ def isi_distortion(input_train: SpikeTrain, output_train: SpikeTrain) -> float:
 
 
 # ---------------------------------------------------------------------------
-# propagation
-
-
-@dataclass(frozen=True)
-class ArrivalTrain:
-    crossbar_id: int
-    synapse_index: int
-    pre: int
-    post: int
-    state: str
-    times: tuple[float, ...]
+# path latency per synapse
 
 
 def synapse_latency_totals(xb: CrossbarPlacement, tech: TechnologyParams) -> np.ndarray:
@@ -154,11 +142,19 @@ def synapse_latency_totals(xb: CrossbarPlacement, tech: TechnologyParams) -> np.
     checks: the mapper emits only sound placements, and load_placement
     rejects any file that check_placement finds a problem in.
     """
-    row, col = tap_delays(xb.spec, xb.config, tech)
-    sense = {s.label: sense_latency(s, tech) for s in tech.states}
-    return (row[np.array([s.row for s in xb.synapses], dtype=int)]
-            + col[np.array([s.col for s in xb.synapses], dtype=int)]
-            + np.array([sense[s.state] for s in xb.synapses], dtype=float))
+    return next(_placement_totals(Placement(crossbars=(xb,), crossbar_count=1), tech))[1]
+
+
+def _placement_totals(placement: Placement, tech: TechnologyParams):
+    """(crossbar, synapse_latency_totals) per crossbar; tap_delays runs once per (spec, config)."""
+    sense = np.array([sense_latency(s, tech) for s in tech.states])  # by state code
+    delays = {}
+    for xb in placement.crossbars:
+        key = (xb.spec, xb.config)
+        if key not in delays:
+            delays[key] = tap_delays(xb.spec, xb.config, tech)
+        row, col = delays[key]
+        yield xb, row[xb.row] + col[xb.col] + sense[xb.state]
 
 
 def _spike_times(placement: Placement, trains) -> dict:
@@ -172,21 +168,6 @@ def _spike_times(placement: Placement, trains) -> dict:
             raise UnknownNeuron(f"neuron {t.neuron} spikes but is not placed as a pre-synaptic neuron")
         by_neuron[t.neuron] = t.times
     return by_neuron
-
-
-def propagate(placement: Placement, trains, tech: TechnologyParams) -> list[ArrivalTrain]:
-    """Per-synapse arrival trains: spike time plus the cell's path latency."""
-    by_neuron = _spike_times(placement, trains)
-    arrivals = []
-    for xb in placement.crossbars:
-        for idx, (s, delay) in enumerate(zip(xb.synapses, synapse_latency_totals(xb, tech).tolist())):
-            times = by_neuron.get(s.pre)
-            if not times:
-                continue
-            arrivals.append(ArrivalTrain(
-                crossbar_id=xb.crossbar_id, synapse_index=idx, pre=s.pre, post=s.post,
-                state=s.state, times=tuple(t + delay for t in times)))
-    return arrivals
 
 
 def if_neuron_fire(neuron: IFNeuron, arrivals, out_neuron: int = -1) -> SpikeTrain:
@@ -276,9 +257,8 @@ def latency_stats(placement: Placement, tech: TechnologyParams) -> LatencyReport
     per = []
     all_totals = []
     extremes_of = {}  # corner extremes depend only on (spec, config)
-    for xb in placement.crossbars:
-        totals = synapse_latency_totals(xb, tech)
-        all_totals.extend(totals.tolist())
+    for xb, totals in _placement_totals(placement, tech):
+        all_totals.append(totals)
         key = (xb.spec, xb.config)
         if key not in extremes_of:
             extremes_of[key] = corner_extremes(xb.spec, tech, xb.config)
@@ -290,7 +270,7 @@ def latency_stats(placement: Placement, tech: TechnologyParams) -> LatencyReport
     extremes = LatencyStats(best=best, worst=worst, diff=worst - best, ratio=best / worst,
                             mean=float(np.mean([r.extremes.mean for r in per])))
     return LatencyReport(per_crossbar=tuple(per),
-                         aggregate=LatencyStats.from_values(all_totals),
+                         aggregate=LatencyStats.from_values(np.concatenate(all_totals)),
                          extremes=extremes)
 
 
@@ -322,17 +302,28 @@ def neuron_isi_distortion(placement: Placement, trains, tech: TechnologyParams) 
     spikes are omitted.
     """
     by_neuron = _spike_times(placement, trains)
-    merged = {}  # post -> (k, first_in, last_in, first_out, last_out)
-    for xb in placement.crossbars:
-        for s, delay in zip(xb.synapses, synapse_latency_totals(xb, tech).tolist()):
-            times = by_neuron.get(s.pre)
-            if not times:
-                continue
-            k, first_in, last_in, first_out, last_out = merged.get(s.post, (0, inf, -inf, inf, -inf))
-            merged[s.post] = (k + len(times), min(first_in, times[0]), max(last_in, times[-1]),
-                              min(first_out, times[0] + delay), max(last_out, times[-1] + delay))
-    return {post: abs((last_out - first_out) / (k - 1) - (last_in - first_in) / (k - 1))
-            for post, (k, first_in, last_in, first_out, last_out) in sorted(merged.items()) if k >= 2}
+    posts = np.unique(np.concatenate([np.empty(0, np.intp), *(xb.post for xb in placement.crossbars)]))
+    k = np.zeros(len(posts))
+    first_in, first_out = np.full(len(posts), inf), np.full(len(posts), inf)
+    last_in, last_out = np.full(len(posts), -inf), np.full(len(posts), -inf)
+    for xb, delay in _placement_totals(placement, tech):
+        neurons, of_synapse = np.unique(xb.pre, return_inverse=True)
+        times = [by_neuron.get(nid, ()) for nid in neurons.tolist()]
+        spikes = np.array([len(t) for t in times], dtype=np.intp)[of_synapse]
+        first = np.array([t[0] if t else 0.0 for t in times], dtype=float)[of_synapse]
+        last = np.array([t[-1] if t else 0.0 for t in times], dtype=float)[of_synapse]
+        live = spikes > 0
+        at = np.searchsorted(posts, xb.post[live])
+        spikes, first, last, delay = spikes[live], first[live], last[live], delay[live]
+        k += np.bincount(at, weights=spikes, minlength=len(posts))
+        np.minimum.at(first_in, at, first)
+        np.maximum.at(last_in, at, last)
+        np.minimum.at(first_out, at, first + delay)
+        np.maximum.at(last_out, at, last + delay)
+    keep = k >= 2
+    gaps = k[keep] - 1
+    distortion = np.abs((last_out[keep] - first_out[keep]) / gaps - (last_in[keep] - first_in[keep]) / gaps)
+    return dict(zip(posts[keep].tolist(), distortion.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +344,16 @@ def energy_report(placement: Placement, activity: Activity, tech: TechnologyPara
     static_j = static * tech.leakage_per_cell * activity.duration
     spike_j = activity.total_spikes * tech.e_spike
     routing_j = activity.routed_spike_hops * tech.e_route_hop
-    access_j = 0.0
-    for xb in placement.crossbars:
-        counts = np.array([activity.spike_counts.get(s.pre, 0) for s in xb.synapses], dtype=float)
-        far = np.array([s.row >= xb.spec.p or s.col >= xb.spec.q for s in xb.synapses])
+    terms = [np.zeros(1)]
+    for xb, totals in _placement_totals(placement, tech):
+        neurons, of_synapse = np.unique(xb.pre, return_inverse=True)
+        counts = np.array([activity.spike_counts.get(nid, 0) for nid in neurons.tolist()], dtype=float)[of_synapse]
+        far = (xb.row >= xb.spec.p) | (xb.col >= xb.spec.q)
         k = np.where(far, 3 if xb.config == CONFIG_11 else 2, 1)
-        terms = counts * tech.p_wordline_raise * synapse_latency_totals(xb, tech) * k
-        # A left fold, as sum() of floats is compensated from Python 3.12 on.
-        access_j = reduce(add, terms[counts > 0].tolist(), access_j)
+        access = counts * tech.p_wordline_raise * totals * k
+        terms.append(access[counts > 0])
+    # A left fold (cumsum is sequential), as np.sum is pairwise and sum() of
+    # floats is compensated from Python 3.12 on.
+    access_j = float(np.cumsum(np.concatenate(terms))[-1])
     return EnergyReport(static_j=static_j, spike_j=spike_j, routing_j=routing_j,
                         access_overhead_j=access_j)

@@ -9,6 +9,7 @@ triple. Inter-cluster traffic is summarized as routes with a fixed hop count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 import numpy as np
 
@@ -227,8 +228,8 @@ class GenParams:
             raise InvalidParams(f"unknown states in mix: {set(self.state_mix) - set(STATE_LABELS)}")
         if any(v < 0 for v in self.state_mix.values()) or abs(sum(self.state_mix.values()) - 1.0) > 1e-9:
             raise InvalidParams("state_mix fractions must be non-negative and sum to 1")
-        if self.spike_rate < 0 or self.duration <= 0:
-            raise InvalidParams("spike_rate must be >= 0 and duration > 0")
+        if not (0 <= self.spike_rate < inf and 0 < self.duration < inf):
+            raise InvalidParams("spike_rate must be finite and >= 0, duration finite and > 0")
 
 
 def generate_synthetic(params: GenParams) -> tuple[Network, list[SpikeTrain]]:

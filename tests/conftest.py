@@ -20,6 +20,7 @@ from xbarsim import (
     save_spec,
     save_spikes,
 )
+from xbarsim.crossbar import STATE_LABELS
 from xbarsim.fixtures import mapping_demo_network
 
 ALL_STATES = ("LRS1", "LRS2", "LRS3", "HRS")
@@ -78,6 +79,13 @@ def planted_cluster(rng, cid, spec: CrossbarSpec, size_hi=128, lo_d=0.02, hi_d=0
                    synapses=tuple(synapses))
 
 
+def synapse_columns(synapses) -> dict:
+    """CrossbarPlacement column arguments holding the given PlacedSynapse records."""
+    return {"pre": [s.pre for s in synapses], "post": [s.post for s in synapses],
+            "state": [STATE_LABELS.index(s.state) for s in synapses],
+            "row": [s.row for s in synapses], "col": [s.col for s in synapses]}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
@@ -98,6 +106,9 @@ BAD_PLACEMENTS = {
     "config-01-single": lambda xb: xb.update(config="01", spec={**xb["spec"], "control": "single"}),
     "row-minus-1": lambda xb: _seat_first_synapse(xb, -1),
     "row-500": lambda xb: _seat_first_synapse(xb, 500),
+    "state-lrs9": lambda xb: xb["synapses"][0].update(state="LRS9"),
+    "pre-not-in-rows": lambda xb: xb["rows"].pop(str(xb["synapses"][0]["pre"])),
+    "cell-shared": lambda xb: xb["synapses"].append(dict(xb["synapses"][0])),
 }
 
 

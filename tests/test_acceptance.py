@@ -54,7 +54,7 @@ from xbarsim.cli import main as cli_main
 from xbarsim.crossbar import legal_configurations
 from xbarsim.fixtures import isi_demo
 
-from conftest import planted_cluster
+from conftest import planted_cluster, synapse_columns
 
 
 def _ok(num, label):
@@ -213,7 +213,7 @@ def test_criterion_07_energy_ordering():
         rows = {p: r for p, _, _, r, _ in placed}
         cols = {q: c for _, q, _, _, c in placed}
         xb = CrossbarPlacement(0, 0, spec, config, rows, cols,
-                               tuple(PlacedSynapse(*t) for t in placed))
+                               **synapse_columns([PlacedSynapse(*t) for t in placed]))
         return energy_report(Placement((xb,), 1), activity, tech)
 
     reports = {c.name: energy(c) for c in CONFIGURATIONS}

@@ -292,6 +292,9 @@ MALFORMED_INPUTS = {
     "dse-rate-nan": _dse("--rate", "nan"),
     "map-crossbars-0": _map("--crossbars", "0"),
     "gen-rate-nan": ["gen", "--clusters", "2", "--rate", "nan", "--out-network", "out", "--out-spikes", "out"],
+    "gen-seed-negative": ["gen", "--clusters", "2", "--seed", "-1", "--out-network", "out", "--out-spikes", "out"],
+    "dse-seed-negative": _dse("--seed", "-1"),
+    "dse-tolerance-nan": _dse("--tolerance", "nan"),
 }
 
 

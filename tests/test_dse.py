@@ -15,7 +15,7 @@ from xbarsim import (
     sweep_nhnl,
     sweep_pq,
 )
-from xbarsim.errors import Infeasible, InvalidGrid, NoFeasibleKnee
+from xbarsim.errors import Infeasible, InvalidGrid, NoFeasibleKnee, ValidationError
 from xbarsim.fixtures import mapping_demo_network
 
 TECH = preset("16nm")
@@ -197,6 +197,9 @@ def test_select_tradeoff_latency_tolerance():
     points = _points("a", [(96, 96, 0.8, 1.05), (128, 128, 1.0, 1.0)])
     assert select_tradeoff([points]) == (128, 128)
     assert select_tradeoff([points], latency_tolerance=0.1) == (96, 96)
+    for tolerance in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            select_tradeoff([points], latency_tolerance=tolerance)
 
 
 def test_select_tradeoff_grid_mismatch():

@@ -32,7 +32,7 @@ from xbarsim.fixtures import mapping_demo_network
 from xbarsim.mapper import _SynapseArrays, _swap_repair, _violations, load_placement
 from xbarsim.errors import CapacityExceeded, Infeasible, ValidationError
 
-from conftest import planted_cluster, random_cluster
+from conftest import planted_cluster, random_cluster, synapse_columns
 
 TECH = preset("16nm")
 
@@ -275,6 +275,17 @@ def test_placement_round_trip(tmp_path):
     assert load_placement(path) == placement
 
 
+def test_crossbar_columns_are_read_only_shared_and_compared_by_value():
+    placement = map_network(mapping_demo_network(), Hardware(crossbar_count=3, spec=CrossbarSpec(n=4), tech=TECH))
+    xb = placement.crossbars[0]
+    columns = ("pre", "post", "state", "row", "col")
+    assert not any(getattr(xb, name).flags.writeable for name in columns)
+    reconfigured = dataclasses.replace(xb, config=CONFIG_11)
+    assert all(getattr(reconfigured, name) is getattr(xb, name) for name in columns)
+    assert dataclasses.replace(xb, **synapse_columns(xb.synapses)) == xb
+    assert dataclasses.replace(xb, **synapse_columns(xb.synapses[1:])) != xb
+
+
 def test_check_placement_detects_corruption():
     net = mapping_demo_network()
     spec = CrossbarSpec(n=4, n_h=2, n_l=0)
@@ -285,7 +296,7 @@ def test_check_placement_detects_corruption():
     bad_syn = dataclasses.replace(xb.synapses[0], row=(xb.synapses[0].row + 1) % 4)
     corrupted = dataclasses.replace(
         placement,
-        crossbars=(dataclasses.replace(xb, synapses=(bad_syn,) + xb.synapses[1:]),)
+        crossbars=(dataclasses.replace(xb, **synapse_columns((bad_syn,) + xb.synapses[1:])),)
         + placement.crossbars[1:])
     assert check_placement(corrupted) != []
 
@@ -300,7 +311,7 @@ def test_check_placement_reports_cells_outside_crossbar(row):
     xb = placement.crossbars[0]
     s = xb.synapses[0]
     moved = dataclasses.replace(xb, row_of_pre={**xb.row_of_pre, s.pre: row},
-                                synapses=(dataclasses.replace(s, row=row),) + xb.synapses[1:])
+                                **synapse_columns((dataclasses.replace(s, row=row),) + xb.synapses[1:]))
     problems = check_placement(_replace_first_crossbar(placement, moved))
     assert problems == [f"crossbar {xb.crossbar_id}: cell ({row},{s.col}) outside config '{xb.config.name}'"]
 

@@ -34,9 +34,9 @@ from xbarsim import (
     path_latency,
     permits,
     preset,
-    propagate,
     neuron_isi_distortion,
     region_of,
+    sweep_pq,
     zero_delay_tech,
 )
 from xbarsim import ControlMode
@@ -52,7 +52,7 @@ from xbarsim.errors import (
     ValidationError,
 )
 
-from conftest import planted_cluster, random_cluster
+from conftest import planted_cluster, random_cluster, synapse_columns
 
 TECH = preset("16nm")
 
@@ -60,9 +60,9 @@ TECH = preset("16nm")
 def one_crossbar(spec, config, placed):
     rows = {p: r for p, _, _, r, _ in placed}
     cols = {q: c for _, q, _, _, c in placed}
-    synapses = tuple(PlacedSynapse(*t) for t in placed)
     xb = CrossbarPlacement(crossbar_id=0, cluster_id=0, spec=spec, config=config,
-                           row_of_pre=rows, col_of_post=cols, synapses=synapses)
+                           row_of_pre=rows, col_of_post=cols,
+                           **synapse_columns([PlacedSynapse(*t) for t in placed]))
     return Placement(crossbars=(xb,), crossbar_count=1)
 
 
@@ -126,7 +126,32 @@ def test_isi_distortion_shift_invariance(rng):
 
 
 # ---------------------------------------------------------------------------
-# propagation
+# propagation: the per-synapse arrival trains behind the sort-merge ISI oracle
+
+
+@dataclasses.dataclass(frozen=True)
+class ArrivalTrain:
+    crossbar_id: int
+    synapse_index: int
+    pre: int
+    post: int
+    state: str
+    times: tuple[float, ...]
+
+
+def propagate(placement, trains, tech):
+    """Per-synapse arrival trains: spike time plus the cell's path latency."""
+    by_neuron = simulate._spike_times(placement, trains)
+    arrivals = []
+    for xb in placement.crossbars:
+        for idx, (s, delay) in enumerate(zip(xb.synapses, synapse_latency_totals(xb, tech).tolist())):
+            times = by_neuron.get(s.pre)
+            if not times:
+                continue
+            arrivals.append(ArrivalTrain(
+                crossbar_id=xb.crossbar_id, synapse_index=idx, pre=s.pre, post=s.post,
+                state=s.state, times=tuple(t + delay for t in times)))
+    return arrivals
 
 
 def test_propagate_zero_delay_identity():
@@ -321,6 +346,29 @@ def test_latency_stats_extremes_once_per_spec_and_config(rng, monkeypatch):
     assert len(calls) < len(placement.crossbars)
 
 
+def test_evaluators_index_columns_not_synapse_views(rng, monkeypatch):
+    """No evaluator walks PlacedSynapse views: with them unavailable, every result is unchanged."""
+    placement = mixed_placement(rng)
+    pre = sorted({nid for xb in placement.crossbars for nid in xb.row_of_pre})
+    trains = [SpikeTrain(nid, tuple(np.sort(rng.uniform(0, 1e-3, size=3)))) for nid in pre[::2]]
+    activity = activity_from_trains(trains, (), 1.0)
+    net = Network(clusters=(random_cluster(rng, 0, 10, 12, 0.5),
+                            random_cluster(rng, 1, 14, 8, 0.5, id_base=100)))
+
+    def evaluate():
+        return (latency_stats(placement, TECH), energy_report(placement, activity, TECH),
+                neuron_isi_distortion(placement, trains, TECH),
+                sweep_pq([net], CrossbarSpec(n=32, n_h=4, n_l=4), TECH, [(32, 32), (24, 20), (16, 16)]))
+
+    expected = evaluate()
+
+    def walk(xb):
+        raise AssertionError("an evaluator walked PlacedSynapse views")
+
+    monkeypatch.setattr(CrossbarPlacement, "synapses", property(walk))
+    assert evaluate() == expected
+
+
 def test_latency_stats_empty():
     with pytest.raises(EmptyPlacement):
         latency_stats(Placement(crossbars=(), crossbar_count=1), TECH)
@@ -386,8 +434,8 @@ def test_synapse_latency_totals_match_path_latency(rng):
         every_cell = tuple(PlacedSynapse(r, 1000 + c, _permitted_state(r, c, spec, r + c), r, c)
                            for r in range(rows) for c in range(cols))
         for synapses in (mapped.synapses, every_cell):
-            xb = dataclasses.replace(mapped, config=config, synapses=tuple(
-                s for s in synapses if s.row < rows and s.col < cols))
+            xb = dataclasses.replace(mapped, config=config, **synapse_columns(
+                [s for s in synapses if s.row < rows and s.col < cols]))
             assert xb.synapses
             vec = synapse_latency_totals(xb, TECH)
             assert len(vec) == len(xb.synapses)
@@ -580,7 +628,7 @@ def _random_shared_placement(rng):
                     synapses.append(PlacedSynapse(pre, post, state, row, col))
         crossbars.append(CrossbarPlacement(crossbar_id=xid, cluster_id=xid, spec=spec,
                                            config=config, row_of_pre=row_of_pre,
-                                           col_of_post=col_of_post, synapses=tuple(synapses)))
+                                           col_of_post=col_of_post, **synapse_columns(synapses)))
     return Placement(crossbars=tuple(crossbars), crossbar_count=len(crossbars))
 
 

@@ -156,6 +156,12 @@ def test_generate_invalid_params():
     with pytest.raises(InvalidParams):
         GenParams(clusters=1, pre_range=(1, 2), post_range=(1, 2), density=0.5,
                   duration=0.0)
+    # Rejected on construction, so generate_synthetic (which would never
+    # return for an infinite duration) is not reached.
+    for bad in ({"duration": float("inf")}, {"duration": float("nan")},
+                {"spike_rate": float("inf")}, {"spike_rate": float("nan")}):
+        with pytest.raises(InvalidParams):
+            GenParams(clusters=1, pre_range=(1, 1), post_range=(1, 1), density=1.0, **bad)
 
 
 def test_generate_spike_trains_poisson_like():
