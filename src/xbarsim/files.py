@@ -1,14 +1,38 @@
 """The file boundary: every JSON document and CSV table is read and written here.
 
+JSON is written with exactly the bytes of `json.dumps(doc, indent=2,
+sort_keys=True) + "\\n"`, streamed container by container: each container
+whose values are all scalars (and each list of such dicts) goes through the C
+encoder in one call. CSV is written in the csv module's default dialect (CRLF
+line ends). Tables are read in chunks of rows and parsed column by column.
+
 Undecodable input (bad JSON or CSV, non-UTF-8 bytes, a wrong header or row
-width, a bad value) raises ParseError."""
+width, a bad value) raises ParseError; a table's message names the line.
+"""
 
 from __future__ import annotations
 
 import csv
 import json
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .errors import ParseError
+
+# Rows a table reader parses at a time: enough to amortize the per-chunk
+# work, few enough that a chunk's cells stay small next to the file.
+_CHUNK_ROWS = 4096
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+# Records encoded per C encoder call: the encoder holds every piece of its
+# output until it returns, about 50 bytes for each key and value.
+_RECORDS_PER_CALL = 256
+
+# The C encoder, sorting keys, with "\0" as the item separator: ensure_ascii
+# escapes a NUL inside a string, so every raw "\0" in its output is a separator.
+_encode = json.JSONEncoder(sort_keys=True, separators=("\0", ": ")).encode
 
 
 def read_json(path):
@@ -21,31 +45,143 @@ def read_json(path):
 
 def write_json(doc, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        _write_value(fh.write, doc, "\n")
         fh.write("\n")
 
 
-def read_table(path, header: dict, what: str):
-    """Yield the rows of a CSV table one at a time, skipping blank lines.
+def _key_text(key) -> str:
+    """A dict key as json writes it: strings as they are, numbers, bools and None as their JSON text."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return _encode(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write_value(write, value, newline) -> None:
+    """Write `value` as json.dumps(indent=2, sort_keys=True) lays it out at the
+    indent that `newline` ("\\n" and the indent) carries."""
+    if isinstance(value, dict):
+        if _SCALARS.issuperset(map(type, value.values())):
+            _write_spread(write, _encode(value), newline)
+            return
+        inner = newline + "  "
+        write("{")
+        for i, (key, item) in enumerate(sorted(value.items())):
+            write(("," if i else "") + inner + encode_basestring_ascii(_key_text(key)) + ": ")
+            _write_value(write, item, inner)
+        write(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        if _SCALARS.issuperset(kinds):
+            _write_spread(write, _encode(value), newline)
+        elif kinds == {dict} and all(value) and _SCALARS.issuperset(
+                map(type, chain.from_iterable(map(dict.values, value)))):
+            _write_records(write, value, newline)
+        else:
+            inner = newline + "  "
+            write("[")
+            for i, item in enumerate(value):
+                write(("," if i else "") + inner)
+                _write_value(write, item, inner)
+            write(newline + "]")
+    else:
+        write(_encode(value))
+
+
+def _write_spread(write, text: str, newline: str) -> None:
+    """Write the compact encoding of a container of scalars one value per line."""
+    if len(text) == 2:  # [] or {}
+        write(text)
+        return
+    inner = newline + "  "
+    write(text[0] + inner)
+    write(text[1:-1].replace("\0", "," + inner))
+    write(newline + text[-1])
+
+
+def _write_records(write, records, newline: str) -> None:
+    """Write a list of non-empty dicts of scalars one value per line, from
+    one C encoder call per block of _RECORDS_PER_CALL records.
+
+    In the compact encoding a raw "\\0{" can only sit between two records:
+    inside a record a separator is followed by a key's quote.
+    """
+    record, field = newline + "  ", newline + "    "
+    between = record + "}," + record + "{" + field
+    write("[" + record + "{" + field)
+    for start in range(0, len(records), _RECORDS_PER_CALL):
+        text = _encode(records[start:start + _RECORDS_PER_CALL])
+        write((between if start else "") + text[2:-2].replace("}\0{", between).replace("\0", "," + field))
+    write(record + "}" + newline + "]")
+
+
+def read_columns(path, header: dict, what: str):
+    """Yield a CSV table in chunks of rows, each chunk as one list of parsed values per column.
 
     `header` maps each column name, in order, to the function that parses
     that column's cells; the file's header must name exactly these columns.
+    Blank lines are skipped. Each column is parsed with one map() call; when a
+    chunk holds a bad row, the chunk is walked row by row to name the first
+    one and its line.
     """
     names, parse = list(header), list(header.values())
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             got = next(reader, None)
-            if got is None or [h.strip() for h in got] != names:
-                raise ParseError(f"{path}: not a {what} table: expected header {','.join(names)!r}, got {got}")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(names):
-                    raise ParseError(f"{path}:{reader.line_num}: expected {len(names)} values, got {row}")
-                yield [f(cell) for f, cell in zip(parse, row)]
-        except (csv.Error, ValueError) as exc:  # ValueError covers UnicodeDecodeError and bad values
+        except (csv.Error, ValueError) as exc:  # ValueError covers UnicodeDecodeError
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+        if got is None or [h.strip() for h in got] != names:
+            raise ParseError(f"{path}: not a {what} table: expected header {','.join(names)!r}, got {got}")
+        while True:
+            line, rows, failure = reader.line_num, [], None
+            try:
+                rows.extend(islice(reader, _CHUNK_ROWS))  # keeps the rows read before a failure
+            except (csv.Error, ValueError) as exc:
+                failure = reader.line_num, exc
+            end = reader.line_num
+            cells = list(filter(None, rows))
+            if not {len(names)}.issuperset(map(len, cells)):
+                _raise_first_bad_row(path, rows, line, end, parse)
+            if cells:
+                try:
+                    columns = [list(map(f, map(itemgetter(j), cells))) for j, f in enumerate(parse)]
+                except ValueError:
+                    _raise_first_bad_row(path, rows, line, end, parse)
+                yield columns
+            if failure is not None:
+                raise ParseError(f"{path}:{failure[0]}: {failure[1]}") from failure[1]
+            if len(rows) < _CHUNK_ROWS:
+                return
+
+
+def _raise_first_bad_row(path, rows, line, end, parse):
+    """Raise the ParseError for the first row of `rows` with a wrong width or a bad value.
+
+    The rows were read from the line after `line` up to line `end`. A row
+    spans one line plus one per line break inside its quoted fields, except
+    that a quote left open at the end of the file also takes in the last
+    line's own break.
+    """
+    for row in rows:
+        line = min(end, line + 1 + sum(cell.count("\n") + cell.count("\r") - cell.count("\r\n") for cell in row))
+        if not row:
+            continue
+        if len(row) != len(parse):
+            raise ParseError(f"{path}:{line}: expected {len(parse)} values, got {row}")
+        try:
+            for f, cell in zip(parse, row):
+                f(cell)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{line}: {exc}") from exc
+    raise AssertionError("no bad row in a chunk that failed to parse")
+
+
+def read_table(path, header: dict, what: str):
+    """Yield the rows of a CSV table one at a time, each a list of parsed values (see read_columns)."""
+    for columns in read_columns(path, header, what):
+        yield from map(list, zip(*columns))
 
 
 def write_table(path, header, rows) -> None:
@@ -54,3 +190,16 @@ def write_table(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_grouped_table(path, header, groups) -> None:
+    """Header row, then one `key,repr(value)` row per value of each (key, values) group.
+
+    The same bytes as write_table with those rows, for numeric keys and
+    values (their text needs no quoting), joined into one string per group.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for key, values in groups:
+            if values:
+                fh.write(f"{key}," + f"\r\n{key},".join(map(repr, values)) + "\r\n")

@@ -513,10 +513,24 @@ def map_network_control(network: Network, hardware: Hardware, seed: int = 0) -> 
     return _map_clusters(network, hardware, shuffled)
 
 
+def _sorted_pairs(a, b):
+    """The order that sorts the (a, b) pairs, and along it whether each entry starts a new distinct pair."""
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return order, first
+
+
 def _disagrees(mapping: dict, keys, values) -> np.ndarray:
     """Per entry, mapping.get(key) != value; one lookup per distinct (key, value)."""
-    pairs, inverse = np.unique(np.stack([keys, values], axis=1), axis=0, return_inverse=True)
-    return np.array([mapping.get(k) != v for k, v in pairs.tolist()], dtype=bool)[inverse.reshape(-1)]
+    order, first = _sorted_pairs(keys, values)
+    distinct = order[first]
+    verdicts = np.array([mapping.get(k) != v for k, v in zip(keys[distinct].tolist(), values[distinct].tolist())],
+                        dtype=bool)
+    disagrees = np.empty(len(order), dtype=bool)
+    disagrees[order] = verdicts[np.cumsum(first) - 1]
+    return disagrees
 
 
 def check_placement(placement: Placement) -> list[str]:
@@ -528,7 +542,7 @@ def check_placement(placement: Placement) -> list[str]:
         except IllegalConfig as exc:
             problems.append(f"crossbar {xb.crossbar_id}: {exc}")
             rows = cols = xb.spec.n
-        if len(np.unique(np.stack([xb.row, xb.col], axis=1), axis=0)) != len(xb.row):
+        if not _sorted_pairs(xb.row, xb.col)[1].all():
             problems.append(f"crossbar {xb.crossbar_id}: synapse cells not injective")
         inconsistent = _disagrees(xb.row_of_pre, xb.pre, xb.row) | _disagrees(xb.col_of_post, xb.post, xb.col)
         outside = ~((0 <= xb.row) & (xb.row < rows) & (0 <= xb.col) & (xb.col < cols))

@@ -9,13 +9,14 @@ triple. Inter-cluster traffic is summarized as routes with a fixed hop count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf
+from math import inf, isfinite
+from operator import lt
 
 import numpy as np
 
 from .crossbar import HRS, LRS1, LRS2, LRS3, STATE_LABELS
 from .errors import InvalidParams, NonPositiveWeight, ValidationError
-from .files import read_json, read_table, write_json, write_table
+from .files import read_columns, read_json, write_grouped_table, write_json
 from .techmodel import DEFAULT_STATES
 
 
@@ -101,10 +102,13 @@ class SpikeTrain:
     times: tuple[float, ...]  # seconds, strictly increasing
 
     def __post_init__(self):
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        if any(t < 0 for t in self.times):
+        times = tuple(map(float, self.times))
+        object.__setattr__(self, "times", times)
+        if not all(map(isfinite, times)):
+            raise ValidationError(f"neuron {self.neuron}: spike times must be finite")
+        if times and min(times) < 0:
             raise ValidationError(f"neuron {self.neuron}: spike times must be >= 0")
-        if any(b <= a for a, b in zip(self.times, self.times[1:])):
+        if not all(map(lt, times, times[1:])):
             raise ValidationError(f"neuron {self.neuron}: spike times must strictly increase")
 
 
@@ -171,14 +175,15 @@ _SPIKE_COLUMNS = {"neuron": int, "time_us": float}
 def load_spikes(path) -> list[SpikeTrain]:
     """Read a spike trace CSV with header `neuron,time_us` (times in us)."""
     per_neuron: dict[int, list[float]] = {}
-    for neuron, t_us in read_table(path, _SPIKE_COLUMNS, "spike"):
-        per_neuron.setdefault(neuron, []).append(t_us / 1e6)
+    for neuron_column, time_column in read_columns(path, _SPIKE_COLUMNS, "spike"):
+        for neuron, t_us in zip(neuron_column, time_column):
+            per_neuron.setdefault(neuron, []).append(t_us / 1e6)
     return [SpikeTrain(neuron=nid, times=tuple(sorted(ts))) for nid, ts in sorted(per_neuron.items())]
 
 
 def save_spikes(trains, path) -> None:
-    write_table(path, _SPIKE_COLUMNS,
-                ([train.neuron, repr(t * 1e6)] for train in trains for t in train.times))
+    write_grouped_table(path, _SPIKE_COLUMNS,
+                        ((train.neuron, [t * 1e6 for t in train.times]) for train in trains))
 
 
 # ---------------------------------------------------------------------------

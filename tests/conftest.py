@@ -116,8 +116,9 @@ def write_boundary_files(directory):
     """Valid inputs for every command, plus malformed files, into `directory`.
 
     Valid: net.json, spec.json (N = 4), spk.csv, placement.json. Malformed:
-    bad.json (invalid JSON), bad.bin (not UTF-8) and placement-<name>.json
-    for each BAD_PLACEMENTS entry.
+    bad.json (invalid JSON), bad.bin (not UTF-8), spk-inf.csv and spk-nan.csv
+    (a non-finite spike time) and placement-<name>.json for each
+    BAD_PLACEMENTS entry.
     """
     network = mapping_demo_network()
     spec = CrossbarSpec(n=4)
@@ -129,6 +130,8 @@ def write_boundary_files(directory):
     save_placement(placement, directory / "placement.json")
     (directory / "bad.json").write_text("{not json")
     (directory / "bad.bin").write_bytes(b"\xff\xfe\x00\x81neuron,time_us\r\n")
+    for value in ("inf", "nan"):
+        (directory / f"spk-{value}.csv").write_text(f"neuron,time_us\n{pre[0]},100.0\n{pre[0]},{value}\n")
     doc = json.loads((directory / "placement.json").read_text())
     for name, edit in BAD_PLACEMENTS.items():
         bad = copy.deepcopy(doc)

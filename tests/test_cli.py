@@ -283,6 +283,8 @@ MALFORMED_INPUTS = {
     "placement-invalid-json": _simulate(placement="bad.json"),
     "network-not-utf8": _map(network="bad.bin"),
     "spikes-not-utf8": _simulate(spikes="bad.bin"),
+    "spikes-time-inf": _simulate(spikes="spk-inf.csv"),
+    "spikes-time-nan": _simulate(spikes="spk-nan.csv"),
     **{f"placement-{name}": _simulate(placement=f"placement-{name}.json") for name in BAD_PLACEMENTS},
     "simulate-duration-0": _simulate(duration="0"),
     "simulate-duration-nan": _simulate(duration="nan"),

@@ -1,10 +1,32 @@
-"""The file boundary: every loader turns a malformed file into ParseError or ValidationError."""
+"""The file boundary: every loader turns a malformed file into ParseError or ValidationError,
+write_json writes json.dumps's bytes, and read_table names every bad row's line."""
 
+import csv
+import inspect
+import json
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from xbarsim import load_network, load_placement, load_spec, load_spikes, load_tech
+from xbarsim import (
+    CrossbarSpec,
+    GenParams,
+    Hardware,
+    generate_synthetic,
+    load_network,
+    load_placement,
+    load_spec,
+    load_spikes,
+    load_tech,
+    map_network,
+    preset,
+)
 from xbarsim.errors import ParseError, ValidationError
-from xbarsim.files import read_table, write_table
+from xbarsim.files import _CHUNK_ROWS, read_table, write_json, write_table
+from xbarsim.mapper import placement_to_json
+from xbarsim.workload import network_to_json
 from xbarsim.reports import read_energy_csv, read_isi_csv, read_latency_csv, read_sweep_csv
 
 from conftest import BAD_PLACEMENTS, write_boundary_files
@@ -77,3 +99,150 @@ def test_read_table_rejects_malformed_tables(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ParseError, match=message):
         list(read_table(path, {"a": int, "b": int}, "test"))
+
+
+# --- write_json: the bytes of json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+# strings built from the pieces the writer splices compact output at
+_TRICKY_TEXT = st.lists(st.sampled_from(["\0", "}", "{", ",", ": ", "}\0{", '"', "\\", "\n", "a", "\u00e9",
+                                         "\u2028", "\U0001f600"])).map("".join)
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True, allow_infinity=True)
+            | st.text() | _TRICKY_TEXT)
+_KEYS = st.text() | _TRICKY_TEXT
+
+
+def _containers(children):
+    return (st.lists(children) | st.lists(children).map(tuple)
+            | st.dictionaries(_KEYS, children) | st.dictionaries(st.integers(), children)
+            | st.dictionaries(st.floats(allow_nan=False), children)
+            | st.lists(st.dictionaries(_KEYS, _SCALARS, min_size=1), min_size=1))
+
+
+def _expected(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=st.recursive(_SCALARS, _containers, max_leaves=20))
+def test_write_json_matches_json_dumps(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    write_json(doc, path)
+    assert path.read_text(encoding="utf-8") == _expected(doc)
+
+
+def test_write_json_matches_json_dumps_on_readme_size_documents(tmp_path):
+    """The 64-cluster README workload (pre/post 8:120, density 0.12, seed 7) and its placement."""
+    network, _ = generate_synthetic(GenParams(clusters=64, pre_range=(8, 120), post_range=(8, 120),
+                                              density=0.12, seed=7))
+    placement = map_network(network, Hardware(crossbar_count=64, spec=CrossbarSpec(n=128, n_h=16, n_l=16),
+                                              tech=preset("16nm")))
+    for doc in (network_to_json(network), placement_to_json(placement)):
+        write_json(doc, tmp_path / "doc.json")
+        assert (tmp_path / "doc.json").read_text(encoding="utf-8") == _expected(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    [np.int64(1)], {"a": [1, np.float32(2.0)]}, [{"a": np.int64(1)}], np.int64(1),
+    {(1, 2): 3}, {"a": [1], (1, 2): [2]}, {1: "a", "b": 2}, {"a": [1], 2: [2]},
+], ids=repr)
+def test_write_json_rejects_what_json_rejects(tmp_path, doc):
+    with pytest.raises(TypeError) as ours:
+        write_json(doc, tmp_path / "doc.json")
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(doc, indent=2, sort_keys=True)
+    assert str(ours.value) == str(theirs.value)
+
+
+# --- read_table: chunked and column-wise, every message as a row-by-row reader gives it
+
+
+def _reference_read_table(path, header, what):
+    """The row-at-a-time reader read_table replaced: the oracle for its rows and messages."""
+    names, parse = list(header), list(header.values())
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            got = next(reader, None)
+            if got is None or [h.strip() for h in got] != names:
+                raise ParseError(f"{path}: not a {what} table: expected header {','.join(names)!r}, got {got}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(names):
+                    raise ParseError(f"{path}:{reader.line_num}: expected {len(names)} values, got {row}")
+                yield [f(cell) for f, cell in zip(parse, row)]
+        except (csv.Error, ValueError) as exc:
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
+def _outcome(reader, path):
+    try:
+        return list(reader(path, {"a": int, "b": int}, "test"))
+    except ParseError as exc:
+        return str(exc)
+
+
+def _table(rows: int, edits: dict) -> str:
+    """Header a,b and `rows` rows "i,i", with the lines numbered in `edits` replaced."""
+    lines = ["a,b"] + [f"{i},{i}" for i in range(rows)]
+    for line, text in edits.items():
+        lines[line - 1] = text
+    return "\r\n".join(lines) + "\r\n"
+
+
+_LAST = _CHUNK_ROWS + 1  # the line of the first chunk's last row (the header is line 1)
+
+_CHUNKED_TABLES = {
+    **{f"{kind}-line-{line}": _table(2 * _CHUNK_ROWS + 100, {line: text})
+       for line in (11, _LAST - 1, _LAST, _LAST + 1, _LAST + 2, 2 * _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 2)
+       for kind, text in (("width", "1"), ("value", "1,x"), ("first-value", "x,1"))},
+    **{f"blanks-to-line-{line}": _table(2 * _CHUNK_ROWS + 100, {**dict.fromkeys(range(line - 4, line), ""),
+                                                               line: "1,2,3"})
+       for line in (_LAST - 1, _LAST + 1, _LAST + 3)},
+    **{f"quoted-line-breaks-to-line-{line}": _table(2 * _CHUNK_ROWS + 100, {
+        line - 5: '"1\r\n\r\n",2', line - 3: '"3\n",4', line - 2: '5,"6\r"', line: "z,z"})
+       for line in (_LAST - 1, _LAST + 2, _LAST + 5)},
+    "value-then-width": _table(100, {5: "1,x", 9: "1"}),
+    "width-then-value": _table(100, {5: "1", 9: "x,1"}),
+    "value-then-oversized-field": _table(2 * _CHUNK_ROWS, {_LAST + 2: "1,x", _LAST + 3: "1," + "9" * 200_000}),
+    "oversized-field-then-value": _table(2 * _CHUNK_ROWS, {_LAST + 2: "1," + "9" * 200_000, _LAST + 3: "1,x"}),
+    "quote-open-at-end": "a,b\r\n1,2\r\n3,\"x\r\n4,5\r\n",
+    "no-final-line-break": "a,b\r\n1,2\r\n3,x",
+    "only-blank-lines": "a,b\r\n" + "\r\n" * (_CHUNK_ROWS + 5),
+    "full-chunk": _table(_CHUNK_ROWS, {}),
+    "valid": _table(2 * _CHUNK_ROWS + 100, {_LAST: "", _LAST + 1: '"7\r\n",8'}),
+}
+
+
+@pytest.mark.parametrize("name", _CHUNKED_TABLES)
+def test_read_table_matches_row_by_row_reader_across_chunks(tmp_path, name):
+    path = tmp_path / "t.csv"
+    path.write_text(_CHUNKED_TABLES[name], newline="")
+    assert _outcome(read_table, path) == _outcome(_reference_read_table, path)
+
+
+def test_read_table_names_bad_row_line_in_first_chunk(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(_table(5000, {11: "9,9,9"}), newline="")
+    with pytest.raises(ParseError) as exc:
+        list(read_table(path, {"a": int, "b": int}, "test"))
+    assert str(exc.value) == f"{path}:11: expected 2 values, got ['9', '9', '9']"
+
+
+def test_read_table_names_undecodable_bytes_after_bad_row(tmp_path):
+    """A bad value comes before bytes that are not UTF-8 in the same chunk; the value is reported.
+
+    The file is decoded ahead of the csv reader, so the bytes sit some
+    kilobytes after the value."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(_table(_CHUNK_ROWS - 10, {100: "1,x"}).encode() + b"\xff\xfe\r\n")
+    assert _outcome(read_table, path) == _outcome(_reference_read_table, path) == (
+        f"{path}:100: invalid literal for int() with base 10: 'x'")
+
+
+def test_read_table_is_a_generator(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(_table(10, {}))
+    assert inspect.isgeneratorfunction(read_table)
+    rows = read_table(path, {"a": int, "b": int}, "test")
+    assert next(rows) == [0, 0]

@@ -29,7 +29,7 @@ from xbarsim import (
 )
 from xbarsim.crossbar import legal_configurations
 from xbarsim.fixtures import mapping_demo_network
-from xbarsim.mapper import _SynapseArrays, _swap_repair, _violations, load_placement
+from xbarsim.mapper import _disagrees, _sorted_pairs, _SynapseArrays, _swap_repair, _violations, load_placement
 from xbarsim.errors import CapacityExceeded, Infeasible, ValidationError
 
 from conftest import planted_cluster, random_cluster, synapse_columns
@@ -314,6 +314,20 @@ def test_check_placement_reports_cells_outside_crossbar(row):
                                 **synapse_columns((dataclasses.replace(s, row=row),) + xb.synapses[1:]))
     problems = check_placement(_replace_first_crossbar(placement, moved))
     assert problems == [f"crossbar {xb.crossbar_id}: cell ({row},{s.col}) outside config '{xb.config.name}'"]
+
+
+def test_pair_checks_match_brute_force(rng):
+    """check_placement's sorted-pair checks against one Python comparison per entry,
+    on repeated pairs, out-of-range cells and neuron maps that miss or disagree."""
+    for _ in range(200):
+        size = int(rng.integers(0, 40))
+        keys = rng.integers(-2, 6, size=size).astype(np.intp)
+        values = rng.choice(np.array([-1, 0, 1, 2, 3, 500], dtype=np.intp), size=size)
+        mapping = {int(k): int(rng.choice([-1, 0, 1, 500])) for k in rng.integers(-2, 6, size=4)}
+        expected = [mapping.get(k) != v for k, v in zip(keys.tolist(), values.tolist())]
+        assert _disagrees(mapping, keys, values).tolist() == expected
+        injective = len(set(zip(keys.tolist(), values.tolist()))) == size
+        assert bool(_sorted_pairs(keys, values)[1].all()) == injective
 
 
 def test_check_placement_reports_illegal_configuration():

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from xbarsim import (
@@ -80,11 +81,28 @@ def test_route_validation():
 
 
 def test_spike_train_invariants():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="strictly increase"):
         SpikeTrain(neuron=0, times=(1.0, 1.0))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=">= 0"):
         SpikeTrain(neuron=0, times=(-0.5, 1.0))
+    with pytest.raises(ValidationError, match=">= 0"):
+        SpikeTrain(neuron=0, times=(0.5, -1.0))
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValidationError, match="finite"):
+            SpikeTrain(neuron=0, times=(0.5, bad))
     SpikeTrain(neuron=0, times=())
+
+
+def test_load_spikes_groups_by_neuron_and_sorts(tmp_path):
+    """Rows in any order, over several read chunks: one train per neuron, ascending ids, times sorted."""
+    rng = np.random.default_rng(3)
+    rows = [(int(n), float(t)) for n, t in zip(rng.integers(0, 50, 9000), rng.uniform(0, 1e6, 9000))]
+    path = tmp_path / "spikes.csv"
+    path.write_text("neuron,time_us\n" + "".join(f"{n},{t!r}\n" for n, t in rows))
+    per_neuron = {}
+    for n, t in rows:
+        per_neuron.setdefault(n, []).append(t / 1e6)
+    assert load_spikes(path) == [SpikeTrain(n, tuple(sorted(ts))) for n, ts in sorted(per_neuron.items())]
 
 
 def test_quantize_exact_and_ties():
