@@ -77,10 +77,15 @@ class PlacedSynapse:
 _COLUMNS = {"pre": np.intp, "post": np.intp, "state": np.int8, "row": np.intp, "col": np.intp}
 
 
-def _state_code(label: str) -> int:
-    if label not in STATE_LABELS:
-        raise ValueError(f"unknown resistance state {label!r}")
-    return STATE_LABELS.index(label)
+# Resistance state label -> its index in STATE_LABELS, the placement state code.
+_STATE_CODE = {label: code for code, label in enumerate(STATE_LABELS)}
+
+
+def _state_codes(labels) -> list[int]:
+    try:
+        return [_STATE_CODE[label] for label in labels]
+    except KeyError as exc:
+        raise ValueError(f"unknown resistance state {exc.args[0]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,7 @@ class CrossbarPlacement:
 
     @property
     def n_hrs(self) -> int:
-        return int(np.count_nonzero(self.state == _state_code(HRS)))
+        return int(np.count_nonzero(self.state == _STATE_CODE[HRS]))
 
 
 @dataclass(frozen=True)
@@ -143,10 +148,16 @@ class _SynapseArrays:
     """Per-cluster synapse data in array form for fast violation checks."""
 
     def __init__(self, cluster):
-        self.pre = np.array([s.pre for s in cluster.synapses], dtype=int)
-        self.post = np.array([s.post for s in cluster.synapses], dtype=int)
-        self.not_hrs = np.array([s.state != HRS for s in cluster.synapses])
-        self.not_lrs1 = np.array([s.state != LRS1 for s in cluster.synapses])
+        pre, post, state = [], [], []
+        for s in cluster.synapses:
+            pre.append(s.pre)
+            post.append(s.post)
+            state.append(_STATE_CODE[s.state])
+        self.pre = np.array(pre, dtype=int)
+        self.post = np.array(post, dtype=int)
+        state = np.array(state, dtype=np.int8)
+        self.not_hrs = state != _STATE_CODE[HRS]
+        self.not_lrs1 = state != _STATE_CODE[LRS1]
 
 
 def _violations(arrays: _SynapseArrays, rows, cols, spec):
@@ -168,10 +179,18 @@ def _swap_repair(spec, occupants, cost_a, cost_b) -> None:
     a "swap" with one covers moving a neuron to a free slot.
 
     Each pass evaluates every pair of slots in different bands once (a swap
-    inside one band changes no cost), then applies improving swaps in
-    ascending-delta order while the pairs stay disjoint; a swap's improvement
-    depends only on its own two slots, so every applied swap keeps its exact
-    pre-pass delta and the pass strictly reduces the violation count.
+    inside one band changes no cost). The improving pairs are then walked in
+    ascending-delta order, ties in (near slot, far slot) order (a stable
+    sort of the row-major nonzero list), and a pair is applied unless one of
+    its slots was already swapped in this pass. That greedy batch is
+    disjoint; a swap's improvement depends only on its own two slots, so
+    every applied swap keeps its exact pre-pass delta and the pass strictly
+    reduces the violation count.
+
+    A pass typically lists hundreds of improving pairs and applies about ten,
+    so the walk runs on Python lists (`tolist()` pairs, a bytearray of touched
+    slots, a list copy of `occupants` written back once per pass): indexing
+    numpy arrays one scalar at a time costs several times as much.
     """
     n, n_h, n_l = spec.n, spec.n_h, spec.n_l
     slots = np.arange(n)
@@ -189,13 +208,15 @@ def _swap_repair(spec, occupants, cost_a, cost_b) -> None:
         ii, jj = np.nonzero(delta < 0)
         if ii.size == 0:
             return
-        touched = np.zeros(n, dtype=bool)
-        for k in np.argsort(delta[ii, jj], kind="stable"):
-            i, j = int(ii[k]), int(jj[k]) + n_h
+        order = np.argsort(delta[ii, jj], kind="stable")
+        occ = occupants.tolist()
+        touched = bytearray(n)
+        for i, j in zip(ii[order].tolist(), (jj[order] + n_h).tolist()):
             if touched[i] or touched[j]:
                 continue
-            occupants[i], occupants[j] = occupants[j], occupants[i]
-            touched[i] = touched[j] = True
+            occ[i], occ[j] = occ[j], occ[i]
+            touched[i] = touched[j] = 1
+        occupants[:] = occ
 
 
 def _seat(order, n):
@@ -235,9 +256,9 @@ def assign_cluster(cluster: Cluster, spec: CrossbarSpec) -> Assignment:
                              cluster_id=cluster.id, violations=details)
 
     return Assignment(
-        row_of_pre={nid: int(rows[i]) for i, nid in enumerate(cluster.pre_neurons)},
-        col_of_post={nid: int(cols[j]) for j, nid in enumerate(cluster.post_neurons)},
-        cells=tuple((int(rows[s.pre]), int(cols[s.post])) for s in cluster.synapses),
+        row_of_pre=dict(zip(cluster.pre_neurons, rows.tolist())),
+        col_of_post=dict(zip(cluster.post_neurons, cols.tolist())),
+        cells=tuple(zip(rows[arrays.pre].tolist(), cols[arrays.post].tolist())),
     )
 
 
@@ -477,7 +498,7 @@ def _map_clusters(network: Network, hardware: Hardware, assign) -> Placement:
             col_of_post=dict(assignment.col_of_post),
             pre=np.array(cluster.pre_neurons)[[s.pre for s in cluster.synapses]],
             post=np.array(cluster.post_neurons)[[s.post for s in cluster.synapses]],
-            state=[_state_code(s.state) for s in cluster.synapses], row=rows, col=cols))
+            state=_state_codes(s.state for s in cluster.synapses), row=rows, col=cols))
     return Placement(crossbars=tuple(crossbars), crossbar_count=hardware.crossbar_count,
                      routes=network.routes)
 
@@ -550,8 +571,8 @@ def check_placement(placement: Placement) -> list[str]:
         far = xb.spec.n - xb.spec.n_l
         in_a = (xb.row < xb.spec.n_h) & (xb.col < xb.spec.n_h)
         in_b = (xb.row >= far) & (xb.col >= far)
-        forbidden = ~outside & ((in_a & (xb.state != _state_code(HRS)))
-                                | (in_b & (xb.state != _state_code(LRS1))))
+        forbidden = ~outside & ((in_a & (xb.state != _STATE_CODE[HRS]))
+                                | (in_b & (xb.state != _STATE_CODE[LRS1])))
         for i in np.nonzero(inconsistent | outside | forbidden)[0].tolist():
             cell = f"({xb.row[i]},{xb.col[i]})"
             if inconsistent[i]:
@@ -601,7 +622,7 @@ def placement_from_json(doc: dict) -> Placement:
                 row_of_pre={int(k): int(v) for k, v in x["rows"].items()},
                 col_of_post={int(k): int(v) for k, v in x["cols"].items()},
                 **{name: [int(s[name]) for s in x["synapses"]] for name in ("pre", "post", "row", "col")},
-                state=[_state_code(str(s["state"])) for s in x["synapses"]],
+                state=_state_codes(str(s["state"]) for s in x["synapses"]),
             )
             for x in doc["crossbars"]
         )

@@ -53,11 +53,17 @@ def test_loaders_reject_undecodable_files(tmp_path, loader, name):
         loader(tmp_path / name)
 
 
+# The exact message of a BAD_PLACEMENTS case, where one is pinned.
+BAD_PLACEMENT_MESSAGES = {"state-lrs9": "bad placement document: unknown resistance state 'LRS9'"}
+
+
 @pytest.mark.parametrize("name", BAD_PLACEMENTS)
 def test_load_placement_rejects_malformed_or_unsound_documents(tmp_path, name):
     write_boundary_files(tmp_path)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as exc:
         load_placement(tmp_path / f"placement-{name}.json")
+    if name in BAD_PLACEMENT_MESSAGES:
+        assert str(exc.value) == BAD_PLACEMENT_MESSAGES[name]
 
 
 @pytest.mark.parametrize("reader", TABLES, ids=lambda f: f.__name__)

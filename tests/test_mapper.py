@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from xbarsim import (
 )
 from xbarsim.crossbar import legal_configurations
 from xbarsim.fixtures import mapping_demo_network
+from xbarsim import mapper
 from xbarsim.mapper import _disagrees, _sorted_pairs, _SynapseArrays, _swap_repair, _violations, load_placement
 from xbarsim.errors import CapacityExceeded, Infeasible, ValidationError
 
@@ -136,6 +139,78 @@ def test_swap_repair_matches_full_matrix_pass(rng, spec):
         _swap_repair_full_matrix(spec, expected, cost_a, cost_b)
         _swap_repair(spec, occupants, cost_a, cost_b)
         assert occupants.tolist() == expected.tolist()
+
+
+# The benchmark's specs: planted clusters on the first, random ones on the second.
+PLANTED_SPEC = CrossbarSpec(n=128, n_h=64, n_l=64, p=96, q=96)
+RANDOM_SPEC = CrossbarSpec(n=128, n_h=32, n_l=32, p=96, q=96)
+
+
+@pytest.mark.parametrize("spec", [PLANTED_SPEC, RANDOM_SPEC], ids=["n_h64", "n_h32"])
+def test_swap_repair_matches_full_matrix_pass_at_benchmark_size(rng, spec):
+    # 0-1 costs on a nearly full axis give hundreds of equal-delta
+    # candidates per pass, so the stable tie order picks the swaps.
+    for _ in range(12):
+        k = int(rng.integers(spec.n - 8, spec.n + 1))
+        occupants = np.full(spec.n, -1, dtype=int)
+        occupants[rng.permutation(spec.n)[:k]] = rng.permutation(k)
+        cost_a = rng.integers(0, 2, size=k)
+        cost_b = rng.integers(0, 2, size=k)
+        expected = occupants.copy()
+        _swap_repair_full_matrix(spec, expected, cost_a, cost_b)
+        _swap_repair(spec, occupants, cost_a, cost_b)
+        assert occupants.tolist() == expected.tolist()
+
+
+# sha256 of the JSON of _mapping_record over _mapper_corpus: planted part, random part.
+GOLDEN_MAPPER_DIGESTS = ["a24d2ea7ef55d4690504fae4bf14ca1d0a3788df2b46e3710cc20b4c56748974",
+                         "1804ea0a690bfeeb2dfdb12433697c80ee43645e60e6299aa4deb463f35dfc52"]
+
+
+def _mapper_corpus():
+    """Small seeded corpus: planted clusters, then random clusters of two networks."""
+    rng = np.random.default_rng(2024)
+    planted = [(planted_cluster(rng, k, PLANTED_SPEC), PLANTED_SPEC) for k in range(16)]
+    synthetic = [(c, RANDOM_SPEC) for seed in (9, 10)
+                 for c in generate_synthetic(GenParams(clusters=8, pre_range=(8, 120), post_range=(8, 120),
+                                                       density=0.12, duration=0.01, seed=seed))[0].clusters]
+    return planted + synthetic
+
+
+def _mapping_record(cluster, spec):
+    try:
+        a = assign_cluster(cluster, spec)
+    except Infeasible as exc:
+        return ["infeasible", exc.violations]
+    return [list(a.row_of_pre.items()), list(a.col_of_post.items()), a.cells,
+            select_configuration(a, spec).name]
+
+
+def test_mapper_outputs_match_golden_digests(monkeypatch):
+    # Pins seats, cells, configurations and violation lists; the corpus
+    # reaches both repair stages and has a cluster the mapper rejects.
+    calls = {"_swap_repair": 0, "_band_stage": 0}
+    for name in calls:
+        def counted(*args, _name=name, _stage=getattr(mapper, name)):
+            calls[_name] += 1
+            return _stage(*args)
+        monkeypatch.setattr(mapper, name, counted)
+    records = [_mapping_record(cluster, spec) for cluster, spec in _mapper_corpus()]
+    digests = [hashlib.sha256(json.dumps(part).encode()).hexdigest() for part in (records[:16], records[16:])]
+    assert calls["_swap_repair"] > 0 and calls["_band_stage"] > 0
+    assert sum(r[0] == "infeasible" for r in records) == 1
+    assert digests == GOLDEN_MAPPER_DIGESTS
+
+
+def test_assignment_values_are_python_ints_in_neuron_order(rng):
+    for cluster, spec in [(planted_cluster(rng, 0, PLANTED_SPEC), PLANTED_SPEC),
+                          (random_cluster(rng, 1, 90, 70, 0.12, id_base=500), RANDOM_SPEC)]:
+        a = assign_cluster(cluster, spec)
+        assert list(a.row_of_pre) == list(cluster.pre_neurons)
+        assert list(a.col_of_post) == list(cluster.post_neurons)
+        assert type(a.cells) is tuple and all(type(cell) is tuple for cell in a.cells)
+        values = [*a.row_of_pre.values(), *a.col_of_post.values(), *(x for cell in a.cells for x in cell)]
+        assert {type(v) for v in values} == {int}
 
 
 def test_infeasible_cluster_reported():
