@@ -25,6 +25,7 @@ The algorithm is greedy-with-repair and fully deterministic:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -145,7 +146,8 @@ class Placement:
 
 
 class _SynapseArrays:
-    """Per-cluster synapse data in array form for fast violation checks."""
+    """Per-cluster synapse columns from one walk over the synapses: pre/post
+    neuron indices, state codes, and the masks the violation checks use."""
 
     def __init__(self, cluster):
         pre, post, state = [], [], []
@@ -155,9 +157,9 @@ class _SynapseArrays:
             state.append(_STATE_CODE[s.state])
         self.pre = np.array(pre, dtype=int)
         self.post = np.array(post, dtype=int)
-        state = np.array(state, dtype=np.int8)
-        self.not_hrs = state != _STATE_CODE[HRS]
-        self.not_lrs1 = state != _STATE_CODE[LRS1]
+        self.state = np.array(state, dtype=np.int8)
+        self.not_hrs = self.state != _STATE_CODE[HRS]
+        self.not_lrs1 = self.state != _STATE_CODE[LRS1]
 
 
 def _violations(arrays: _SynapseArrays, rows, cols, spec):
@@ -491,14 +493,15 @@ def _map_clusters(network: Network, hardware: Hardware, assign) -> Placement:
     crossbars = []
     for crossbar_id, cluster in enumerate(order):
         assignment = assign(cluster)
-        rows, cols = np.array(assignment.cells, dtype=np.intp).T
+        cells = assignment.cells
+        rows, cols = np.fromiter(chain.from_iterable(cells), np.intp, 2 * len(cells)).reshape(-1, 2).T
+        arrays = _SynapseArrays(cluster)
         crossbars.append(CrossbarPlacement(
             crossbar_id=crossbar_id, cluster_id=cluster.id, spec=spec,
             config=select_configuration(assignment, spec), row_of_pre=dict(assignment.row_of_pre),
             col_of_post=dict(assignment.col_of_post),
-            pre=np.array(cluster.pre_neurons)[[s.pre for s in cluster.synapses]],
-            post=np.array(cluster.post_neurons)[[s.post for s in cluster.synapses]],
-            state=_state_codes(s.state for s in cluster.synapses), row=rows, col=cols))
+            pre=np.array(cluster.pre_neurons)[arrays.pre], post=np.array(cluster.post_neurons)[arrays.post],
+            state=arrays.state, row=rows, col=cols))
     return Placement(crossbars=tuple(crossbars), crossbar_count=hardware.crossbar_count,
                      routes=network.routes)
 

@@ -11,6 +11,7 @@ transistors when a far-region cell is accessed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import inf
 
 import numpy as np
@@ -102,6 +103,28 @@ class Activity:
     def total_spikes(self) -> int:
         return int(sum(self.spike_counts.values()))
 
+    @cached_property
+    def _count_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, counts): spike_counts sorted by id, plus one trailing (0, 0) entry for absent ids.
+
+        Built once per Activity, so spike_counts must not change after an
+        evaluation. An id no intp column can hold is never a placed neuron
+        and is left out, so a huge id in a spike file cannot overflow here.
+        """
+        lo, hi = np.iinfo(np.intp).min, np.iinfo(np.intp).max
+        items = sorted((nid, count) for nid, count in self.spike_counts.items() if lo <= nid <= hi)
+        ids = np.array([nid for nid, _ in items] + [0], dtype=np.intp)
+        counts = np.array([count for _, count in items] + [0], dtype=float)
+        return ids, counts
+
+
+def _synapse_spike_counts(activity: Activity, pre: np.ndarray) -> np.ndarray:
+    """activity.spike_counts.get(nid, 0) per entry of pre, as floats, by binary search."""
+    ids, counts = activity._count_table
+    absent = len(ids) - 1
+    at = np.searchsorted(ids[:absent], pre)
+    return counts[np.where(ids[at] == pre, at, absent)]
+
 
 def _activity(counts: dict, routes, duration: float) -> Activity:
     """Activity of per-neuron spike counts; each route carries its source's spikes."""
@@ -146,14 +169,10 @@ def synapse_latency_totals(xb: CrossbarPlacement, tech: TechnologyParams) -> np.
 
 
 def _placement_totals(placement: Placement, tech: TechnologyParams):
-    """(crossbar, synapse_latency_totals) per crossbar; tap_delays runs once per (spec, config)."""
+    """(crossbar, synapse_latency_totals) per crossbar."""
     sense = np.array([sense_latency(s, tech) for s in tech.states])  # by state code
-    delays = {}
     for xb in placement.crossbars:
-        key = (xb.spec, xb.config)
-        if key not in delays:
-            delays[key] = tap_delays(xb.spec, xb.config, tech)
-        row, col = delays[key]
+        row, col = tap_delays(xb.spec, xb.config, tech)
         yield xb, row[xb.row] + col[xb.col] + sense[xb.state]
 
 
@@ -213,8 +232,14 @@ def corner_extremes(spec: CrossbarSpec, tech: TechnologyParams,
 
     This is the geometry-only notion of latency variation: the fastest and
     slowest current path the crossbar could ever exercise given its region
-    rules, independent of any particular workload.
+    rules, independent of any particular workload. Results are memoized in a
+    bounded cache keyed on (spec, config, tech) and shared by every caller.
     """
+    return _corner_extremes(spec, tech, config)
+
+
+@lru_cache(maxsize=256)
+def _corner_extremes(spec: CrossbarSpec, tech: TechnologyParams, config: Configuration) -> LatencyStats:
     row, col = tap_delays(spec, config, tech)
     base = row[:, None] + col[None, :]
     r_idx = np.arange(len(row))[:, None]
@@ -346,8 +371,7 @@ def energy_report(placement: Placement, activity: Activity, tech: TechnologyPara
     routing_j = activity.routed_spike_hops * tech.e_route_hop
     terms = [np.zeros(1)]
     for xb, totals in _placement_totals(placement, tech):
-        neurons, of_synapse = np.unique(xb.pre, return_inverse=True)
-        counts = np.array([activity.spike_counts.get(nid, 0) for nid in neurons.tolist()], dtype=float)[of_synapse]
+        counts = _synapse_spike_counts(activity, xb.pre)
         far = (xb.row >= xb.spec.p) | (xb.col >= xb.spec.q)
         k = np.where(far, 3 if xb.config == CONFIG_11 else 2, 1)
         access = counts * tech.p_wordline_raise * totals * k

@@ -12,6 +12,9 @@ Two latency primitives:
 
 `tap_delays` is the one batch kernel (per active row and column: tap delay
 plus isolation crossing); `path_latency` is its checked per-cell form.
+`tap_delays` is memoized: a bounded cache keyed on (spec, config, tech)
+returns one shared pair of read-only arrays per key, since every grid point
+of a P/Q sweep asks for the same few shapes again.
 
 Unit convention for the bundled presets: capacitances are normalized so that
 one wordline RC segment at 45nm equals exactly 1 time unit, and capacitance
@@ -24,6 +27,7 @@ absolute seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -262,15 +266,25 @@ def tap_delays(spec: CrossbarSpec, config: Configuration,
 
     The batch form of path_latency: taps equal line_tap_delay bit for bit, so
     cell (r, c) in a given state takes row[r] + col[c] + sense_latency(state).
-    Region rules are not checked.
+    Region rules are not checked. Results are memoized in a bounded cache
+    keyed on (spec, config, tech); every caller shares the same read-only
+    arrays, so writing to them raises ValueError.
     """
+    return _tap_delays(spec, config, tech)
+
+
+@lru_cache(maxsize=256)
+def _tap_delays(spec: CrossbarSpec, config: Configuration,
+                tech: TechnologyParams) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = config_dimensions(config, spec)
 
     def axis(count, cut, expanded, r_unit, c_unit):
         length = spec.n if expanded else cut
         k = np.arange(1, count + 1)
         tap = ladder_delay(length, r_unit, c_unit) - ladder_delay(length - k, r_unit, c_unit)
-        return tap + tech.t_iso_on * (expanded & (k > cut))
+        delay = tap + tech.t_iso_on * (expanded & (k > cut))
+        delay.setflags(write=False)
+        return delay
 
     return (axis(rows, spec.p, config.rows_expanded, tech.r_bitline_unit, tech.c_bitline_unit),
             axis(cols, spec.q, config.cols_expanded, tech.r_wordline_unit, tech.c_wordline_unit))

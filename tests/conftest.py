@@ -25,6 +25,10 @@ from xbarsim.fixtures import mapping_demo_network
 
 ALL_STATES = ("LRS1", "LRS2", "LRS3", "HRS")
 
+# Specs for the memo checks: P < N, Q < N and non-empty resistance regions, plus a plain N = 9.
+MEMO_SPECS = (CrossbarSpec(n=12, n_h=3, n_l=3, p=8, q=7), CrossbarSpec(n=16, n_h=4, n_l=2, p=16, q=9),
+              CrossbarSpec(n=16, n_h=0, n_l=5, p=5, q=16), CrossbarSpec(n=9))
+
 
 def elmore_tap_oracle(position, line_length, r_unit, c_unit):
     """Brute-force Elmore delay: sum over upstream resistors of r times the

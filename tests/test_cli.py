@@ -155,6 +155,22 @@ def test_simulate_unknown_neuron_is_domain_error(tmp_path):
                 "--duration", "1.0", "--out", str(tmp_path / "r")]) == 3
 
 
+@pytest.mark.parametrize("neuron", [999, 2**63, 2**64 + 5, -(2**63) - 1])
+def test_simulate_unplaced_neuron_of_any_size_exits_3(tmp_path, capsys, neuron):
+    """An unplaced id that no int64 can hold is still an unknown neuron, not an overflow."""
+    net_path, spec_path, place_path = tmp_path / "net.json", tmp_path / "spec.json", tmp_path / "p.json"
+    save_network(mapping_demo_network(), net_path)
+    save_spec(CrossbarSpec(n=4), spec_path)
+    assert run(["map", "--network", str(net_path), "--spec", str(spec_path), "--out", str(place_path)]) == 0
+    spikes = tmp_path / "spikes.csv"
+    save_spikes([SpikeTrain(neuron=0, times=(1e-6, 2e-6)), SpikeTrain(neuron=neuron, times=(1e-6,))], spikes)
+    capsys.readouterr()
+    assert run(["simulate", "--placement", str(place_path), "--spikes", str(spikes),
+                "--duration", "1.0", "--out", str(tmp_path / "r")]) == 3
+    err = capsys.readouterr().err
+    assert f"neuron {neuron} spikes but is not placed as a pre-synaptic neuron" in err
+
+
 def test_dse_single_point(tmp_path, capsys):
     net_path = tmp_path / "net.json"
     spk_path = tmp_path / "spk.csv"

@@ -1,7 +1,10 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xbarsim import (
     CONFIG_00,
@@ -41,8 +44,9 @@ from xbarsim import (
 )
 from xbarsim import ControlMode
 from xbarsim.fixtures import isi_demo, mapping_demo_network
-from xbarsim import simulate
-from xbarsim.simulate import synapse_latency_totals
+from xbarsim import simulate, techmodel
+from xbarsim.simulate import _synapse_spike_counts, synapse_latency_totals
+from xbarsim.techmodel import PRESETS
 from xbarsim.errors import (
     EmptyCounts,
     EmptyPlacement,
@@ -52,7 +56,7 @@ from xbarsim.errors import (
     ValidationError,
 )
 
-from conftest import planted_cluster, random_cluster, synapse_columns
+from conftest import MEMO_SPECS, planted_cluster, random_cluster, synapse_columns
 
 TECH = preset("16nm")
 
@@ -346,6 +350,40 @@ def test_latency_stats_extremes_once_per_spec_and_config(rng, monkeypatch):
     assert len(calls) < len(placement.crossbars)
 
 
+def test_corner_extremes_memo_equals_uncached_kernel_bit_for_bit():
+    uncached = simulate._corner_extremes.__wrapped__
+    for tech in PRESETS.values():
+        for config in CONFIGURATIONS:
+            for spec in MEMO_SPECS:
+                got = corner_extremes(spec, tech, config)
+                want = uncached(spec, tech, config)
+                assert [v.hex() for v in dataclasses.astuple(got)] == \
+                    [v.hex() for v in dataclasses.astuple(want)]
+                assert corner_extremes(spec, tech, config) is got  # the shared entry
+    assert corner_extremes(MEMO_SPECS[0], TECH) is corner_extremes(MEMO_SPECS[0], TECH, CONFIG_11)
+    maxsize = simulate._corner_extremes.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+
+
+def test_corner_extremes_keys_on_every_field():
+    spec = MEMO_SPECS[0]
+    before = corner_extremes(spec, TECH, CONFIG_11)
+    for other_spec, other_tech in ((spec, dataclasses.replace(TECH, t_iso_on=2 * TECH.t_iso_on)),
+                                   (spec, dataclasses.replace(TECH, c_sense=2 * TECH.c_sense)),
+                                   (dataclasses.replace(spec, n_h=4), TECH),
+                                   (dataclasses.replace(spec, n_l=1), TECH)):
+        got = corner_extremes(other_spec, other_tech, CONFIG_11)
+        assert got == simulate._corner_extremes.__wrapped__(other_spec, other_tech, CONFIG_11)
+        assert got != before
+
+
+def test_memoized_kernels_stay_plain_functions():
+    # perfbench's tracer wraps only plain functions of each module (inspect.isfunction)
+    # would otherwise stop seeing them and read 0 calls.
+    for module, fn in ((techmodel, techmodel.tap_delays), (simulate, simulate.corner_extremes)):
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__
+
+
 def test_evaluators_index_columns_not_synapse_views(rng, monkeypatch):
     """No evaluator walks PlacedSynapse views: with them unavailable, every result is unchanged."""
     placement = mixed_placement(rng)
@@ -520,6 +558,25 @@ def test_energy_access_overhead_matches_per_synapse_sum(rng):
     for tech in (TECH, preset("45nm")):
         got = energy_report(placement, activity, tech).access_overhead_j
         assert got == access_overhead_by_synapse(placement, activity, tech)
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.dictionaries(st.one_of(_INT64, st.integers(-(2**70), 2**70), st.integers(-5, 5)),
+                              st.integers(0, 10**6), max_size=20),
+       extra=st.lists(st.one_of(_INT64, st.integers(-5, 5)), max_size=20),
+       picks=st.lists(st.integers(0, 100), max_size=30))
+@example(counts={}, extra=[0, -1, 2**63 - 1], picks=[])
+def test_synapse_spike_counts_equal_dict_lookups(counts, extra, picks):
+    # Placed ids (intp) that the activity counts, some repeated, and ones it does not.
+    known = [nid for nid in counts if -(2**63) <= nid < 2**63]
+    pre = extra + [known[i % len(known)] for i in picks if known]
+    activity = Activity(spike_counts=counts, routed_spike_hops=0.0, duration=1.0)
+    got = _synapse_spike_counts(activity, np.array(pre, dtype=np.intp))
+    assert got.dtype == float
+    assert got.tolist() == [float(counts.get(nid, 0)) for nid in pre]
 
 
 def test_energy_routing_and_spikes():

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from xbarsim import (
@@ -18,9 +19,11 @@ from xbarsim import (
     sense_latency,
     tap_delays,
 )
+from xbarsim import techmodel
 from xbarsim.errors import OutOfActiveRegion, StateForbidden, ValidationError
+from xbarsim.techmodel import PRESETS
 
-from conftest import elmore_tap_oracle
+from conftest import MEMO_SPECS, elmore_tap_oracle
 
 
 def test_default_states_values_and_order():
@@ -102,6 +105,38 @@ def test_tap_delays_equal_line_tap_delay_bit_for_bit():
             for c, value in enumerate(col):
                 tap = line_tap_delay(c + 1, wl_len, tech.r_wordline_unit, tech.c_wordline_unit)
                 assert value == tap + (tech.t_iso_on if c >= spec.q else 0.0)
+
+
+def test_tap_delays_memo_equals_uncached_kernel_bit_for_bit():
+    uncached = techmodel._tap_delays.__wrapped__
+    for tech in PRESETS.values():
+        for config in CONFIGURATIONS:
+            for spec in MEMO_SPECS:
+                got, want = tap_delays(spec, config, tech), uncached(spec, config, tech)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert tap_delays(spec, config, tech)[0] is got[0]  # the shared entry
+
+
+def test_tap_delays_entries_are_read_only_and_bounded():
+    row, col = tap_delays(MEMO_SPECS[0], CONFIG_11, preset("45nm"))
+    for values in (row, col):
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+    maxsize = techmodel._tap_delays.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+
+
+def test_tap_delays_keys_on_every_field():
+    spec, tech = MEMO_SPECS[0], preset("45nm")
+    before = tap_delays(spec, CONFIG_11, tech)
+    for other_tech, other_spec in ((dataclasses.replace(tech, t_iso_on=2 * tech.t_iso_on), spec),
+                                   (dataclasses.replace(tech, r_wordline_unit=3.0), spec),
+                                   (tech, dataclasses.replace(spec, q=6))):
+        got = tap_delays(other_spec, CONFIG_11, other_tech)
+        want = techmodel._tap_delays.__wrapped__(other_spec, CONFIG_11, other_tech)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert not all(np.array_equal(a, b) for a, b in zip(got, before))
 
 
 def test_path_latency_worst_cell_iso_count():
