@@ -104,7 +104,7 @@ def cmd_gen(args) -> int:
     network, trains = generate_synthetic(params)
     save_network(network, args.out_network)
     save_spikes(trains, args.out_spikes)
-    synapses = sum(len(c.synapses) for c in network.clusters)
+    synapses = sum(len(c.state) for c in network.clusters)
     spikes = sum(len(t.times) for t in trains)
     print(f"{len(network.clusters)} clusters, {synapses} synapses, {spikes} spikes "
           f"-> {args.out_network}, {args.out_spikes}")

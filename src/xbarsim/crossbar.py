@@ -29,6 +29,10 @@ LRS2 = "LRS2"
 LRS3 = "LRS3"
 STATE_LABELS = (LRS1, LRS2, LRS3, HRS)
 
+# Resistance state label -> its index in STATE_LABELS, the state code that
+# cluster and placement columns store.
+_STATE_CODE = {label: code for code, label in enumerate(STATE_LABELS)}
+
 
 class ControlMode(str, Enum):
     DOUBLE = "double"

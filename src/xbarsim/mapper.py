@@ -25,6 +25,7 @@ The algorithm is greedy-with-repair and fully deterministic:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -34,6 +35,7 @@ from .crossbar import (
     HRS,
     LRS1,
     STATE_LABELS,
+    _STATE_CODE,
     Configuration,
     CrossbarSpec,
     config_by_name,
@@ -76,10 +78,6 @@ class PlacedSynapse:
 
 # Per-synapse columns of a CrossbarPlacement, in PlacedSynapse field order.
 _COLUMNS = {"pre": np.intp, "post": np.intp, "state": np.int8, "row": np.intp, "col": np.intp}
-
-
-# Resistance state label -> its index in STATE_LABELS, the placement state code.
-_STATE_CODE = {label: code for code, label in enumerate(STATE_LABELS)}
 
 
 def _state_codes(labels) -> list[int]:
@@ -146,18 +144,11 @@ class Placement:
 
 
 class _SynapseArrays:
-    """Per-cluster synapse columns from one walk over the synapses: pre/post
-    neuron indices, state codes, and the masks the violation checks use."""
+    """A cluster's synapse columns (pre/post neuron indices, state codes) and
+    the masks the violation checks use."""
 
     def __init__(self, cluster):
-        pre, post, state = [], [], []
-        for s in cluster.synapses:
-            pre.append(s.pre)
-            post.append(s.post)
-            state.append(_STATE_CODE[s.state])
-        self.pre = np.array(pre, dtype=int)
-        self.post = np.array(post, dtype=int)
-        self.state = np.array(state, dtype=np.int8)
+        self.pre, self.post, self.state = cluster.pre, cluster.post, cluster.state
         self.not_hrs = self.state != _STATE_CODE[HRS]
         self.not_lrs1 = self.state != _STATE_CODE[LRS1]
 
@@ -252,8 +243,8 @@ def assign_cluster(cluster: Cluster, spec: CrossbarSpec) -> Assignment:
             _repair(arrays, spec, hrs_pre, hrs_post, rows, cols, occ_rows, occ_cols)
         bad = _violations(arrays, rows, cols, spec)
         if len(bad):
-            details = [f"synapse {i} ({cluster.synapses[i].state}) at "
-                       f"({rows[cluster.synapses[i].pre]},{cols[cluster.synapses[i].post]})" for i in bad]
+            details = [f"synapse {i} ({STATE_LABELS[cluster.state[i]]}) at "
+                       f"({rows[cluster.pre[i]]},{cols[cluster.post[i]]})" for i in bad]
             raise Infeasible(f"cluster {cluster.id}: {len(bad)} region violations remain",
                              cluster_id=cluster.id, violations=details)
 
@@ -474,14 +465,16 @@ def _cheapest_config(max_row: int, max_col: int, spec: CrossbarSpec) -> Configur
     """
     if spec.p == spec.n and spec.q == spec.n:
         return CONFIG_11
-    candidates = []
-    for config in legal_configurations(spec):
-        rows, cols = config_dimensions(config, spec)
-        if max_row < rows and max_col < cols:
-            weight = static_energy_weight(config, spec)
-            candidates.append((weight, config.wl_iso_ctrl + config.bl_iso_ctrl, config))
-    candidates.sort(key=lambda t: t[:2])
-    return candidates[0][2]
+    return next(config for rows, cols, config in _config_candidates(spec) if max_row < rows and max_col < cols)
+
+
+@lru_cache(maxsize=64)
+def _config_candidates(spec: CrossbarSpec) -> tuple[tuple[int, int, Configuration], ...]:
+    """(rows, cols, configuration) of each legal configuration, cheapest
+    first: by static energy weight, then by control bits raised."""
+    ranked = sorted(legal_configurations(spec), key=lambda config: (
+        static_energy_weight(config, spec), config.wl_iso_ctrl + config.bl_iso_ctrl))
+    return tuple((*config_dimensions(config, spec), config) for config in ranked)
 
 
 def _map_clusters(network: Network, hardware: Hardware, assign) -> Placement:
@@ -489,19 +482,18 @@ def _map_clusters(network: Network, hardware: Hardware, assign) -> Placement:
     if len(network.clusters) > hardware.crossbar_count:
         raise CapacityExceeded(f"{len(network.clusters)} clusters > {hardware.crossbar_count} crossbars")
     spec = hardware.spec
-    order = sorted(network.clusters, key=lambda c: (-len(c.synapses), c.id))
+    order = sorted(network.clusters, key=lambda c: (-len(c.state), c.id))
     crossbars = []
     for crossbar_id, cluster in enumerate(order):
         assignment = assign(cluster)
         cells = assignment.cells
         rows, cols = np.fromiter(chain.from_iterable(cells), np.intp, 2 * len(cells)).reshape(-1, 2).T
-        arrays = _SynapseArrays(cluster)
         crossbars.append(CrossbarPlacement(
             crossbar_id=crossbar_id, cluster_id=cluster.id, spec=spec,
             config=select_configuration(assignment, spec), row_of_pre=dict(assignment.row_of_pre),
             col_of_post=dict(assignment.col_of_post),
-            pre=np.array(cluster.pre_neurons)[arrays.pre], post=np.array(cluster.post_neurons)[arrays.post],
-            state=arrays.state, row=rows, col=cols))
+            pre=np.array(cluster.pre_neurons)[cluster.pre], post=np.array(cluster.post_neurons)[cluster.post],
+            state=cluster.state, row=rows, col=cols))
     return Placement(crossbars=tuple(crossbars), crossbar_count=hardware.crossbar_count,
                      routes=network.routes)
 
@@ -531,7 +523,7 @@ def map_network_control(network: Network, hardware: Hardware, seed: int = 0) -> 
         return Assignment(
             row_of_pre={nid: int(row_slots[i]) for i, nid in enumerate(cluster.pre_neurons)},
             col_of_post={nid: int(col_slots[j]) for j, nid in enumerate(cluster.post_neurons)},
-            cells=tuple((int(row_slots[s.pre]), int(col_slots[s.post])) for s in cluster.synapses),
+            cells=tuple(zip(row_slots[cluster.pre].tolist(), col_slots[cluster.post].tolist())),
         )
 
     return _map_clusters(network, hardware, shuffled)

@@ -3,18 +3,24 @@
 A network arrives pre-partitioned into clusters, each small enough for one
 crossbar: pre-synaptic neurons drive rows, post-synaptic neurons sink on
 columns, and every synapse names a (pre index, post index, resistance state)
-triple. Inter-cluster traffic is summarized as routes with a fixed hop count.
+triple. A cluster stores those triples as three read-only numpy columns, the
+state as an index into STATE_LABELS; `Cluster.synapses` builds Synapse
+records from them on access. Loading, synthesis and partitioning fill the
+columns directly. Inter-cluster traffic is summarized as routes with a fixed
+hop count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
+from itertools import accumulate, chain, takewhile
 from math import inf, isfinite
-from operator import lt
+from operator import gt, itemgetter, lt
 
 import numpy as np
 
-from .crossbar import HRS, LRS1, LRS2, LRS3, STATE_LABELS
+from .crossbar import HRS, LRS1, LRS2, LRS3, STATE_LABELS, _STATE_CODE
 from .errors import InvalidParams, NonPositiveWeight, ValidationError
 from .files import read_columns, read_json, write_grouped_table, write_json
 from .techmodel import DEFAULT_STATES
@@ -31,30 +37,107 @@ class Synapse:
             raise ValidationError(f"unknown resistance state {self.state!r}")
 
 
-@dataclass(frozen=True)
+def _state_codes(labels) -> list[int]:
+    """Resistance state labels as indices into STATE_LABELS."""
+    try:
+        return list(map(_STATE_CODE.__getitem__, labels))
+    except KeyError as exc:
+        raise ValidationError(f"unknown resistance state {exc.args[0]!r}") from None
+
+
+def _index_column(values) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.intp)
+    except OverflowError:  # no intp holds the index, so it is out of range, as -1 is
+        return np.array([v if -2**62 < v < 2**62 else -1 for v in values], dtype=np.intp)
+
+
+# Per-synapse columns of a Cluster, in Synapse field order.
+_COLUMNS = ("pre", "post", "state")
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Cluster:
+    """A crossbar-sized part of the network. Its synapses are read-only
+    columns, one entry each: `pre` and `post` index pre_neurons and
+    post_neurons (intp), and `state` indexes STATE_LABELS (int8).
+
+    Cluster(id, pre_neurons, post_neurons, synapses) takes Synapse records
+    and Cluster.from_columns the columns; both validate alike, and == and
+    hash() compare values.
+    """
+
     id: int
     pre_neurons: tuple[int, ...]
     post_neurons: tuple[int, ...]
-    synapses: tuple[Synapse, ...]
+    pre: np.ndarray
+    post: np.ndarray
+    state: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "pre_neurons", tuple(self.pre_neurons))
-        object.__setattr__(self, "post_neurons", tuple(self.post_neurons))
-        object.__setattr__(self, "synapses", tuple(self.synapses))
-        if len(set(self.pre_neurons)) != len(self.pre_neurons):
-            raise ValidationError(f"cluster {self.id}: duplicate pre-neuron ids")
-        if len(set(self.post_neurons)) != len(self.post_neurons):
-            raise ValidationError(f"cluster {self.id}: duplicate post-neuron ids")
-        if not self.synapses:
-            raise ValidationError(f"cluster {self.id}: at least one synapse required")
-        seen = set()
-        for s in self.synapses:
-            if not (0 <= s.pre < len(self.pre_neurons) and 0 <= s.post < len(self.post_neurons)):
-                raise ValidationError(f"cluster {self.id}: synapse ({s.pre},{s.post}) index out of range")
-            if (s.pre, s.post) in seen:
-                raise ValidationError(f"cluster {self.id}: duplicate synapse ({s.pre},{s.post})")
-            seen.add((s.pre, s.post))
+    def __init__(self, id, pre_neurons, post_neurons, synapses):
+        synapses = tuple(synapses)
+        self._fill(id, pre_neurons, post_neurons, [s.pre for s in synapses], [s.post for s in synapses],
+                   _state_codes([s.state for s in synapses]))
+
+    @classmethod
+    def from_columns(cls, id, pre_neurons, post_neurons, pre, post, state) -> Cluster:
+        """A cluster from its synapse columns: sequences or arrays of pre
+        index, post index and state code, one entry per synapse."""
+        cluster = cls.__new__(cls)
+        cluster._fill(id, pre_neurons, post_neurons, pre, post, state)
+        return cluster
+
+    def _fill(self, id, pre_neurons, post_neurons, pre, post, state):
+        pre_neurons, post_neurons = tuple(pre_neurons), tuple(post_neurons)
+        if len(set(pre_neurons)) != len(pre_neurons):
+            raise ValidationError(f"cluster {id}: duplicate pre-neuron ids")
+        if len(set(post_neurons)) != len(post_neurons):
+            raise ValidationError(f"cluster {id}: duplicate post-neuron ids")
+        pre_column, post_column, state_column = _index_column(pre), _index_column(post), _index_column(state)
+        count = len(pre_column)
+        if len(post_column) != count or len(state_column) != count:
+            raise ValidationError(f"cluster {id}: synapse columns differ in length")
+        if not count:
+            raise ValidationError(f"cluster {id}: at least one synapse required")
+        # The first synapse, in order, that is out of range or repeats an earlier pair. The key
+        # is one number per pair in range; a key an out-of-range synapse shares (it may wrap)
+        # can flag a later synapse as a repeat, but never ahead of that out-of-range one.
+        outside = ((pre_column < 0) | (pre_column >= len(pre_neurons))
+                   | (post_column < 0) | (post_column >= len(post_neurons)))
+        key = pre_column * len(post_neurons) + post_column
+        order = np.argsort(key, kind="stable")
+        repeat = np.zeros(count, dtype=bool)
+        repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+        bad = np.flatnonzero(outside | repeat)
+        if bad.size:
+            i = bad[0]
+            problem = "synapse ({},{}) index out of range" if outside[i] else "duplicate synapse ({},{})"
+            raise ValidationError(f"cluster {id}: " + problem.format(pre[i], post[i]))
+        unknown = np.flatnonzero((state_column < 0) | (state_column >= len(STATE_LABELS)))
+        if unknown.size:
+            raise ValidationError(f"cluster {id}: unknown resistance state code {state[unknown[0]]}")
+        state_column = state_column.astype(np.int8)
+        for column in (pre_column, post_column, state_column):
+            column.flags.writeable = False
+        for name, value in zip(("id", "pre_neurons", "post_neurons") + _COLUMNS,
+                               (id, pre_neurons, post_neurons, pre_column, post_column, state_column)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) if f.name in _COLUMNS
+                   else getattr(self, f.name) == getattr(other, f.name) for f in fields(self))
+
+    def __hash__(self):
+        return hash((self.id, self.pre_neurons, self.post_neurons,
+                     *(getattr(self, name).tobytes() for name in _COLUMNS)))
+
+    @property
+    def synapses(self) -> tuple[Synapse, ...]:
+        """One Synapse per synapse, built from the columns on each access."""
+        return tuple(map(Synapse, self.pre.tolist(), self.post.tolist(),
+                         map(STATE_LABELS.__getitem__, self.state.tolist())))
 
 
 @dataclass(frozen=True)
@@ -136,7 +219,8 @@ def network_to_json(network: Network) -> dict:
                 "id": c.id,
                 "pre": list(c.pre_neurons),
                 "post": list(c.post_neurons),
-                "synapses": [{"pre": s.pre, "post": s.post, "state": s.state} for s in c.synapses],
+                "synapses": [{"pre": pre, "post": post, "state": STATE_LABELS[state]}
+                             for pre, post, state in zip(*(getattr(c, name).tolist() for name in _COLUMNS))],
             }
             for c in network.clusters
         ],
@@ -144,15 +228,23 @@ def network_to_json(network: Network) -> dict:
     }
 
 
+def _synapse_columns(records) -> tuple[list[int], list[int], list[int]]:
+    """(pre, post, state code) columns of a network document's synapse records."""
+    try:
+        pre, post, labels = tuple(zip(*map(itemgetter("pre", "post", "state"), records))) or ((), (), ())
+        return list(map(int, pre)), list(map(int, post)), _state_codes(map(str, labels))
+    except (KeyError, OverflowError, TypeError, ValueError, ValidationError):
+        # Parse record by record, so that the error is the first bad record's.
+        for s in records:
+            int(s["pre"]), int(s["post"]), _state_codes([str(s["state"])])
+        raise
+
+
 def network_from_json(doc: dict) -> Network:
     try:
         clusters = tuple(
-            Cluster(
-                id=int(c["id"]),
-                pre_neurons=tuple(int(x) for x in c["pre"]),
-                post_neurons=tuple(int(x) for x in c["post"]),
-                synapses=tuple(Synapse(int(s["pre"]), int(s["post"]), str(s["state"])) for s in c["synapses"]),
-            )
+            Cluster.from_columns(int(c["id"]), tuple(map(int, c["pre"])), tuple(map(int, c["post"])),
+                                 *_synapse_columns(c["synapses"]))
             for c in doc["clusters"]
         )
         routes = _routes_from_json(doc.get("routes", ()))
@@ -242,6 +334,7 @@ def generate_synthetic(params: GenParams) -> tuple[Network, list[SpikeTrain]]:
     rng = np.random.default_rng(params.seed)
     mix_labels = sorted(params.state_mix)
     mix_probs = np.array([params.state_mix[k] for k in mix_labels])
+    mix_codes = np.array(_state_codes(mix_labels), dtype=np.int8)
 
     clusters = []
     next_id = 0
@@ -260,10 +353,7 @@ def generate_synthetic(params: GenParams) -> tuple[Network, list[SpikeTrain]]:
                 mask[rng.integers(n_pre), rng.integers(n_post)] = True
         pre_idx, post_idx = np.nonzero(mask)
         picks = rng.choice(len(mix_labels), size=len(pre_idx), p=mix_probs)
-        synapses = tuple(
-            Synapse(int(i), int(j), mix_labels[int(k)]) for i, j, k in zip(pre_idx, post_idx, picks)
-        )
-        clusters.append(Cluster(id=cid, pre_neurons=pre_ids, post_neurons=post_ids, synapses=synapses))
+        clusters.append(Cluster.from_columns(cid, pre_ids, post_ids, pre_idx, post_idx, mix_codes[picks]))
 
     routes = tuple(
         Route(src_cluster=k, src_neuron=clusters[k].post_neurons[0],
@@ -272,21 +362,34 @@ def generate_synthetic(params: GenParams) -> tuple[Network, list[SpikeTrain]]:
         for k in range(params.clusters - 1)
     )
     network = Network(clusters=tuple(clusters), routes=routes)
+    neurons = (nid for c in network.clusters for nid in c.pre_neurons)
+    return network, _poisson_trains(rng, neurons, params.spike_rate, params.duration)
 
+
+_GAP_BLOCK = 4096  # Poisson gaps drawn per Generator call
+
+
+def _poisson_trains(rng, neurons, rate: float, duration: float) -> list[SpikeTrain]:
+    """Poisson spike times in [0, duration) per neuron, in order; a neuron
+    that does not spike gets no train.
+
+    The gaps come from rng in blocks: a block equals as many scalar draws,
+    and each neuron's running sum adds its gaps in order, so the times are
+    those of drawing one gap at a time until the sum reaches duration. The
+    unused tail of the last block is drawn too, so rng is spent afterwards.
+    """
+    if rate == 0:
+        return []
+
+    scale = 1.0 / rate
+    # Endless: iter() stops only when a block equals None.
+    gaps = chain.from_iterable(iter(lambda: rng.exponential(scale, _GAP_BLOCK).tolist(), None))
     trains = []
-    for c in network.clusters:
-        for nid in c.pre_neurons:
-            times = []
-            t = 0.0
-            if params.spike_rate > 0:
-                while True:
-                    t += rng.exponential(1.0 / params.spike_rate)
-                    if t >= params.duration:
-                        break
-                    times.append(t)
-            if times:
-                trains.append(SpikeTrain(neuron=nid, times=tuple(times)))
-    return network, trains
+    for nid in neurons:
+        times = tuple(takewhile(partial(gt, duration), accumulate(gaps)))
+        if times:
+            trains.append(SpikeTrain(neuron=nid, times=times))
+    return trains
 
 
 def partition_simple(layer: dict, n: int) -> list[Cluster]:
@@ -312,15 +415,8 @@ def partition_simple(layer: dict, n: int) -> list[Cluster]:
 
     clusters = []
     for cid, key in enumerate(sorted(tiles)):
-        members = tiles[key]
-        pre_ids = tuple(sorted({p for p, _, _ in members}))
-        post_ids = tuple(sorted({q for _, q, _ in members}))
-        pre_index = {p: i for i, p in enumerate(pre_ids)}
-        post_index = {q: i for i, q in enumerate(post_ids)}
-        clusters.append(Cluster(
-            id=cid,
-            pre_neurons=pre_ids,
-            post_neurons=post_ids,
-            synapses=tuple(Synapse(pre_index[p], post_index[q], st) for p, q, st in sorted(members)),
-        ))
+        pre, post, labels = zip(*sorted(tiles[key]))
+        pre_ids, post_ids = tuple(sorted(set(pre))), tuple(sorted(set(post)))
+        clusters.append(Cluster.from_columns(cid, pre_ids, post_ids, np.searchsorted(pre_ids, pre),
+                                             np.searchsorted(post_ids, post), _state_codes(labels)))
     return clusters

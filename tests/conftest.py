@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from xbarsim import (
     CrossbarSpec,
@@ -22,6 +23,10 @@ from xbarsim import (
 )
 from xbarsim.crossbar import STATE_LABELS
 from xbarsim.fixtures import mapping_demo_network
+
+# CI passes --hypothesis-profile=ci: examples come from a fixed seed and no
+# example has a deadline, so a failure there reproduces locally with the same flag.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 ALL_STATES = ("LRS1", "LRS2", "LRS3", "HRS")
 

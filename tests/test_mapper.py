@@ -35,7 +35,7 @@ from xbarsim import mapper
 from xbarsim.mapper import _disagrees, _sorted_pairs, _SynapseArrays, _swap_repair, _violations, load_placement
 from xbarsim.errors import CapacityExceeded, Infeasible, ValidationError
 
-from conftest import planted_cluster, random_cluster, synapse_columns
+from conftest import MEMO_SPECS, planted_cluster, random_cluster, synapse_columns
 
 TECH = preset("16nm")
 
@@ -280,6 +280,30 @@ def test_select_configuration_minimality_brute_force(rng):
             rows, cols = config_dimensions(cfg, spec)
             if max_r < rows and max_c < cols:
                 assert static_energy_weight(cfg, spec) >= w_chosen
+
+
+def cheapest_config_reference(max_row, max_col, spec):
+    """Cheapest containing configuration, searched afresh per call: lowest
+    static energy weight, ties to fewer control bits, '11' when P = Q = N."""
+    if spec.p == spec.n and spec.q == spec.n:
+        return CONFIG_11
+    candidates = []
+    for config in legal_configurations(spec):
+        rows, cols = config_dimensions(config, spec)
+        if max_row < rows and max_col < cols:
+            weight = static_energy_weight(config, spec)
+            candidates.append((weight, config.wl_iso_ctrl + config.bl_iso_ctrl, config))
+    candidates.sort(key=lambda t: t[:2])
+    return candidates[0][2]
+
+
+@pytest.mark.parametrize("spec", MEMO_SPECS + (
+    CrossbarSpec(n=8, p=8, q=4), CrossbarSpec(n=8, p=3, q=8),                   # degenerate P or Q: ties
+    CrossbarSpec(n=10, n_h=2, n_l=2, p=6, q=4, control=ControlMode.SINGLE)))
+def test_cheapest_config_matches_reference(spec):
+    for max_row in range(spec.n):
+        for max_col in range(spec.n):
+            assert mapper._cheapest_config(max_row, max_col, spec) is cheapest_config_reference(max_row, max_col, spec)
 
 
 def test_map_network_fixture_utilizations():

@@ -1,25 +1,78 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xbarsim import (
     Cluster,
+    CrossbarSpec,
     GenParams,
+    Hardware,
     Network,
     Route,
     SpikeTrain,
     Synapse,
+    assign_cluster,
+    cli,
     generate_synthetic,
     load_network,
     load_spikes,
+    map_network,
+    map_network_control,
     partition_simple,
+    preset,
     quantize_weights,
     save_network,
     save_spikes,
+    sweep_pq,
+    workload,
 )
+from xbarsim.crossbar import STATE_LABELS
 from xbarsim.fixtures import mapping_demo_network
-from xbarsim.errors import InvalidParams, NonPositiveWeight, ParseError, ValidationError
+from xbarsim.errors import Infeasible, InvalidParams, NonPositiveWeight, ParseError, ValidationError
+from xbarsim.workload import network_from_json, network_to_json
+
+
+def cluster_error_reference(cid, pre_neurons, post_neurons, triples):
+    """The message Cluster(...) built from Synapse(*triple) records raises, or
+    None: the per-synapse checks in their original order."""
+    for _, _, label in triples:
+        if label not in STATE_LABELS:
+            return f"unknown resistance state {label!r}"
+    if len(set(pre_neurons)) != len(pre_neurons):
+        return f"cluster {cid}: duplicate pre-neuron ids"
+    if len(set(post_neurons)) != len(post_neurons):
+        return f"cluster {cid}: duplicate post-neuron ids"
+    if not triples:
+        return f"cluster {cid}: at least one synapse required"
+    seen = set()
+    for pre, post, _ in triples:
+        if not (0 <= pre < len(pre_neurons) and 0 <= post < len(post_neurons)):
+            return f"cluster {cid}: synapse ({pre},{post}) index out of range"
+        if (pre, post) in seen:
+            return f"cluster {cid}: duplicate synapse ({pre},{post})"
+        seen.add((pre, post))
+    return None
+
+
+def poisson_trains_reference(rng, neurons, rate, duration):
+    """Poisson trains drawn one scalar gap at a time until the running time reaches duration."""
+    trains = []
+    for nid in neurons:
+        times = []
+        t = 0.0
+        if rate > 0:
+            while True:
+                t += rng.exponential(1.0 / rate)
+                if t >= duration:
+                    break
+                times.append(t)
+        if times:
+            trains.append(SpikeTrain(neuron=nid, times=tuple(times)))
+    return trains
 
 
 def test_network_round_trip(tmp_path):
@@ -143,6 +196,132 @@ def test_generate_deterministic():
     net_b, trains_b = generate_synthetic(params)
     assert net_a == net_b
     assert trains_a == trains_b
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rate=st.sampled_from([0.0]) | st.floats(0.5, 400.0),
+       duration=st.floats(1e-4, 3.0), clusters=st.integers(1, 3))
+@example(seed=0, rate=0.0, duration=1.0, clusters=2)      # no draws at all
+@example(seed=1, rate=0.5, duration=1e-4, clusters=3)     # duration shorter than the first gaps
+@example(seed=2, rate=3000.0, duration=2.5, clusters=2)   # several 4,096-gap blocks
+def test_generated_trains_match_scalar_draws(seed, rate, duration, clusters):
+    params = GenParams(clusters=clusters, pre_range=(1, 4), post_range=(1, 2), density=0.5,
+                       spike_rate=rate, duration=duration, seed=seed)
+    states = []
+    real = workload._poisson_trains
+
+    def spy(rng, *args):
+        states.append(rng.bit_generator.state)
+        return real(rng, *args)
+
+    with mock.patch.object(workload, "_poisson_trains", spy):
+        network, trains = generate_synthetic(params)
+    rng = np.random.default_rng()
+    rng.bit_generator.state = states[0]
+    want = poisson_trains_reference(rng, [nid for c in network.clusters for nid in c.pre_neurons], rate, duration)
+    assert [(t.neuron, [x.hex() for x in t.times]) for t in trains] == \
+        [(t.neuron, [x.hex() for x in t.times]) for t in want]
+
+
+# Faults injected into a valid cluster: an index out of range, a huge index, a
+# repeated (pre, post) pair, an unknown state label, a
+# repeated pre-neuron id and no synapses at all.
+_CLUSTER_FAULTS = ("outside", "huge", "duplicate", "label", "pre-neuron", "empty")
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), faults=st.lists(st.sampled_from(_CLUSTER_FAULTS), max_size=3))
+def test_cluster_validation_matches_reference(seed, faults):
+    rng = np.random.default_rng(seed)
+    n_pre, n_post = (int(k) for k in rng.integers(1, 7, size=2))
+    pre_neurons, post_neurons = list(range(n_pre)), list(range(100, 100 + n_post))
+    mask = rng.random((n_pre, n_post)) < 0.5
+    mask[rng.integers(n_pre), rng.integers(n_post)] = True
+    pairs = np.transpose(np.nonzero(mask))[rng.permutation(int(mask.sum()))].tolist()
+    triples = [(p, q, STATE_LABELS[k]) for (p, q), k in zip(pairs, rng.integers(4, size=len(pairs)).tolist())]
+    for fault in faults:
+        at = int(rng.integers(len(triples) + 1))
+        if fault == "outside":
+            triples.insert(at, (int(rng.choice([-1, n_pre])), 0, "HRS") if rng.random() < 0.5
+                           else (0, int(rng.choice([-1, n_post])), "HRS"))
+        elif fault == "huge":
+            # 2**62 + 1 fits an int64, but its pair key wraps onto in-range keys
+            triples.insert(at, ([2**70, -(2**70), 2**62 + 1][int(rng.integers(3))], 0, "LRS2"))
+        elif fault == "duplicate" and triples:
+            p, q, _ = triples[int(rng.integers(len(triples)))]
+            triples.insert(at, (p, q, STATE_LABELS[int(rng.integers(4))]))
+        elif fault == "label" and triples:
+            p, q, _ = triples[at % len(triples)]
+            triples[at % len(triples)] = (p, q, "LRS9")
+        elif fault == "pre-neuron":
+            pre_neurons.append(pre_neurons[0])
+        elif fault == "empty":
+            triples.clear()
+    message = cluster_error_reference(7, pre_neurons, post_neurons, triples)
+    pre, post, labels = ([t[i] for t in triples] for i in range(3))
+    doc = {"clusters": [{"id": 7, "pre": pre_neurons, "post": post_neurons,
+                         "synapses": [{"pre": p, "post": q, "state": lab} for p, q, lab in triples]}]}
+    builders = (lambda: Cluster(id=7, pre_neurons=pre_neurons, post_neurons=post_neurons,
+                                synapses=tuple(Synapse(*t) for t in triples)),
+                lambda: network_from_json(json.loads(json.dumps(doc))).clusters[0])
+    # The column form takes state codes; an unknown label stands for a code out of range.
+    codes = [STATE_LABELS.index(lab) if lab in STATE_LABELS else len(STATE_LABELS) for lab in labels]
+    columns_message = cluster_error_reference(7, pre_neurons, post_neurons, [(p, q, "HRS") for p, q in zip(pre, post)])
+    if columns_message is None and "LRS9" in labels:
+        columns_message = f"cluster 7: unknown resistance state code {len(STATE_LABELS)}"
+    for build, expected in ((builders[0], message), (builders[1], message),
+                            (lambda: Cluster.from_columns(7, pre_neurons, post_neurons, pre, post, codes),
+                             columns_message)):
+        if expected is None:
+            continue
+        with pytest.raises(ValidationError) as exc:
+            build()
+        assert str(exc.value) == expected
+    if message is not None:
+        return
+    cluster = Cluster.from_columns(7, pre_neurons, post_neurons, np.array(pre), np.array(post), codes)
+    for other in (builders[0](), builders[1]()):
+        assert other == cluster and hash(other) == hash(cluster)
+    assert [(s.pre, s.post, s.state) for s in cluster.synapses] == triples
+    assert Cluster(7, cluster.pre_neurons, cluster.post_neurons, cluster.synapses) == cluster
+    assert (cluster.pre.dtype, cluster.post.dtype, cluster.state.dtype) == (np.intp, np.intp, np.int8)
+    for name in ("pre", "post", "state"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cluster, name)[0] = 0
+
+
+def test_cluster_columns_are_copied_and_compared_by_value():
+    pre, post, state = np.array([0, 1]), np.array([0, 0]), np.array([3, 0])
+    cluster = Cluster.from_columns(0, (5, 6), (7,), pre, post, state)
+    pre[0] = 1
+    assert cluster.pre.tolist() == [0, 1] and cluster.state.tolist() == [3, 0]
+    assert cluster.synapses == (Synapse(0, 0, "HRS"), Synapse(1, 0, "LRS1"))
+    assert cluster != Cluster.from_columns(0, (5, 6), (7,), [0, 1], [0, 0], [3, 1])
+    assert cluster != Cluster.from_columns(1, (5, 6), (7,), [0, 1], [0, 0], [3, 0])
+    with pytest.raises(ValidationError, match="synapse columns differ in length"):
+        Cluster.from_columns(0, (5, 6), (7,), [0, 1], [0], [3, 0])
+
+
+def test_flow_never_builds_the_synapse_view(monkeypatch, tmp_path):
+    """Mapping, sweeping, saving and generating read the columns, never Cluster.synapses."""
+    network = mapping_demo_network()
+    infeasible = Cluster(id=9, pre_neurons=(0, 1), post_neurons=(2, 3),
+                         synapses=(Synapse(0, 0, "LRS1"), Synapse(1, 1, "LRS1")))
+
+    def refuse(self):
+        raise AssertionError("Cluster.synapses built")
+
+    monkeypatch.setattr(Cluster, "synapses", property(refuse))
+    tech = preset("16nm")
+    map_network(network, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4, n_h=1, n_l=1), tech=tech))
+    map_network_control(network, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4), tech=tech))
+    sweep_pq([network], CrossbarSpec(n=4, n_h=1, n_l=1), tech, [(2, 2), (3, 4), (4, 4)])
+    network_to_json(network)
+    with pytest.raises(Infeasible) as exc:
+        assign_cluster(infeasible, CrossbarSpec(n=2, n_h=2, n_l=0))
+    assert exc.value.violations == ["synapse 0 (LRS1) at (0,0)", "synapse 1 (LRS1) at (1,1)"]
+    assert cli.main(["gen", "--clusters", "2", "--out-network", str(tmp_path / "n.json"),
+                     "--out-spikes", str(tmp_path / "s.csv")]) == 0
 
 
 def test_generate_density_one_complete_bipartite():
