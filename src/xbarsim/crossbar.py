@@ -87,7 +87,7 @@ class CrossbarSpec:
                        p=int(doc["p"]) if "p" in doc else None,
                        q=int(doc["q"]) if "q" in doc else None,
                        control=ControlMode(doc.get("control", "double")))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad crossbar spec document: {exc}") from exc
 
 

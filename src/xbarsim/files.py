@@ -4,7 +4,10 @@ JSON is written with exactly the bytes of `json.dumps(doc, indent=2,
 sort_keys=True) + "\\n"`, streamed container by container: each container
 whose values are all scalars (and each list of such dicts) goes through the C
 encoder in one call. CSV is written in the csv module's default dialect (CRLF
-line ends). Tables are read in chunks of rows and parsed column by column.
+line ends). A numeric table is parsed whole by numpy's C text reader, and
+read again by the checked reader if numpy refuses anything in it, so that it
+gives the checked reader's values and errors. The checked reader reads any
+table in chunks of rows and parses each column of a chunk in one pass.
 
 Undecodable input (bad JSON or CSV, non-UTF-8 bytes, a wrong header or row
 width, a bad value) raises ParseError; a table's message names the line.
@@ -13,10 +16,14 @@ width, a bad value) raises ParseError; a table's message names the line.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import warnings
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+
+import numpy as np
 
 from .errors import ParseError
 
@@ -116,6 +123,10 @@ def _write_records(write, records, newline: str) -> None:
     write(record + "}" + newline + "]")
 
 
+def _header_matches(row, names) -> bool:
+    return row is not None and [h.strip() for h in row] == names
+
+
 def read_columns(path, header: dict, what: str):
     """Yield a CSV table in chunks of rows, each chunk as one list of parsed values per column.
 
@@ -132,7 +143,7 @@ def read_columns(path, header: dict, what: str):
             got = next(reader, None)
         except (csv.Error, ValueError) as exc:  # ValueError covers UnicodeDecodeError
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
-        if got is None or [h.strip() for h in got] != names:
+        if not _header_matches(got, names):
             raise ParseError(f"{path}: not a {what} table: expected header {','.join(names)!r}, got {got}")
         while True:
             line, rows, failure = reader.line_num, [], None
@@ -176,6 +187,62 @@ def _raise_first_bad_row(path, rows, line, end, parse):
         except ValueError as exc:
             raise ParseError(f"{path}:{line}: {exc}") from exc
     raise AssertionError("no bad row in a chunk that failed to parse")
+
+
+# The numpy path takes ASCII text only: outside ASCII, numpy's int parser reads
+# some letters as digits (U+01FE as 462). These ASCII separators are white
+# space to numpy's number parser but not to int() and float().
+_NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def read_numeric_columns(path, header: dict, what: str) -> list[np.ndarray]:
+    """A whole CSV table of numbers, one numpy array per column.
+
+    `header` maps each column name, in order, to the numpy dtype of its
+    cells: a float dtype, parsed as float() parses, or an integer dtype,
+    parsed as int() parses and refused outside the dtype's range.
+
+    numpy.loadtxt's C reader parses an ASCII table. On such text it refuses
+    every cell that int() or float() refuses and reads the same value where
+    both accept one; it warns on a table with no rows. Any error or warning
+    from it hands the file to read_columns, which reads it from the start:
+    it raises the ParseError that names the bad line, or returns what only
+    Python accepts (1_000, digits outside ASCII). Both paths thus give
+    read_columns' values and errors.
+    """
+    names, dtypes = list(header), list(header.values())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.isascii() and not any(map(data.__contains__, _NUMPY_ONLY_SPACE)):
+        lines = io.BytesIO(data)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if _header_matches(next(csv.reader([lines.readline().decode()]), None), names):
+                    return np.loadtxt(lines, delimiter=",", dtype=list(zip(names, dtypes)), comments=None,
+                                      quotechar='"', ndmin=1, unpack=True, encoding="ascii")
+        except (csv.Error, ValueError, Warning):
+            pass
+    columns = [[] for _ in names]
+    for chunk in read_columns(path, {name: _cell_parser(name, dtype) for name, dtype in header.items()}, what):
+        for column, values in zip(columns, chunk):
+            column.extend(values)
+    return [np.array(column, dtype=dtype) for column, dtype in zip(columns, dtypes)]
+
+
+def _cell_parser(name: str, dtype):
+    """The checked parse of a cell of column `name`: float(), or int() within the range of the integer `dtype`."""
+    if np.issubdtype(dtype, np.floating):
+        return float
+    low, high = np.iinfo(dtype).min, np.iinfo(dtype).max
+
+    def parse(cell: str) -> int:
+        value = int(cell)
+        if not low <= value <= high:
+            raise ValueError(f"{name} {value} does not fit {np.dtype(dtype)}")
+        return value
+
+    return parse
 
 
 def read_table(path, header: dict, what: str):

@@ -152,7 +152,7 @@ class TechnologyParams:
                 p_wordline_raise=float(doc["p_wordline_raise"]),
                 states=states,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad technology document: {exc}") from exc
 
 

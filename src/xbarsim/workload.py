@@ -22,7 +22,7 @@ import numpy as np
 
 from .crossbar import HRS, LRS1, LRS2, LRS3, STATE_LABELS, _STATE_CODE
 from .errors import InvalidParams, NonPositiveWeight, ValidationError
-from .files import read_columns, read_json, write_grouped_table, write_json
+from .files import read_json, read_numeric_columns, write_grouped_table, write_json
 from .techmodel import DEFAULT_STATES
 
 
@@ -194,6 +194,15 @@ class SpikeTrain:
         if not all(map(lt, times, times[1:])):
             raise ValidationError(f"neuron {self.neuron}: spike times must strictly increase")
 
+    @classmethod
+    def _prechecked(cls, neuron: int, times: tuple[float, ...]) -> SpikeTrain:
+        """A train whose times the caller has checked as __post_init__ checks them:
+        a tuple of floats, finite, >= 0 and strictly increasing."""
+        train = object.__new__(cls)
+        object.__setattr__(train, "neuron", neuron)
+        object.__setattr__(train, "times", times)
+        return train
+
 
 # ---------------------------------------------------------------------------
 # file formats
@@ -240,15 +249,27 @@ def _synapse_columns(records) -> tuple[list[int], list[int], list[int]]:
         raise
 
 
+_INTP = np.iinfo(np.intp)
+
+
+def _ids(values) -> tuple[int, ...]:
+    """Cluster or neuron ids as ints; an id that no intp holds is a ValueError."""
+    ids = tuple(map(int, values))
+    if ids and not (_INTP.min <= min(ids) and max(ids) <= _INTP.max):
+        bad = next(i for i in ids if not _INTP.min <= i <= _INTP.max)
+        raise ValueError(f"id {bad} does not fit {_INTP.dtype}")
+    return ids
+
+
 def network_from_json(doc: dict) -> Network:
     try:
         clusters = tuple(
-            Cluster.from_columns(int(c["id"]), tuple(map(int, c["pre"])), tuple(map(int, c["post"])),
+            Cluster.from_columns(*_ids([c["id"]]), _ids(c["pre"]), _ids(c["post"]),
                                  *_synapse_columns(c["synapses"]))
             for c in doc["clusters"]
         )
         routes = _routes_from_json(doc.get("routes", ()))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad network document: {exc}") from exc
     return Network(clusters=clusters, routes=routes)
 
@@ -261,16 +282,36 @@ def save_network(network: Network, path) -> None:
     write_json(network_to_json(network), path)
 
 
-_SPIKE_COLUMNS = {"neuron": int, "time_us": float}
+_SPIKE_COLUMNS = {"neuron": np.intp, "time_us": np.float64}
 
 
 def load_spikes(path) -> list[SpikeTrain]:
-    """Read a spike trace CSV with header `neuron,time_us` (times in us)."""
-    per_neuron: dict[int, list[float]] = {}
-    for neuron_column, time_column in read_columns(path, _SPIKE_COLUMNS, "spike"):
-        for neuron, t_us in zip(neuron_column, time_column):
-            per_neuron.setdefault(neuron, []).append(t_us / 1e6)
-    return [SpikeTrain(neuron=nid, times=tuple(sorted(ts))) for nid, ts in sorted(per_neuron.items())]
+    """Read a spike trace CSV with header `neuron,time_us` (times in us).
+
+    One train per neuron, in neuron order, its times sorted; the first train
+    in that order whose times are not finite, >= 0 and distinct raises the
+    SpikeTrain constructor's ValidationError.
+    """
+    neuron, time_us = read_numeric_columns(path, _SPIKE_COLUMNS, "spike")
+    if not neuron.size:
+        return []
+    t = time_us / 1e6
+    if not np.all((neuron[1:] > neuron[:-1]) | ((neuron[1:] == neuron[:-1]) & (t[1:] > t[:-1]))):
+        order = np.lexsort((t, neuron))  # rows not in save_spikes' order
+        neuron, t = neuron[order], t[order]
+    same = neuron[1:] == neuron[:-1]
+    bounds = np.flatnonzero(np.concatenate(([True], ~same, [True])))
+    # SpikeTrain's checks, on every train at once: a time that is not finite and >= 0, or
+    # not above the time before it in its train.
+    bad = ~(np.isfinite(t) & (t >= 0))
+    bad[1:] |= same & ~(t[1:] > t[:-1])
+    if bad.any():  # the constructor raises the error of the train that holds the first bad time
+        k = np.searchsorted(bounds, np.argmax(bad), side="right") - 1
+        SpikeTrain(neuron=int(neuron[bounds[k]]), times=t[bounds[k]:bounds[k + 1]].tolist())
+        raise AssertionError("a spike train failed the array check but not SpikeTrain's")
+    times, bounds = t.tolist(), bounds.tolist()
+    return [SpikeTrain._prechecked(nid, tuple(times[start:end]))
+            for nid, start, end in zip(neuron[bounds[:-1]].tolist(), bounds, bounds[1:])]
 
 
 def save_spikes(trains, path) -> None:

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -121,13 +122,25 @@ BAD_PLACEMENTS = {
 }
 
 
+# network documents that parse as JSON (with its Infinity extension) but hold
+# an id that no int or no intp holds; each edits the first cluster of a valid network
+BAD_NETWORKS = {
+    "synapse-pre-inf": lambda cluster: cluster["synapses"][0].update(pre=math.inf),
+    "id-inf": lambda cluster: cluster.update(id=math.inf),
+    "pre-neuron-huge": lambda cluster: cluster["pre"].__setitem__(0, 2**70),
+}
+
+
 def write_boundary_files(directory):
     """Valid inputs for every command, plus malformed files, into `directory`.
 
     Valid: net.json, spec.json (N = 4), spk.csv, placement.json. Malformed:
     bad.json (invalid JSON), bad.bin (not UTF-8), spk-inf.csv and spk-nan.csv
-    (a non-finite spike time) and placement-<name>.json for each
-    BAD_PLACEMENTS entry.
+    (a non-finite spike time), spk-neuron-huge.csv (a neuron id no intp
+    holds), spec-n-inf.json (N = Infinity), tech-huge.json (an energy no
+    float holds), net-<name>.json for each
+    BAD_NETWORKS entry and placement-<name>.json for each BAD_PLACEMENTS
+    entry.
     """
     network = mapping_demo_network()
     spec = CrossbarSpec(n=4)
@@ -141,6 +154,14 @@ def write_boundary_files(directory):
     (directory / "bad.bin").write_bytes(b"\xff\xfe\x00\x81neuron,time_us\r\n")
     for value in ("inf", "nan"):
         (directory / f"spk-{value}.csv").write_text(f"neuron,time_us\n{pre[0]},100.0\n{pre[0]},{value}\n")
+    (directory / "spk-neuron-huge.csv").write_text(f"neuron,time_us\n{pre[0]},100.0\n{2**70},200.0\n")
+    (directory / "spec-n-inf.json").write_text(json.dumps({**spec.to_json(), "n": math.inf}))
+    (directory / "tech-huge.json").write_text(json.dumps({**preset("16nm").to_json(), "e_spike": 2**1100}))
+    doc = json.loads((directory / "net.json").read_text())
+    for name, edit in BAD_NETWORKS.items():
+        bad = copy.deepcopy(doc)
+        edit(bad["clusters"][0])
+        (directory / f"net-{name}.json").write_text(json.dumps(bad))
     doc = json.loads((directory / "placement.json").read_text())
     for name, edit in BAD_PLACEMENTS.items():
         bad = copy.deepcopy(doc)

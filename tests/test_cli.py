@@ -11,7 +11,7 @@ from xbarsim.techmodel import preset, save_tech
 from xbarsim.workload import SpikeTrain
 from xbarsim.errors import ValidationError
 
-from conftest import BAD_PLACEMENTS, write_boundary_files
+from conftest import BAD_NETWORKS, BAD_PLACEMENTS, write_boundary_files
 
 
 def run(argv):
@@ -155,9 +155,8 @@ def test_simulate_unknown_neuron_is_domain_error(tmp_path):
                 "--duration", "1.0", "--out", str(tmp_path / "r")]) == 3
 
 
-@pytest.mark.parametrize("neuron", [999, 2**63, 2**64 + 5, -(2**63) - 1])
-def test_simulate_unplaced_neuron_of_any_size_exits_3(tmp_path, capsys, neuron):
-    """An unplaced id that no int64 can hold is still an unknown neuron, not an overflow."""
+def _simulate_one_unplaced_spike(tmp_path, capsys, neuron):
+    """Exit code and stderr of simulate on the demo network with a spike from `neuron`."""
     net_path, spec_path, place_path = tmp_path / "net.json", tmp_path / "spec.json", tmp_path / "p.json"
     save_network(mapping_demo_network(), net_path)
     save_spec(CrossbarSpec(n=4), spec_path)
@@ -165,10 +164,26 @@ def test_simulate_unplaced_neuron_of_any_size_exits_3(tmp_path, capsys, neuron):
     spikes = tmp_path / "spikes.csv"
     save_spikes([SpikeTrain(neuron=0, times=(1e-6, 2e-6)), SpikeTrain(neuron=neuron, times=(1e-6,))], spikes)
     capsys.readouterr()
-    assert run(["simulate", "--placement", str(place_path), "--spikes", str(spikes),
-                "--duration", "1.0", "--out", str(tmp_path / "r")]) == 3
-    err = capsys.readouterr().err
+    code = _exit_code(["simulate", "--placement", str(place_path), "--spikes", str(spikes),
+                       "--duration", "1.0", "--out", str(tmp_path / "r")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("neuron", [999, 2**63 - 1, -(2**63)])
+def test_simulate_unplaced_neuron_of_any_size_exits_3(tmp_path, capsys, neuron):
+    """An unplaced id, up to the int64 extremes, is an unknown neuron, not an overflow."""
+    code, err = _simulate_one_unplaced_spike(tmp_path, capsys, neuron)
+    assert code == 3
     assert f"neuron {neuron} spikes but is not placed as a pre-synaptic neuron" in err
+
+
+@pytest.mark.parametrize("neuron", [2**63, 2**64 + 5, -(2**63) - 1])
+def test_simulate_spike_neuron_beyond_int64_is_usage_error(tmp_path, capsys, neuron):
+    """A spike file's neuron id that no int64 holds fails at the file boundary, naming the file and line."""
+    code, err = _simulate_one_unplaced_spike(tmp_path, capsys, neuron)
+    assert code == 2
+    assert f"spikes.csv:4: neuron {neuron} does not fit int64" in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_dse_single_point(tmp_path, capsys):
@@ -296,11 +311,15 @@ def _dse(*extra):
 MALFORMED_INPUTS = {
     "spec-invalid-json": _map(spec="bad.json"),
     "node-invalid-json": _map("--node", "bad.json"),
+    "node-energy-huge": _map("--node", "tech-huge.json"),
     "placement-invalid-json": _simulate(placement="bad.json"),
     "network-not-utf8": _map(network="bad.bin"),
     "spikes-not-utf8": _simulate(spikes="bad.bin"),
     "spikes-time-inf": _simulate(spikes="spk-inf.csv"),
     "spikes-time-nan": _simulate(spikes="spk-nan.csv"),
+    "spikes-neuron-huge": _simulate(spikes="spk-neuron-huge.csv"),
+    "spec-n-inf": _map(spec="spec-n-inf.json"),
+    **{f"network-{name}": _map(network=f"net-{name}.json") for name in BAD_NETWORKS},
     **{f"placement-{name}": _simulate(placement=f"placement-{name}.json") for name in BAD_PLACEMENTS},
     "simulate-duration-0": _simulate(duration="0"),
     "simulate-duration-nan": _simulate(duration="nan"),

@@ -1,4 +1,5 @@
 import json
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -33,6 +34,8 @@ from xbarsim import (
 from xbarsim.crossbar import STATE_LABELS
 from xbarsim.fixtures import mapping_demo_network
 from xbarsim.errors import Infeasible, InvalidParams, NonPositiveWeight, ParseError, ValidationError
+from xbarsim import files
+from xbarsim.files import read_columns
 from xbarsim.workload import network_from_json, network_to_json
 
 
@@ -73,6 +76,16 @@ def poisson_trains_reference(rng, neurons, rate, duration):
         if times:
             trains.append(SpikeTrain(neuron=nid, times=tuple(times)))
     return trains
+
+
+def load_spikes_reference(path) -> list[SpikeTrain]:
+    """load_spikes as it was before numpy read the trace: the stdlib csv reader, int() and
+    float() per cell, and one list per neuron."""
+    per_neuron: dict[int, list[float]] = {}
+    for neuron_column, time_column in read_columns(path, {"neuron": int, "time_us": float}, "spike"):
+        for neuron, t_us in zip(neuron_column, time_column):
+            per_neuron.setdefault(neuron, []).append(t_us / 1e6)
+    return [SpikeTrain(neuron=nid, times=tuple(sorted(ts))) for nid, ts in sorted(per_neuron.items())]
 
 
 def test_network_round_trip(tmp_path):
@@ -431,3 +444,107 @@ def test_spike_csv_header_check(tmp_path):
     path.write_text("who,when\n1,2\n")
     with pytest.raises(ParseError):
         load_spikes(path)
+
+
+# --- load_spikes against the csv-and-dict loader it replaced
+
+
+def _spike_outcome(loader, path):
+    """The trains as (neuron, times as float.hex) pairs, or the exception's type and message."""
+    try:
+        return [(train.neuron, tuple(map(float.hex, train.times))) for train in loader(path)]
+    except Exception as exc:  # every error is compared with the reference loader's
+        return type(exc), str(exc)
+
+
+def _with_underscore(text: str) -> str:
+    """`text` with "_" between its first two adjacent digits (10 -> 1_0), as int() and float() accept."""
+    for i in range(len(text) - 1):
+        if text[i].isdigit() and text[i + 1].isdigit():
+            return text[:i + 1] + "_" + text[i + 1:]
+    return text
+
+
+_CELL_FORMS = st.sampled_from(["{}", " {} ", "\t{}", '"{}"', '" {}"', '"{}\n"', "_"])
+_GOOD_TIMES_US = st.floats(0, 1e6).map(repr) | st.sampled_from(["1e3", "+7", "1_0", "-0.0", "5e-324"])
+_BAD_TIMES_US = st.sampled_from(["-1.0", "nan", "-nan", "inf", "Infinity", "-inf", "1e400"])
+_BLANK_ROWS = st.sampled_from(["", " ", "\t"])
+# Rows that are no spike to int() and float(), rows only Python reads (digits outside ASCII),
+# and rows that numpy's number parser reads differently (U+01FE as the digits 462, U+001C as
+# white space).
+_ODD_ROWS = st.sampled_from(["x,1", "1", "1,2,3", "1.0,5", "1e3,5", ",", "1,", '"1,2"', "0x1,2", "#1,2",
+                             "1,2#", "1,0x1p3", f"{2**63 - 1},1", f"{-2**63},4",
+                             "\u0661,5", "1,\u0662", "\u01fe,5", "1\x1c,5", "1,2\x1d"])
+
+
+@st.composite
+def spike_traces(draw) -> str:
+    """The text of a spike trace: neurons interleaved and repeated, in save_spikes' order or
+    not; duplicate, negative and non-finite times; cells quoted, padded or with "_"; blank and
+    blank-looking lines, any of the three line ends, and odd rows at the start, the middle or
+    the end. About half the traces hold only well-formed spikes and blank lines."""
+    clean = draw(st.booleans())
+    times = _GOOD_TIMES_US if clean else _GOOD_TIMES_US | _BAD_TIMES_US
+    rows = [(n, draw(times)) for n in draw(st.lists(st.sampled_from([0, 1, 2, 5, 17, 130, -3]), max_size=25))]
+    if draw(st.booleans()):
+        rows.sort(key=lambda row: (row[0], float(row[1].replace("_", ""))))
+
+    def cell(value):
+        form = draw(_CELL_FORMS)
+        return _with_underscore(str(value)) if form == "_" else form.format(value)
+
+    lines = [f"{cell(n)},{cell(t)}" for n, t in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.sampled_from([0, len(lines) // 2, len(lines)])),
+                     draw(st.just("") if clean else _BLANK_ROWS | _ODD_ROWS))
+    header = draw(st.sampled_from(["neuron,time_us", " neuron , time_us", '"neuron","time_us"']
+                                  + ([] if clean else ["neuron,time"])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join([header, *lines]) + draw(st.sampled_from([end, ""]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=spike_traces())
+@example(text="neuron,time_us\n5,3.0\n5,1.0\n2,-0.0\n2,2.0\n")
+@example(text="neuron,time_us\r\n1,1.0\r\n1,-0.0\r\n1,0\r\n")
+@example(text="neuron,time_us\r3,nan\r1,2\r1,1\r")
+def test_load_spikes_matches_reference_loader(tmp_path_factory, text):
+    """Same trains, bit for bit, or the same exception and message, on any trace."""
+    path = tmp_path_factory.mktemp("trace") / "spikes.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _spike_outcome(load_spikes, path) == _spike_outcome(load_spikes_reference, path)
+
+
+@pytest.mark.parametrize("text", ["neuron,time_us\n", "neuron,time_us", "neuron,time_us\r\n\r\n\n\r"])
+def test_load_spikes_reads_a_trace_without_rows_as_empty(tmp_path, text):
+    """numpy warns that such a file holds no data; the warning does not reach the caller."""
+    path = tmp_path / "spikes.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert load_spikes(path) == []
+    assert caught == []
+
+
+@pytest.mark.parametrize("cell", ["1.0", "1e3", "\u01fe", "1\x1c"])
+def test_load_spikes_names_the_line_of_a_neuron_cell_int_refuses(tmp_path, cell):
+    """numpy < 2 reads 1.0 as a neuron id with only a DeprecationWarning, and reads U+01FE as
+    462 and U+001C as white space; each is still the line's ParseError."""
+    path = tmp_path / "spikes.csv"
+    path.write_text(f"neuron,time_us\n1,5.0\n{cell},7.0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"spikes\.csv:3: invalid literal for int\(\)"):
+        load_spikes(path)
+
+
+def test_load_spikes_parses_written_traces_in_numpy(tmp_path, monkeypatch):
+    """A trace as save_spikes writes it never reaches the checked csv reader."""
+    _, trains = generate_synthetic(GenParams(clusters=3, pre_range=(4, 9), post_range=(4, 9), density=0.3, seed=5))
+    path = tmp_path / "spikes.csv"
+    save_spikes(trains, path)
+    expected = load_spikes_reference(path)
+
+    def refuse(*args):
+        raise AssertionError("the checked reader read a well-formed trace")
+
+    monkeypatch.setattr(files, "read_columns", refuse)
+    assert load_spikes(path) == expected
