@@ -21,7 +21,7 @@ from .errors import (
     IndexOutOfRange,
     ValidationError,
 )
-from .files import read_json, write_json
+from .files import json_ints, read_json, write_json
 
 HRS = "HRS"
 LRS1 = "LRS1"
@@ -83,10 +83,8 @@ class CrossbarSpec:
     @classmethod
     def from_json(cls, doc: dict) -> "CrossbarSpec":
         try:
-            return cls(n=int(doc["n"]), n_h=int(doc.get("n_h", 0)), n_l=int(doc.get("n_l", 0)),
-                       p=int(doc["p"]) if "p" in doc else None,
-                       q=int(doc["q"]) if "q" in doc else None,
-                       control=ControlMode(doc.get("control", "double")))
+            ints = {key: json_ints([doc[key]], key)[0] for key in ("n", "n_h", "n_l", "p", "q") if key in doc}
+            return cls(**ints, control=ControlMode(doc.get("control", "double")))
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad crossbar spec document: {exc}") from exc
 

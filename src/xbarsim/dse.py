@@ -71,8 +71,9 @@ def sweep_pq(networks, base_spec: CrossbarSpec, tech: TechnologyParams, grid,
     for p, q in grid:
         if not (1 <= p <= base_spec.n and 1 <= q <= base_spec.n):
             raise InvalidGrid(f"point ({p},{q}) outside 1..{base_spec.n}")
-    if names is None:
-        names = [f"net{i}" for i in range(len(networks))]
+    names = [f"net{i}" for i in range(len(networks))] if names is None else list(names)
+    if len(names) != len(networks) or len(set(names)) != len(names):
+        raise ValidationError(f"need one distinct name per network: got {names} for {len(networks)} networks")
 
     sweeps = []
     for name, network in zip(names, networks):

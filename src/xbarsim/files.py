@@ -56,6 +56,19 @@ def write_json(doc, path) -> None:
         fh.write("\n")
 
 
+def json_ints(values, name: str) -> list[int]:
+    """A column of JSON numbers as ints: each an int or a float of integral
+    value (128.0). A bool, a fraction, a non-finite number or anything else is
+    a ValueError naming `name` and the first such value."""
+    values = list(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    bad = [v for v in values if not (type(v) is int or type(v) is float and v.is_integer())]
+    if bad:
+        raise ValueError(f"{name}: expected an integer, got {bad[0]!r}")
+    return list(map(int, values))
+
+
 def _key_text(key) -> str:
     """A dict key as json writes it: strings as they are, numbers, bools and None as their JSON text."""
     if isinstance(key, str):

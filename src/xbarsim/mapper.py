@@ -4,7 +4,8 @@ Placement pushes HRS-heavy neurons toward low row/column indices (the short
 paths, where region A admits only HRS) and keeps every synapse on a cell
 whose region permits its state. Configuration selection then picks the
 cheapest array shape that contains the used cells, so the full '11' shape is
-used only when nothing smaller fits.
+used only when nothing smaller fits. A CrossbarPlacement holds its synapses
+through the one column mechanism of workload.Cluster (see workload).
 
 The algorithm is greedy-with-repair and fully deterministic:
 
@@ -24,7 +25,7 @@ The algorithm is greedy-with-repair and fully deterministic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
@@ -47,6 +48,7 @@ from .errors import CapacityExceeded, IllegalConfig, Infeasible, ValidationError
 from .files import read_json, write_json
 from .techmodel import TechnologyParams
 from .workload import Cluster, Network, Route, _routes_from_json, _routes_to_json
+from .workload import _synapses_from_json, _synapses_to_json, _SynapseColumns
 
 
 @dataclass(frozen=True)
@@ -76,23 +78,13 @@ class PlacedSynapse:
     col: int
 
 
-# Per-synapse columns of a CrossbarPlacement, in PlacedSynapse field order.
-_COLUMNS = {"pre": np.intp, "post": np.intp, "state": np.int8, "row": np.intp, "col": np.intp}
+@dataclass(frozen=True, eq=False)
+class CrossbarPlacement(_SynapseColumns):
+    """One mapped cluster. Its synapse columns hold the global pre/post neuron
+    ids, the state code and the cell's row/col, one entry per synapse."""
 
-
-def _state_codes(labels) -> list[int]:
-    try:
-        return [_STATE_CODE[label] for label in labels]
-    except KeyError as exc:
-        raise ValueError(f"unknown resistance state {exc.args[0]!r}") from None
-
-
-@dataclass(frozen=True)
-class CrossbarPlacement:
-    """One mapped cluster. Its synapses are read-only columns, one entry each:
-    global pre/post neuron ids, the cell's row/col, and the state as an index
-    into STATE_LABELS. dataclasses.replace shares them; == compares values.
-    """
+    _COLUMNS = {"pre": np.intp, "post": np.intp, "state": np.int8, "row": np.intp, "col": np.intp}
+    _RECORD = PlacedSynapse
 
     crossbar_id: int
     cluster_id: int
@@ -105,26 +97,6 @@ class CrossbarPlacement:
     state: np.ndarray
     row: np.ndarray
     col: np.ndarray
-
-    def __post_init__(self):
-        for name, dtype in _COLUMNS.items():
-            column = getattr(self, name)
-            if not (isinstance(column, np.ndarray) and column.dtype == dtype and not column.flags.writeable):
-                column = np.array(column, dtype=dtype)
-                column.flags.writeable = False
-                object.__setattr__(self, name, column)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) if f.name in _COLUMNS
-                   else getattr(self, f.name) == getattr(other, f.name) for f in fields(self))
-
-    @property
-    def synapses(self) -> tuple[PlacedSynapse, ...]:
-        """One PlacedSynapse per synapse, built from the columns on each access."""
-        return tuple(PlacedSynapse(pre, post, STATE_LABELS[state], row, col) for pre, post, state, row, col
-                     in zip(*(getattr(self, name).tolist() for name in _COLUMNS)))
 
     @property
     def m(self) -> int:
@@ -143,23 +115,13 @@ class Placement:
     routes: tuple[Route, ...] = ()
 
 
-class _SynapseArrays:
-    """A cluster's synapse columns (pre/post neuron indices, state codes) and
-    the masks the violation checks use."""
-
-    def __init__(self, cluster):
-        self.pre, self.post, self.state = cluster.pre, cluster.post, cluster.state
-        self.not_hrs = self.state != _STATE_CODE[HRS]
-        self.not_lrs1 = self.state != _STATE_CODE[LRS1]
-
-
-def _violations(arrays: _SynapseArrays, rows, cols, spec):
+def _violations(cluster, not_hrs, not_lrs1, rows, cols, spec):
     """Indices of synapses whose cell region rejects their state."""
     n, n_h, n_l = spec.n, spec.n_h, spec.n_l
-    r = rows[arrays.pre]
-    c = cols[arrays.post]
-    bad = (arrays.not_hrs & (r < n_h) & (c < n_h)) \
-        | (arrays.not_lrs1 & (r >= n - n_l) & (c >= n - n_l))
+    r = rows[cluster.pre]
+    c = cols[cluster.post]
+    bad = (not_hrs & (r < n_h) & (c < n_h)) \
+        | (not_lrs1 & (r >= n - n_l) & (c >= n - n_l))
     return np.nonzero(bad)[0]
 
 
@@ -230,18 +192,18 @@ def assign_cluster(cluster: Cluster, spec: CrossbarSpec) -> Assignment:
                          cluster_id=cluster.id,
                          violations=[f"cluster dimensions {n_pre}x{n_post}"])
 
-    arrays = _SynapseArrays(cluster)
-    is_hrs = ~arrays.not_hrs
-    hrs_pre = np.bincount(arrays.pre[is_hrs], minlength=n_pre)
-    hrs_post = np.bincount(arrays.post[is_hrs], minlength=n_post)
+    is_hrs = cluster.state == _STATE_CODE[HRS]
+    not_hrs, not_lrs1 = ~is_hrs, cluster.state != _STATE_CODE[LRS1]
+    hrs_pre = np.bincount(cluster.pre[is_hrs], minlength=n_pre)
+    hrs_post = np.bincount(cluster.post[is_hrs], minlength=n_post)
     # Stable sort: ties keep their original index order.
     rows, occ_rows = _seat(np.argsort(-hrs_pre, kind="stable"), n)
     cols, occ_cols = _seat(np.argsort(-hrs_post, kind="stable"), n)
 
     if spec.n_h > 0 or spec.n_l > 0:
-        if len(_violations(arrays, rows, cols, spec)):
-            _repair(arrays, spec, hrs_pre, hrs_post, rows, cols, occ_rows, occ_cols)
-        bad = _violations(arrays, rows, cols, spec)
+        if len(_violations(cluster, not_hrs, not_lrs1, rows, cols, spec)):
+            _repair(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols, occ_rows, occ_cols)
+        bad = _violations(cluster, not_hrs, not_lrs1, rows, cols, spec)
         if len(bad):
             details = [f"synapse {i} ({STATE_LABELS[cluster.state[i]]}) at "
                        f"({rows[cluster.pre[i]]},{cols[cluster.post[i]]})" for i in bad]
@@ -251,11 +213,11 @@ def assign_cluster(cluster: Cluster, spec: CrossbarSpec) -> Assignment:
     return Assignment(
         row_of_pre=dict(zip(cluster.pre_neurons, rows.tolist())),
         col_of_post=dict(zip(cluster.post_neurons, cols.tolist())),
-        cells=tuple(zip(rows[arrays.pre].tolist(), cols[arrays.post].tolist())),
+        cells=tuple(zip(rows[cluster.pre].tolist(), cols[cluster.post].tolist())),
     )
 
 
-def _axis_pass(spec, arrays, own, other_seat, seats, occ):
+def _axis_pass(spec, not_hrs, not_lrs1, own, other_seat, seats, occ):
     """Swap-repair one axis with the other held fixed; mutates `seats` and `occ`.
 
     own[k] is synapse k's neuron on this axis and other_seat[k] the slot of
@@ -263,20 +225,20 @@ def _axis_pass(spec, arrays, own, other_seat, seats, occ):
     counts its synapses that would then land in region A (B) and may not.
     """
     n = len(seats)
-    cost_near = np.bincount(own[arrays.not_hrs & (other_seat < spec.n_h)], minlength=n)
-    cost_far = np.bincount(own[arrays.not_lrs1 & (other_seat >= spec.n - spec.n_l)], minlength=n)
+    cost_near = np.bincount(own[not_hrs & (other_seat < spec.n_h)], minlength=n)
+    cost_far = np.bincount(own[not_lrs1 & (other_seat >= spec.n - spec.n_l)], minlength=n)
     _swap_repair(spec, occ, cost_near, cost_far)
     placed = np.nonzero(occ >= 0)[0]
     seats[occ[placed]] = placed
 
 
-def _repair(arrays, spec, hrs_pre, hrs_post, rows, cols, occ_rows, occ_cols):
+def _repair(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols, occ_rows, occ_cols):
     # One best-improvement cycle over each axis catches the easy cases.
-    _axis_pass(spec, arrays, arrays.pre, cols[arrays.post], rows, occ_rows)
-    if not len(_violations(arrays, rows, cols, spec)):
+    _axis_pass(spec, not_hrs, not_lrs1, cluster.pre, cols[cluster.post], rows, occ_rows)
+    if not len(_violations(cluster, not_hrs, not_lrs1, rows, cols, spec)):
         return
-    _axis_pass(spec, arrays, arrays.post, rows[arrays.pre], cols, occ_cols)
-    if not len(_violations(arrays, rows, cols, spec)):
+    _axis_pass(spec, not_hrs, not_lrs1, cluster.post, rows[cluster.pre], cols, occ_cols)
+    if not len(_violations(cluster, not_hrs, not_lrs1, rows, cols, spec)):
         return
 
     # Swap repair is local search and stalls on tightly coupled clusters, so
@@ -284,10 +246,10 @@ def _repair(arrays, spec, hrs_pre, hrs_post, rows, cols, occ_rows, occ_cols):
     # bands its row and column sit in, which makes feasibility a small
     # constraint problem over per-neuron band choices. The formulation is
     # exact, but _band_stage searches it greedily and can miss a solution.
-    _band_stage(arrays, spec, hrs_pre, hrs_post, rows, cols, occ_rows, occ_cols)
+    _band_stage(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols, occ_rows, occ_cols)
 
 
-def _band_stage(arrays, spec, hrs_pre, hrs_post, rows, cols, occ_rows, occ_cols) -> None:
+def _band_stage(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols, occ_rows, occ_cols) -> None:
     """Greedy band assignment; reseats every neuron on success.
 
     Violations depend only on which horizontal/vertical band a neuron sits
@@ -318,13 +280,13 @@ def _band_stage(arrays, spec, hrs_pre, hrs_post, rows, cols, occ_rows, occ_cols)
     def adjacency(barred):
         # Per neuron: the partners that must leave a band if it takes it.
         adj = [[] for _ in range(n_vars)]
-        for u, v in zip(arrays.pre[barred].tolist(), (n_pre + arrays.post[barred]).tolist()):
+        for u, v in zip(cluster.pre[barred].tolist(), (n_pre + cluster.post[barred]).tolist()):
             adj[u].append(v)
             adj[v].append(u)
         return adj
 
-    adj_near = adjacency(arrays.not_hrs & (n_h > 0))
-    adj_far = adjacency(arrays.not_lrs1 & (n_l > 0))
+    adj_near = adjacency(not_hrs & (n_h > 0))
+    adj_far = adjacency(not_lrs1 & (n_l > 0))
 
     # Seat supply per axis: near commits may overflow into middle slots and
     # far commits likewise, so the binding budgets are near+middle vs
@@ -594,10 +556,7 @@ def placement_to_json(placement: Placement) -> dict:
                 "config": xb.config.name,
                 "rows": {str(k): v for k, v in sorted(xb.row_of_pre.items())},
                 "cols": {str(k): v for k, v in sorted(xb.col_of_post.items())},
-                "synapses": [
-                    {"pre": pre, "post": post, "state": STATE_LABELS[state], "row": row, "col": col}
-                    for pre, post, state, row, col in zip(*(getattr(xb, name).tolist() for name in _COLUMNS))
-                ],
+                "synapses": _synapses_to_json(xb),
                 "stats": {"m": xb.m, "n_hrs": xb.n_hrs},
             }
             for xb in placement.crossbars
@@ -616,14 +575,13 @@ def placement_from_json(doc: dict) -> Placement:
                 config=config_by_name(x["config"]),
                 row_of_pre={int(k): int(v) for k, v in x["rows"].items()},
                 col_of_post={int(k): int(v) for k, v in x["cols"].items()},
-                **{name: [int(s[name]) for s in x["synapses"]] for name in ("pre", "post", "row", "col")},
-                state=_state_codes(str(s["state"]) for s in x["synapses"]),
+                **_synapses_from_json(x["synapses"], CrossbarPlacement._COLUMNS),
             )
             for x in doc["crossbars"]
         )
         return Placement(crossbars=crossbars, crossbar_count=int(doc["crossbar_count"]),
                          routes=_routes_from_json(doc.get("routes", ())))
-    except (AttributeError, IllegalConfig, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (AttributeError, IllegalConfig, KeyError, OverflowError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"bad placement document: {exc}") from exc
 
 

@@ -3,18 +3,19 @@
 A network arrives pre-partitioned into clusters, each small enough for one
 crossbar: pre-synaptic neurons drive rows, post-synaptic neurons sink on
 columns, and every synapse names a (pre index, post index, resistance state)
-triple. A cluster stores those triples as three read-only numpy columns, the
-state as an index into STATE_LABELS; `Cluster.synapses` builds Synapse
-records from them on access. Loading, synthesis and partitioning fill the
-columns directly. Inter-cluster traffic is summarized as routes with a fixed
-hop count.
+triple. Inter-cluster traffic is summarized as routes with a fixed hop count.
+
+Cluster and mapper.CrossbarPlacement hold synapses alike, as read-only numpy
+columns (the state an index into STATE_LABELS) through _SynapseColumns and one
+JSON record decoder and encoder. Synapse, PlacedSynapse and `.synapses` are
+read-only compatibility views that the benchmark harness and the tests read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import accumulate, chain, takewhile
+from itertools import accumulate, chain, repeat, takewhile
 from math import inf, isfinite
 from operator import gt, itemgetter, lt
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .crossbar import HRS, LRS1, LRS2, LRS3, STATE_LABELS, _STATE_CODE
 from .errors import InvalidParams, NonPositiveWeight, ValidationError
-from .files import read_json, read_numeric_columns, write_grouped_table, write_json
+from .files import json_ints, read_json, read_numeric_columns, write_grouped_table, write_json
 from .techmodel import DEFAULT_STATES
 
 
@@ -52,12 +53,40 @@ def _index_column(values) -> np.ndarray:
         return np.array([v if -2**62 < v < 2**62 else -1 for v in values], dtype=np.intp)
 
 
-# Per-synapse columns of a Cluster, in Synapse field order.
-_COLUMNS = ("pre", "post", "state")
+class _SynapseColumns:
+    """Base of a frozen dataclass whose synapses are read-only numpy columns,
+    one entry each: _COLUMNS names them, in record order, with their dtypes,
+    the `state` column indexes STATE_LABELS, and _RECORD is the view class."""
+
+    def __post_init__(self) -> None:
+        """Make each column a read-only array of its dtype, keeping one that
+        already is, so that dataclasses.replace shares it in O(1)."""
+        for name, dtype in self._COLUMNS.items():
+            column = getattr(self, name)
+            if not (isinstance(column, np.ndarray) and column.dtype == dtype and not column.flags.writeable):
+                column = np.array(column, dtype=dtype)
+                column.flags.writeable = False
+                object.__setattr__(self, name, column)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) if f.name in self._COLUMNS
+                   else getattr(self, f.name) == getattr(other, f.name) for f in fields(self))
+
+    def _values(self) -> list[list]:
+        """The columns as lists of Python values, each state as its label."""
+        return [list(map(STATE_LABELS.__getitem__, getattr(self, name).tolist())) if name == "state"
+                else getattr(self, name).tolist() for name in self._COLUMNS]
+
+    @property
+    def synapses(self) -> tuple:
+        """One _RECORD view per synapse, built from the columns on each access."""
+        return tuple(map(self._RECORD, *self._values()))
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class Cluster:
+class Cluster(_SynapseColumns):
     """A crossbar-sized part of the network. Its synapses are read-only
     columns, one entry each: `pre` and `post` index pre_neurons and
     post_neurons (intp), and `state` indexes STATE_LABELS (int8).
@@ -66,6 +95,9 @@ class Cluster:
     and Cluster.from_columns the columns; both validate alike, and == and
     hash() compare values.
     """
+
+    _COLUMNS = {"pre": np.intp, "post": np.intp, "state": np.int8}
+    _RECORD = Synapse
 
     id: int
     pre_neurons: tuple[int, ...]
@@ -106,9 +138,9 @@ class Cluster:
                    | (post_column < 0) | (post_column >= len(post_neurons)))
         key = pre_column * len(post_neurons) + post_column
         order = np.argsort(key, kind="stable")
-        repeat = np.zeros(count, dtype=bool)
-        repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
-        bad = np.flatnonzero(outside | repeat)
+        repeated = np.zeros(count, dtype=bool)
+        repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
+        bad = np.flatnonzero(outside | repeated)
         if bad.size:
             i = bad[0]
             problem = "synapse ({},{}) index out of range" if outside[i] else "duplicate synapse ({},{})"
@@ -116,28 +148,14 @@ class Cluster:
         unknown = np.flatnonzero((state_column < 0) | (state_column >= len(STATE_LABELS)))
         if unknown.size:
             raise ValidationError(f"cluster {id}: unknown resistance state code {state[unknown[0]]}")
-        state_column = state_column.astype(np.int8)
-        for column in (pre_column, post_column, state_column):
-            column.flags.writeable = False
-        for name, value in zip(("id", "pre_neurons", "post_neurons") + _COLUMNS,
+        for name, value in zip(("id", "pre_neurons", "post_neurons", *self._COLUMNS),
                                (id, pre_neurons, post_neurons, pre_column, post_column, state_column)):
             object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) if f.name in _COLUMNS
-                   else getattr(self, f.name) == getattr(other, f.name) for f in fields(self))
+        self.__post_init__()
 
     def __hash__(self):
         return hash((self.id, self.pre_neurons, self.post_neurons,
-                     *(getattr(self, name).tobytes() for name in _COLUMNS)))
-
-    @property
-    def synapses(self) -> tuple[Synapse, ...]:
-        """One Synapse per synapse, built from the columns on each access."""
-        return tuple(map(Synapse, self.pre.tolist(), self.post.tolist(),
-                         map(STATE_LABELS.__getitem__, self.state.tolist())))
+                     *(getattr(self, name).tobytes() for name in self._COLUMNS)))
 
 
 @dataclass(frozen=True)
@@ -221,6 +239,29 @@ def _routes_from_json(docs) -> tuple[Route, ...]:
                  for r in docs)
 
 
+def _synapses_to_json(holder: _SynapseColumns) -> list[dict]:
+    """The JSON records of `holder`'s synapses, keyed by column name, each state as its label."""
+    pairs = (zip(repeat(name), column) for name, column in zip(holder._COLUMNS, holder._values()))
+    return list(map(dict, zip(*pairs)))
+
+
+def _synapses_from_json(records, columns: dict) -> dict:
+    """The columns named in `columns` of JSON synapse records, one list each:
+    the state as state codes, every other field through json_ints. An error
+    is the first bad record's."""
+    def parse(records):
+        values = tuple(zip(*map(itemgetter(*columns), records))) or ((),) * len(columns)
+        return {name: _state_codes(map(str, column)) if name == "state" else json_ints(column, name)
+                for name, column in zip(columns, values)}
+
+    try:
+        return parse(records)
+    except (KeyError, TypeError, ValueError, ValidationError):
+        for record in records:
+            parse([record])
+        raise
+
+
 def network_to_json(network: Network) -> dict:
     return {
         "clusters": [
@@ -228,25 +269,12 @@ def network_to_json(network: Network) -> dict:
                 "id": c.id,
                 "pre": list(c.pre_neurons),
                 "post": list(c.post_neurons),
-                "synapses": [{"pre": pre, "post": post, "state": STATE_LABELS[state]}
-                             for pre, post, state in zip(*(getattr(c, name).tolist() for name in _COLUMNS))],
+                "synapses": _synapses_to_json(c),
             }
             for c in network.clusters
         ],
         "routes": _routes_to_json(network.routes),
     }
-
-
-def _synapse_columns(records) -> tuple[list[int], list[int], list[int]]:
-    """(pre, post, state code) columns of a network document's synapse records."""
-    try:
-        pre, post, labels = tuple(zip(*map(itemgetter("pre", "post", "state"), records))) or ((), (), ())
-        return list(map(int, pre)), list(map(int, post)), _state_codes(map(str, labels))
-    except (KeyError, OverflowError, TypeError, ValueError, ValidationError):
-        # Parse record by record, so that the error is the first bad record's.
-        for s in records:
-            int(s["pre"]), int(s["post"]), _state_codes([str(s["state"])])
-        raise
 
 
 _INTP = np.iinfo(np.intp)
@@ -265,7 +293,7 @@ def network_from_json(doc: dict) -> Network:
     try:
         clusters = tuple(
             Cluster.from_columns(*_ids([c["id"]]), _ids(c["pre"]), _ids(c["post"]),
-                                 *_synapse_columns(c["synapses"]))
+                                 **_synapses_from_json(c["synapses"], Cluster._COLUMNS))
             for c in doc["clusters"]
         )
         routes = _routes_from_json(doc.get("routes", ()))
@@ -447,17 +475,16 @@ def partition_simple(layer: dict, n: int) -> list[Cluster]:
     if not synapses:
         raise ValidationError("layer has no synapses")
     pre_count, post_count = int(layer["pre_count"]), int(layer["post_count"])
-    tiles: dict[tuple[int, int], list[tuple[int, int, str]]] = {}
-    for s in synapses:
-        pre, post, state = int(s["pre"]), int(s["post"]), str(s["state"])
+    tiles: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for pre, post, state in zip(*_synapses_from_json(synapses, Cluster._COLUMNS).values()):
         if not (0 <= pre < pre_count and 0 <= post < post_count):
             raise ValidationError(f"synapse ({pre},{post}) outside layer bounds")
         tiles.setdefault((pre // n, post // n), []).append((pre, post, state))
 
     clusters = []
     for cid, key in enumerate(sorted(tiles)):
-        pre, post, labels = zip(*sorted(tiles[key]))
+        pre, post, state = zip(*sorted(tiles[key]))
         pre_ids, post_ids = tuple(sorted(set(pre))), tuple(sorted(set(post)))
         clusters.append(Cluster.from_columns(cid, pre_ids, post_ids, np.searchsorted(pre_ids, pre),
-                                             np.searchsorted(post_ids, post), _state_codes(labels)))
+                                             np.searchsorted(post_ids, post), state))
     return clusters

@@ -108,6 +108,21 @@ def _seat_first_synapse(xb, row):
     xb["rows"][str(syn["pre"])] = row
 
 
+# faults in a document's first synapse record; the network and placement
+# documents share one synapse record decoder, so both tables carry each one
+SYNAPSE_FAULTS = {
+    "synapse-pre-inf": lambda record: record.update(pre=math.inf),
+    "synapse-pre-fraction": lambda record: record.update(pre=0.9),
+    "synapse-pre-true": lambda record: record.update(pre=True),
+    "synapse-state-lrs9": lambda record: record.update(state="LRS9"),
+    "synapse-state-missing": lambda record: record.pop("state"),
+}
+
+
+def _first_synapse(fault):
+    return lambda container: fault(container["synapses"][0])
+
+
 # placement documents that parse as JSON but are malformed or unsound;
 # each edits the first crossbar of a valid placement
 BAD_PLACEMENTS = {
@@ -116,16 +131,19 @@ BAD_PLACEMENTS = {
     "config-01-single": lambda xb: xb.update(config="01", spec={**xb["spec"], "control": "single"}),
     "row-minus-1": lambda xb: _seat_first_synapse(xb, -1),
     "row-500": lambda xb: _seat_first_synapse(xb, 500),
-    "state-lrs9": lambda xb: xb["synapses"][0].update(state="LRS9"),
+    "state-lrs9": _first_synapse(SYNAPSE_FAULTS["synapse-state-lrs9"]),
     "pre-not-in-rows": lambda xb: xb["rows"].pop(str(xb["synapses"][0]["pre"])),
     "cell-shared": lambda xb: xb["synapses"].append(dict(xb["synapses"][0])),
+    # state-lrs9 (above) is the synapse-state-lrs9 fault
+    **{name: _first_synapse(fault) for name, fault in SYNAPSE_FAULTS.items() if name != "synapse-state-lrs9"},
 }
 
 
 # network documents that parse as JSON (with its Infinity extension) but hold
-# an id that no int or no intp holds; each edits the first cluster of a valid network
+# an id that no int or no intp holds or a bad synapse record; each edits the
+# first cluster of a valid network
 BAD_NETWORKS = {
-    "synapse-pre-inf": lambda cluster: cluster["synapses"][0].update(pre=math.inf),
+    **{name: _first_synapse(fault) for name, fault in SYNAPSE_FAULTS.items()},
     "id-inf": lambda cluster: cluster.update(id=math.inf),
     "pre-neuron-huge": lambda cluster: cluster["pre"].__setitem__(0, 2**70),
 }
@@ -134,17 +152,20 @@ BAD_NETWORKS = {
 def write_boundary_files(directory):
     """Valid inputs for every command, plus malformed files, into `directory`.
 
-    Valid: net.json, spec.json (N = 4), spk.csv, placement.json. Malformed:
-    bad.json (invalid JSON), bad.bin (not UTF-8), spk-inf.csv and spk-nan.csv
-    (a non-finite spike time), spk-neuron-huge.csv (a neuron id no intp
-    holds), spec-n-inf.json (N = Infinity), tech-huge.json (an energy no
-    float holds), net-<name>.json for each
+    Valid: net.json and its copy other/net.json, spec.json (N = 4), spk.csv,
+    placement.json. Malformed: bad.json (invalid JSON), bad.bin (not UTF-8),
+    spk-inf.csv and spk-nan.csv (a non-finite spike time),
+    spk-neuron-huge.csv (a neuron id no intp holds), spec-n-inf.json
+    (N = Infinity), spec-p-fraction.json (P = 2.5), tech-huge.json (an energy
+    no float holds), net-<name>.json for each
     BAD_NETWORKS entry and placement-<name>.json for each BAD_PLACEMENTS
     entry.
     """
     network = mapping_demo_network()
     spec = CrossbarSpec(n=4)
     save_network(network, directory / "net.json")
+    (directory / "other").mkdir()
+    save_network(network, directory / "other" / "net.json")
     save_spec(spec, directory / "spec.json")
     pre = [nid for c in network.clusters for nid in c.pre_neurons]
     save_spikes([SpikeTrain(neuron=nid, times=(0.1, 0.2 + 0.01 * nid)) for nid in pre], directory / "spk.csv")
@@ -156,6 +177,7 @@ def write_boundary_files(directory):
         (directory / f"spk-{value}.csv").write_text(f"neuron,time_us\n{pre[0]},100.0\n{pre[0]},{value}\n")
     (directory / "spk-neuron-huge.csv").write_text(f"neuron,time_us\n{pre[0]},100.0\n{2**70},200.0\n")
     (directory / "spec-n-inf.json").write_text(json.dumps({**spec.to_json(), "n": math.inf}))
+    (directory / "spec-p-fraction.json").write_text(json.dumps({**spec.to_json(), "p": 2.5}))
     (directory / "tech-huge.json").write_text(json.dumps({**preset("16nm").to_json(), "e_spike": 2**1100}))
     doc = json.loads((directory / "net.json").read_text())
     for name, edit in BAD_NETWORKS.items():

@@ -319,11 +319,14 @@ MALFORMED_INPUTS = {
     "spikes-time-nan": _simulate(spikes="spk-nan.csv"),
     "spikes-neuron-huge": _simulate(spikes="spk-neuron-huge.csv"),
     "spec-n-inf": _map(spec="spec-n-inf.json"),
+    "spec-p-fraction": _map(spec="spec-p-fraction.json"),
     **{f"network-{name}": _map(network=f"net-{name}.json") for name in BAD_NETWORKS},
     **{f"placement-{name}": _simulate(placement=f"placement-{name}.json") for name in BAD_PLACEMENTS},
     "simulate-duration-0": _simulate(duration="0"),
     "simulate-duration-nan": _simulate(duration="nan"),
     "simulate-duration-inf": _simulate(duration="inf"),
+    "dse-networks-same-stem": ["dse", "--networks", "net.json", "other/net.json", "--spec", "spec.json",
+                               "--grid", "2,4", "--out", "out"],
     "dse-duration-0": _dse("--duration", "0"),
     "dse-rate-negative": _dse("--rate", "-1"),
     "dse-rate-nan": _dse("--rate", "nan"),

@@ -160,6 +160,13 @@ def test_spec_json_round_trip(tmp_path):
     assert load_spec(path) == spec
 
 
+def test_spec_json_integers_must_be_integral():
+    assert CrossbarSpec.from_json({"n": 128.0, "p": 96.0}) == CrossbarSpec(n=128, p=96)
+    for field, value in (("p", 95.7), ("n_h", True), ("q", 0.5)):
+        with pytest.raises(ValidationError, match=f"bad crossbar spec document: {field}: expected an integer"):
+            CrossbarSpec.from_json({"n": 128, field: value})
+
+
 def test_config_by_name():
     assert config_by_name("01") is CONFIG_01
     assert config_by_name("10").rows_expanded is False

@@ -79,6 +79,14 @@ def test_sweep_grid_validation():
         sweep_pq([net], CrossbarSpec(n=128), TECH, [(4, 200)])
 
 
+@pytest.mark.parametrize("names", [["a"], ["a", "b", "c"], ["a", "a"]])
+def test_sweep_names_one_distinct_name_per_network(names):
+    # A short list would drop networks and a repeat would merge two in the sweep CSV.
+    net = mapping_demo_network()
+    with pytest.raises(ValidationError, match="one distinct name per network"):
+        sweep_pq([net, net], CrossbarSpec(n=8), TECH, [(8, 8)], names=names)
+
+
 def test_sweep_deterministic():
     net = fitting_network(seed=4)
     base = CrossbarSpec(n=128)

@@ -4,6 +4,7 @@ write_json writes json.dumps's bytes, and read_table names every bad row's line.
 import csv
 import inspect
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,9 +25,10 @@ from xbarsim import (
     preset,
 )
 from xbarsim.errors import ParseError, ValidationError
-from xbarsim.files import _CHUNK_ROWS, read_table, write_json, write_table
-from xbarsim.mapper import placement_to_json
-from xbarsim.workload import network_to_json
+from xbarsim.files import _CHUNK_ROWS, json_ints, read_table, write_json, write_table
+from xbarsim.fixtures import mapping_demo_network
+from xbarsim.mapper import placement_from_json, placement_to_json
+from xbarsim.workload import network_from_json, network_to_json
 from xbarsim.reports import read_energy_csv, read_isi_csv, read_latency_csv, read_sweep_csv
 
 from conftest import BAD_PLACEMENTS, write_boundary_files
@@ -81,6 +83,32 @@ def test_load_placement_names_file_first_problem_and_count(tmp_path):
     with pytest.raises(ValidationError, match=r"placement-row-500\.json: 1 placement problem\(s\), "
                                               r"first: crossbar 0: cell \(500,0\) outside config '11'$"):
         load_placement(path)
+
+
+def test_synapse_record_errors_name_the_first_bad_record():
+    # Records are parsed column by column, then a bad batch record by record: a bad
+    # state in record 0 is reported ahead of a bad pre in record 1.
+    network = mapping_demo_network()
+    placement = map_network(network, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4), tech=preset("16nm")))
+    network_doc, placement_doc = network_to_json(network), placement_to_json(placement)
+    for records in (network_doc["clusters"][0]["synapses"], placement_doc["crossbars"][0]["synapses"]):
+        records[0]["state"], records[1]["pre"] = "LRS9", 0.5
+    with pytest.raises(ValidationError, match=r"^unknown resistance state 'LRS9'$"):
+        network_from_json(network_doc)
+    with pytest.raises(ValidationError, match=r"^bad placement document: unknown resistance state 'LRS9'$"):
+        placement_from_json(placement_doc)
+
+
+def test_json_ints_accepts_ints_and_integral_floats():
+    got = json_ints([3, 128.0, -2.0, 2**70], "n")
+    assert got == [3, 128, -2, 2**70] and {type(v) for v in got} == {int}
+
+
+@pytest.mark.parametrize("value", [0.9, 95.7, True, False, math.inf, -math.inf, math.nan, "3", None])
+def test_json_ints_rejects_other_values(value):
+    with pytest.raises(ValueError) as exc:
+        json_ints([1, 2.0, value, 0.5], "p")
+    assert str(exc.value) == f"p: expected an integer, got {value!r}"
 
 
 def test_read_table_streams_rows(tmp_path):

@@ -29,10 +29,10 @@ from xbarsim import (
     static_energy_weight,
     synapse_utilization,
 )
-from xbarsim.crossbar import legal_configurations
+from xbarsim.crossbar import STATE_LABELS, legal_configurations
 from xbarsim.fixtures import mapping_demo_network
 from xbarsim import mapper
-from xbarsim.mapper import _disagrees, _sorted_pairs, _SynapseArrays, _swap_repair, _violations, load_placement
+from xbarsim.mapper import _disagrees, _sorted_pairs, _swap_repair, _violations, load_placement
 from xbarsim.errors import CapacityExceeded, Infeasible, ValidationError
 
 from conftest import MEMO_SPECS, planted_cluster, random_cluster, synapse_columns
@@ -94,7 +94,8 @@ def test_violations_match_permits_brute_force(rng, spec):
         cols = rng.permutation(spec.n)[:len(cluster.post_neurons)]
         expected = [k for k, s in enumerate(cluster.synapses)
                     if not permits(int(rows[s.pre]), int(cols[s.post]), s.state, spec)]
-        got = _violations(_SynapseArrays(cluster), rows, cols, spec)
+        got = _violations(cluster, cluster.state != STATE_LABELS.index("HRS"),
+                          cluster.state != STATE_LABELS.index("LRS1"), rows, cols, spec)
         assert got.tolist() == expected
 
 
