@@ -1,16 +1,21 @@
 """The file boundary: every JSON document and CSV table is read and written here.
 
 JSON is written with exactly the bytes of `json.dumps(doc, indent=2,
-sort_keys=True) + "\\n"`, streamed container by container: each container
-whose values are all scalars (and each list of such dicts) goes through the C
-encoder in one call. CSV is written in the csv module's default dialect (CRLF
-line ends). A numeric table is parsed whole by numpy's C text reader, and
-read again by the checked reader if numpy refuses anything in it, so that it
-gives the checked reader's values and errors. The checked reader reads any
-table in chunks of rows and parses each column of a chunk in one pass.
+sort_keys=True) + "\\n"`, streamed container by container. Each container
+whose values are all scalars goes through the C encoder in one call. A list of
+records held as Records (its columns) is written through one %-template per
+record, a block of records at a time, and builds no dict. JSON is read by the
+C scanner, which refuses the NaN and Infinity tokens. CSV is written in the
+csv module's default dialect (CRLF line ends). A numeric table is parsed
+whole by numpy's C text reader, and read again by the checked reader if numpy
+refuses anything in it, so that it gives the checked reader's values and
+errors. The checked reader reads any table in chunks of rows and parses each
+column of a chunk in one pass.
 
 Undecodable input (bad JSON or CSV, non-UTF-8 bytes, a wrong header or row
-width, a bad value) raises ParseError; a table's message names the line.
+width, a bad value) raises ParseError; a table's message names the line. A
+JSON NaN or Infinity token is a ValidationError, as any other non-finite
+number a document holds is.
 """
 
 from __future__ import annotations
@@ -19,13 +24,13 @@ import csv
 import io
 import json
 import warnings
-from itertools import chain, islice
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 # Rows a table reader parses at a time: enough to amortize the per-chunk
 # work, few enough that a chunk's cells stay small next to the file.
@@ -33,8 +38,8 @@ _CHUNK_ROWS = 4096
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
-# Records encoded per C encoder call: the encoder holds every piece of its
-# output until it returns, about 50 bytes for each key and value.
+# Records that write_json formats per write() call: the text of a block is
+# held until it is written, about 50 bytes for each key and value.
 _RECORDS_PER_CALL = 256
 
 # The C encoder, sorting keys, with "\0" as the item separator: ensure_ascii
@@ -42,12 +47,43 @@ _RECORDS_PER_CALL = 256
 _encode = json.JSONEncoder(sort_keys=True, separators=("\0", ": ")).encode
 
 
+class Records:
+    """A list of JSON records held as its columns: `names` are the distinct
+    string keys of every record and `columns` one list of JSON scalars per
+    name, all of one length. It iterates as the dicts it stands for, so
+    json.dumps(doc, indent=2, sort_keys=True, default=list) gives the bytes
+    that write_json writes for it."""
+
+    __slots__ = ("names", "columns")
+
+    def __init__(self, names, columns):
+        self.names, self.columns = tuple(names), tuple(columns)
+        if len(self.columns) != len(self.names) or len(set(map(len, self.columns))) > 1:
+            raise ValueError(f"Records: need one column per name, all of one length: got {len(self.names)} "
+                             f"names and columns of lengths {[len(column) for column in self.columns]}")
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def __iter__(self):
+        return (dict(zip(self.names, values)) for values in zip(*self.columns))
+
+
+def _refuse_constant(token: str):
+    raise ValidationError(f"non-finite number {token}")
+
+
 def read_json(path):
+    """The document in `path`. JSON that does not decode is a ParseError; a
+    NaN, Infinity or -Infinity token, which json reads but JSON does not
+    have, is a ValidationError, as a non-finite value is in every document."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_refuse_constant)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_json(doc, path) -> None:
@@ -92,12 +128,8 @@ def _write_value(write, value, newline) -> None:
             _write_value(write, item, inner)
         write(newline + "}")
     elif isinstance(value, (list, tuple)):
-        kinds = set(map(type, value))
-        if _SCALARS.issuperset(kinds):
+        if _SCALARS.issuperset(map(type, value)):
             _write_spread(write, _encode(value), newline)
-        elif kinds == {dict} and all(value) and _SCALARS.issuperset(
-                map(type, chain.from_iterable(map(dict.values, value)))):
-            _write_records(write, value, newline)
         else:
             inner = newline + "  "
             write("[")
@@ -105,6 +137,8 @@ def _write_value(write, value, newline) -> None:
                 write(("," if i else "") + inner)
                 _write_value(write, item, inner)
             write(newline + "]")
+    elif isinstance(value, Records):
+        _write_columns(write, value, newline)
     else:
         write(_encode(value))
 
@@ -120,20 +154,27 @@ def _write_spread(write, text: str, newline: str) -> None:
     write(newline + text[-1])
 
 
-def _write_records(write, records, newline: str) -> None:
-    """Write a list of non-empty dicts of scalars one value per line, from
-    one C encoder call per block of _RECORDS_PER_CALL records.
-
-    In the compact encoding a raw "\\0{" can only sit between two records:
-    inside a record a separator is followed by a key's quote.
-    """
+def _write_columns(write, records: Records, newline: str) -> None:
+    """Write `records` as json.dumps lays out the list of dicts it stands for:
+    keys sorted, a column of exact ints through %d and every other value
+    through the encoder, one %-template per record and _RECORDS_PER_CALL
+    records per write."""
+    count = len(records)
+    if not count:
+        write("[]")
+        return
     record, field = newline + "  ", newline + "    "
-    between = record + "}," + record + "{" + field
-    write("[" + record + "{" + field)
-    for start in range(0, len(records), _RECORDS_PER_CALL):
-        text = _encode(records[start:start + _RECORDS_PER_CALL])
-        write((between if start else "") + text[2:-2].replace("}\0{", between).replace("\0", "," + field))
-    write(record + "}" + newline + "]")
+    keys, columns = [], []
+    for name, column in sorted(zip(records.names, records.columns), key=itemgetter(0)):
+        exact_ints = set(map(type, column)) <= {int}
+        keys.append(encode_basestring_ascii(name).replace("%", "%%") + (": %d" if exact_ints else ": %s"))
+        columns.append(column if exact_ints else map(_encode, column))
+    template = "{" + field + ("," + field).join(keys) + record + "}"
+    values = zip(*columns)
+    for start in range(0, count, _RECORDS_PER_CALL):
+        write(("," if start else "[") + record
+              + ("," + record).join(map(template.__mod__, islice(values, _RECORDS_PER_CALL))))
+    write(newline + "]")
 
 
 def _header_matches(row, names) -> bool:

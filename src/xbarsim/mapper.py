@@ -45,7 +45,7 @@ from .crossbar import (
     static_energy_weight,
 )
 from .errors import CapacityExceeded, IllegalConfig, Infeasible, ValidationError
-from .files import read_json, write_json
+from .files import json_ints, read_json, write_json
 from .techmodel import TechnologyParams
 from .workload import Cluster, Network, Route, _routes_from_json, _routes_to_json
 from .workload import _synapses_from_json, _synapses_to_json, _SynapseColumns
@@ -546,6 +546,8 @@ def check_placement(placement: Placement) -> list[str]:
 
 
 def placement_to_json(placement: Placement) -> dict:
+    """The placement document; each crossbar's "synapses" is a Records, which
+    write_json writes, and json.dumps writes with default=list."""
     return {
         "crossbar_count": placement.crossbar_count,
         "crossbars": [
@@ -569,17 +571,18 @@ def placement_from_json(doc: dict) -> Placement:
     try:
         crossbars = tuple(
             CrossbarPlacement(
-                crossbar_id=int(x["id"]),
-                cluster_id=int(x["cluster"]),
+                crossbar_id=json_ints([x["id"]], "id")[0],
+                cluster_id=json_ints([x["cluster"]], "cluster")[0],
                 spec=CrossbarSpec.from_json(x["spec"]),
                 config=config_by_name(x["config"]),
-                row_of_pre={int(k): int(v) for k, v in x["rows"].items()},
-                col_of_post={int(k): int(v) for k, v in x["cols"].items()},
+                row_of_pre=dict(zip(map(int, x["rows"]), json_ints(x["rows"].values(), "rows"))),
+                col_of_post=dict(zip(map(int, x["cols"]), json_ints(x["cols"].values(), "cols"))),
                 **_synapses_from_json(x["synapses"], CrossbarPlacement._COLUMNS),
             )
             for x in doc["crossbars"]
         )
-        return Placement(crossbars=crossbars, crossbar_count=int(doc["crossbar_count"]),
+        return Placement(crossbars=crossbars,
+                         crossbar_count=json_ints([doc["crossbar_count"]], "crossbar_count")[0],
                          routes=_routes_from_json(doc.get("routes", ())))
     except (AttributeError, IllegalConfig, KeyError, OverflowError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"bad placement document: {exc}") from exc

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from math import inf
 
 import numpy as np
 
@@ -52,8 +53,8 @@ class ResistanceState:
     resistance: float  # ohms
 
     def __post_init__(self):
-        if self.resistance <= 0:
-            raise ValidationError(f"resistance must be positive, got {self.resistance}")
+        if not 0 < self.resistance < inf:
+            raise ValidationError(f"resistance must be positive and finite, got {self.resistance}")
 
     @property
     def conductance(self) -> float:
@@ -98,11 +99,12 @@ class TechnologyParams:
             "e_route_hop": self.e_route_hop,
             "p_wordline_raise": self.p_wordline_raise,
         }
+        # Every value finite, so that each TechnologyParams has a JSON document.
         for name, value in positive.items():
-            if value <= 0:
-                raise ValidationError(f"{name} must be strictly positive, got {value}")
-        if self.t_iso_on < 0:
-            raise ValidationError(f"t_iso_on must be >= 0, got {self.t_iso_on}")
+            if not 0 < value < inf:
+                raise ValidationError(f"{name} must be strictly positive and finite, got {value}")
+        if not 0 <= self.t_iso_on < inf:
+            raise ValidationError(f"t_iso_on must be finite and >= 0, got {self.t_iso_on}")
         labels = tuple(s.label for s in self.states)
         if labels != STATE_LABELS:
             raise ValidationError(f"states must be {STATE_LABELS} in order, got {labels}")

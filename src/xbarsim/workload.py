@@ -7,15 +7,17 @@ triple. Inter-cluster traffic is summarized as routes with a fixed hop count.
 
 Cluster and mapper.CrossbarPlacement hold synapses alike, as read-only numpy
 columns (the state an index into STATE_LABELS) through _SynapseColumns and one
-JSON record decoder and encoder. Synapse, PlacedSynapse and `.synapses` are
-read-only compatibility views that the benchmark harness and the tests read.
+JSON record decoder and encoder. The encoder hands the columns to the writer
+as files.Records, so a document's synapse records are never built as dicts.
+Synapse, PlacedSynapse and `.synapses` are read-only compatibility views that
+the benchmark harness and the tests read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import accumulate, chain, repeat, takewhile
+from itertools import accumulate, chain, takewhile
 from math import inf, isfinite
 from operator import gt, itemgetter, lt
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .crossbar import HRS, LRS1, LRS2, LRS3, STATE_LABELS, _STATE_CODE
 from .errors import InvalidParams, NonPositiveWeight, ValidationError
-from .files import json_ints, read_json, read_numeric_columns, write_grouped_table, write_json
+from .files import Records, json_ints, read_json, read_numeric_columns, write_grouped_table, write_json
 from .techmodel import DEFAULT_STATES
 
 
@@ -234,15 +236,13 @@ def _routes_to_json(routes) -> list:
 
 
 def _routes_from_json(docs) -> tuple[Route, ...]:
-    return tuple(Route(int(r["src_cluster"]), int(r["src_neuron"]),
-                       int(r["dst_cluster"]), int(r["dst_neuron"]), int(r["hops"]))
-                 for r in docs)
+    """Route records, each field through json_ints."""
+    return tuple(Route(*(json_ints([r[f.name]], f.name)[0] for f in fields(Route))) for r in docs)
 
 
-def _synapses_to_json(holder: _SynapseColumns) -> list[dict]:
-    """The JSON records of `holder`'s synapses, keyed by column name, each state as its label."""
-    pairs = (zip(repeat(name), column) for name, column in zip(holder._COLUMNS, holder._values()))
-    return list(map(dict, zip(*pairs)))
+def _synapses_to_json(holder: _SynapseColumns) -> Records:
+    """The JSON records of `holder`'s synapses as Records: its columns by name, each state as its label."""
+    return Records(holder._COLUMNS, holder._values())
 
 
 def _synapses_from_json(records, columns: dict) -> dict:
@@ -263,6 +263,8 @@ def _synapses_from_json(records, columns: dict) -> dict:
 
 
 def network_to_json(network: Network) -> dict:
+    """The network document; each cluster's "synapses" is a Records, which
+    write_json writes, and json.dumps writes with default=list."""
     return {
         "clusters": [
             {
@@ -280,9 +282,9 @@ def network_to_json(network: Network) -> dict:
 _INTP = np.iinfo(np.intp)
 
 
-def _ids(values) -> tuple[int, ...]:
-    """Cluster or neuron ids as ints; an id that no intp holds is a ValueError."""
-    ids = tuple(map(int, values))
+def _ids(values, name: str) -> list[int]:
+    """Cluster or neuron ids through json_ints; an id that no intp holds is a ValueError."""
+    ids = json_ints(values, name)
     if ids and not (_INTP.min <= min(ids) and max(ids) <= _INTP.max):
         bad = next(i for i in ids if not _INTP.min <= i <= _INTP.max)
         raise ValueError(f"id {bad} does not fit {_INTP.dtype}")
@@ -292,7 +294,8 @@ def _ids(values) -> tuple[int, ...]:
 def network_from_json(doc: dict) -> Network:
     try:
         clusters = tuple(
-            Cluster.from_columns(*_ids([c["id"]]), _ids(c["pre"]), _ids(c["post"]),
+            Cluster.from_columns(*_ids([c["id"]], "cluster id"), _ids(c["pre"], "pre-neuron id"),
+                                 _ids(c["post"], "post-neuron id"),
                                  **_synapses_from_json(c["synapses"], Cluster._COLUMNS))
             for c in doc["clusters"]
         )

@@ -134,18 +134,26 @@ BAD_PLACEMENTS = {
     "state-lrs9": _first_synapse(SYNAPSE_FAULTS["synapse-state-lrs9"]),
     "pre-not-in-rows": lambda xb: xb["rows"].pop(str(xb["synapses"][0]["pre"])),
     "cell-shared": lambda xb: xb["synapses"].append(dict(xb["synapses"][0])),
+    "rows-fraction": lambda xb: xb["rows"].update({key: value + 0.25 for key, value in xb["rows"].items()}),
     # state-lrs9 (above) is the synapse-state-lrs9 fault
     **{name: _first_synapse(fault) for name, fault in SYNAPSE_FAULTS.items() if name != "synapse-state-lrs9"},
 }
 
 
+def _first_cluster(edit):
+    return lambda doc: edit(doc["clusters"][0])
+
+
 # network documents that parse as JSON (with its Infinity extension) but hold
-# an id that no int or no intp holds or a bad synapse record; each edits the
-# first cluster of a valid network
+# an id that is not an integer or that no intp holds, a fractional hop count
+# or a bad synapse record; each edits a valid network
 BAD_NETWORKS = {
-    **{name: _first_synapse(fault) for name, fault in SYNAPSE_FAULTS.items()},
-    "id-inf": lambda cluster: cluster.update(id=math.inf),
-    "pre-neuron-huge": lambda cluster: cluster["pre"].__setitem__(0, 2**70),
+    **{name: _first_cluster(_first_synapse(fault)) for name, fault in SYNAPSE_FAULTS.items()},
+    "id-inf": _first_cluster(lambda cluster: cluster.update(id=math.inf)),
+    "pre-neuron-huge": _first_cluster(lambda cluster: cluster["pre"].__setitem__(0, 2**70)),
+    # no route names the last cluster, and int() would read 2.5 as a fresh id
+    "last-cluster-id-fraction": lambda doc: doc["clusters"][-1].update(id=2.5),
+    "route-hops-fraction": lambda doc: doc["routes"][0].update(hops=2.5),
 }
 
 
@@ -157,9 +165,9 @@ def write_boundary_files(directory):
     spk-inf.csv and spk-nan.csv (a non-finite spike time),
     spk-neuron-huge.csv (a neuron id no intp holds), spec-n-inf.json
     (N = Infinity), spec-p-fraction.json (P = 2.5), tech-huge.json (an energy
-    no float holds), net-<name>.json for each
-    BAD_NETWORKS entry and placement-<name>.json for each BAD_PLACEMENTS
-    entry.
+    no float holds), tech-inf.json and tech-nan.json (a non-finite energy),
+    net-<name>.json for each BAD_NETWORKS entry and placement-<name>.json for
+    each BAD_PLACEMENTS entry.
     """
     network = mapping_demo_network()
     spec = CrossbarSpec(n=4)
@@ -178,11 +186,12 @@ def write_boundary_files(directory):
     (directory / "spk-neuron-huge.csv").write_text(f"neuron,time_us\n{pre[0]},100.0\n{2**70},200.0\n")
     (directory / "spec-n-inf.json").write_text(json.dumps({**spec.to_json(), "n": math.inf}))
     (directory / "spec-p-fraction.json").write_text(json.dumps({**spec.to_json(), "p": 2.5}))
-    (directory / "tech-huge.json").write_text(json.dumps({**preset("16nm").to_json(), "e_spike": 2**1100}))
+    for name, value in (("huge", 2**1100), ("inf", math.inf), ("nan", math.nan)):
+        (directory / f"tech-{name}.json").write_text(json.dumps({**preset("16nm").to_json(), "e_spike": value}))
     doc = json.loads((directory / "net.json").read_text())
     for name, edit in BAD_NETWORKS.items():
         bad = copy.deepcopy(doc)
-        edit(bad["clusters"][0])
+        edit(bad)
         (directory / f"net-{name}.json").write_text(json.dumps(bad))
     doc = json.loads((directory / "placement.json").read_text())
     for name, edit in BAD_PLACEMENTS.items():

@@ -294,8 +294,9 @@ def test_dse_malformed_grid_is_usage_error(tmp_path, capsys, grid):
     assert not out.exists()
 
 
-def _simulate(*, placement="placement.json", spikes="spk.csv", duration="1.0"):
-    return ["simulate", "--placement", placement, "--spikes", spikes, "--duration", duration, "--out", "out"]
+def _simulate(*extra, placement="placement.json", spikes="spk.csv", duration="1.0"):
+    return ["simulate", "--placement", placement, "--spikes", spikes, "--duration", duration, *extra,
+            "--out", "out"]
 
 
 def _map(*extra, network="net.json", spec="spec.json"):
@@ -312,6 +313,8 @@ MALFORMED_INPUTS = {
     "spec-invalid-json": _map(spec="bad.json"),
     "node-invalid-json": _map("--node", "bad.json"),
     "node-energy-huge": _map("--node", "tech-huge.json"),
+    "node-energy-inf": _simulate("--node", "tech-inf.json"),
+    "node-energy-nan": _simulate("--node", "tech-nan.json"),
     "placement-invalid-json": _simulate(placement="bad.json"),
     "network-not-utf8": _map(network="bad.bin"),
     "spikes-not-utf8": _simulate(spikes="bad.bin"),

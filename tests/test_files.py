@@ -5,6 +5,7 @@ import csv
 import inspect
 import json
 import math
+from itertools import cycle, islice
 
 import numpy as np
 import pytest
@@ -23,11 +24,16 @@ from xbarsim import (
     load_tech,
     map_network,
     preset,
+    save_network,
+    save_placement,
+    save_spec,
+    save_tech,
 )
 from xbarsim.errors import ParseError, ValidationError
-from xbarsim.files import _CHUNK_ROWS, json_ints, read_table, write_json, write_table
+from xbarsim.files import _CHUNK_ROWS, _RECORDS_PER_CALL, Records, json_ints, read_table, write_json, write_table
 from xbarsim.fixtures import mapping_demo_network
 from xbarsim.mapper import placement_from_json, placement_to_json
+from xbarsim.techmodel import PRESETS
 from xbarsim.workload import network_from_json, network_to_json
 from xbarsim.reports import read_energy_csv, read_isi_csv, read_latency_csv, read_sweep_csv
 
@@ -68,6 +74,28 @@ def test_load_placement_rejects_malformed_or_unsound_documents(tmp_path, name):
         assert str(exc.value) == BAD_PLACEMENT_MESSAGES[name]
 
 
+@pytest.mark.parametrize("node", PRESETS)
+def test_every_json_document_written_reads_back_equal(tmp_path, node):
+    """Spec, technology, network and placement: saved by the package, loaded by
+    its loaders (which refuse NaN and Infinity), and equal to what was saved."""
+    tech, spec = preset(node), CrossbarSpec(n=64, n_h=8, n_l=8, p=48, q=56)
+    network, _ = generate_synthetic(GenParams(clusters=4, pre_range=(4, 40), post_range=(4, 40),
+                                              density=0.12, seed=7))
+    placement = map_network(network, Hardware(crossbar_count=4, spec=spec, tech=tech))
+    for save, load, value in ((save_spec, load_spec, spec), (save_tech, load_tech, tech),
+                              (save_network, load_network, network), (save_placement, load_placement, placement)):
+        save(value, tmp_path / "doc.json")
+        assert load(tmp_path / "doc.json") == value
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_read_json_refuses_non_finite_tokens(tmp_path, token):
+    path = tmp_path / "doc.json"
+    path.write_text(f'{{"a": [1, {token}]}}')
+    with pytest.raises(ValidationError, match=rf"doc\.json: non-finite number {token}$"):
+        load_network(path)
+
+
 @pytest.mark.parametrize("reader", TABLES, ids=lambda f: f.__name__)
 def test_table_readers_reject_non_numeric_values(tmp_path, reader):
     header = TABLES[reader]
@@ -90,7 +118,8 @@ def test_synapse_record_errors_name_the_first_bad_record():
     # state in record 0 is reported ahead of a bad pre in record 1.
     network = mapping_demo_network()
     placement = map_network(network, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4), tech=preset("16nm")))
-    network_doc, placement_doc = network_to_json(network), placement_to_json(placement)
+    network_doc, placement_doc = (json.loads(json.dumps(doc, default=list))
+                                  for doc in (network_to_json(network), placement_to_json(placement)))
     for records in (network_doc["clusters"][0]["synapses"], placement_doc["crossbars"][0]["synapses"]):
         records[0]["state"], records[1]["pre"] = "LRS9", 0.5
     with pytest.raises(ValidationError, match=r"^unknown resistance state 'LRS9'$"):
@@ -137,12 +166,31 @@ def test_read_table_rejects_malformed_tables(tmp_path, text, message):
 
 # --- write_json: the bytes of json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-# strings built from the pieces the writer splices compact output at
+# strings built from the pieces the writer splices compact output at, and the
+# %-template syntax it formats records with
 _TRICKY_TEXT = st.lists(st.sampled_from(["\0", "}", "{", ",", ": ", "}\0{", '"', "\\", "\n", "a", "\u00e9",
-                                         "\u2028", "\U0001f600"])).map("".join)
+                                         "\u2028", "\U0001f600", "%", "%s", "%%"])).map("".join)
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True, allow_infinity=True)
             | st.text() | _TRICKY_TEXT)
 _KEYS = st.text() | _TRICKY_TEXT
+
+# the values of one Records column: one scalar kind, or any mix
+_COLUMN_VALUES = st.sampled_from([
+    st.integers(), st.integers(min_value=2**64) | st.integers(max_value=-2**64), st.booleans(), st.none(),
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text() | _TRICKY_TEXT, _SCALARS,
+])
+
+
+@st.composite
+def _records(draw):
+    """Records of 0 to 4 columns: none, a few, or more than one write block of
+    records (a drawn cycle of values repeated to the record count)."""
+    names = draw(st.lists(_KEYS, unique=True, max_size=4))
+    count = draw(st.sampled_from([0, 1, 2, 3, _RECORDS_PER_CALL, 2 * _RECORDS_PER_CALL + 3]))
+    columns = [list(islice(cycle(draw(st.lists(draw(_COLUMN_VALUES), min_size=1, max_size=5))), count))
+               for _ in names]
+    return Records(names, columns)
 
 
 def _containers(children):
@@ -153,15 +201,26 @@ def _containers(children):
 
 
 def _expected(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """json.dumps's bytes, a Records written as the list of dicts it iterates as."""
+    return json.dumps(doc, indent=2, sort_keys=True, default=list) + "\n"
+
+
+def _assert_written(path, doc):
+    """`path` holds _expected(doc). A mismatch names the first differing offset:
+    pytest's own diff of two long texts can take minutes."""
+    got, want = path.read_text(encoding="utf-8"), _expected(doc)
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        window = slice(max(i - 40, 0), i + 40)
+        pytest.fail(f"differs at offset {i}: written {got[window]!r}, json.dumps {want[window]!r}")
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=st.recursive(_SCALARS, _containers, max_leaves=20))
+@given(doc=st.recursive(_SCALARS | _records(), _containers, max_leaves=20))
 def test_write_json_matches_json_dumps(tmp_path, doc):
     path = tmp_path / "doc.json"
     write_json(doc, path)
-    assert path.read_text(encoding="utf-8") == _expected(doc)
+    _assert_written(path, doc)
 
 
 def test_write_json_matches_json_dumps_on_readme_size_documents(tmp_path):
@@ -172,7 +231,14 @@ def test_write_json_matches_json_dumps_on_readme_size_documents(tmp_path):
                                               tech=preset("16nm")))
     for doc in (network_to_json(network), placement_to_json(placement)):
         write_json(doc, tmp_path / "doc.json")
-        assert (tmp_path / "doc.json").read_text(encoding="utf-8") == _expected(doc)
+        _assert_written(tmp_path / "doc.json", doc)
+
+
+@pytest.mark.parametrize("names, columns", [(["a", "b"], [[1, 2], [1]]), (["a"], [[1], [2]]), (["a", "b"], [[1]])],
+                         ids=repr)
+def test_records_need_one_column_per_name_all_of_one_length(names, columns):
+    with pytest.raises(ValueError, match="^Records: "):
+        Records(names, columns)
 
 
 @pytest.mark.parametrize("doc", [

@@ -284,6 +284,22 @@ def test_tech_validation():
         ResistanceState("HRS", -3.0)
 
 
+_FLOAT_FIELDS = [f.name for f in dataclasses.fields(preset("45nm")) if f.name not in ("node_label", "states")]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+def test_tech_values_must_be_finite(name, value):
+    with pytest.raises(ValidationError, match=f"^{name} must be "):
+        dataclasses.replace(preset("45nm"), **{name: value})
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_resistance_must_be_finite(value):
+    with pytest.raises(ValidationError, match="^resistance must be positive and finite"):
+        ResistanceState("HRS", value)
+
+
 def test_state_lookup():
     tech = preset("45nm")
     assert tech.state("LRS3").resistance == 13600.0
