@@ -9,8 +9,7 @@ C scanner, which refuses the NaN and Infinity tokens. CSV is written in the
 csv module's default dialect (CRLF line ends). A numeric table is parsed
 whole by numpy's C text reader, and read again by the checked reader if numpy
 refuses anything in it, so that it gives the checked reader's values and
-errors. The checked reader reads any table in chunks of rows and parses each
-column of a chunk in one pass.
+errors. The checked reader, read_table, reads any table row by row.
 
 Undecodable input (bad JSON or CSV, non-UTF-8 bytes, a wrong header or row
 width, a bad value) raises ParseError; a table's message names the line. A
@@ -23,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 import warnings
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -32,9 +32,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 
-# Rows a table reader parses at a time: enough to amortize the per-chunk
-# work, few enough that a chunk's cells stay small next to the file.
-_CHUNK_ROWS = 4096
+_FLOAT_MAX = sys.float_info.max
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
@@ -103,6 +101,17 @@ def json_ints(values, name: str) -> list[int]:
     if bad:
         raise ValueError(f"{name}: expected an integer, got {bad[0]!r}")
     return list(map(int, values))
+
+
+def json_floats(values, name: str) -> list[float]:
+    """A column of JSON numbers as floats: each an int or a float that a float
+    holds finitely. A bool, a string, None, a non-finite or too large number
+    or anything else is a ValueError naming `name` and the first such value."""
+    values = list(values)
+    bad = [v for v in values if not (type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX)]
+    if bad:
+        raise ValueError(f"{name}: expected a finite number, got {bad[0]!r}")
+    return list(map(float, values))
 
 
 def _key_text(key) -> str:
@@ -181,66 +190,30 @@ def _header_matches(row, names) -> bool:
     return row is not None and [h.strip() for h in row] == names
 
 
-def read_columns(path, header: dict, what: str):
-    """Yield a CSV table in chunks of rows, each chunk as one list of parsed values per column.
+def read_table(path, header: dict, what: str):
+    """Yield the rows of a CSV table one at a time, each a list of parsed values.
 
     `header` maps each column name, in order, to the function that parses
     that column's cells; the file's header must name exactly these columns.
-    Blank lines are skipped. Each column is parsed with one map() call; when a
-    chunk holds a bad row, the chunk is walked row by row to name the first
-    one and its line.
+    Blank lines are skipped. A row of the wrong width, a cell its function
+    refuses, or text the csv module cannot read is a ParseError naming the
+    line the csv reader stopped at.
     """
     names, parse = list(header), list(header.values())
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             got = next(reader, None)
+            if not _header_matches(got, names):
+                raise ParseError(f"{path}: not a {what} table: expected header {','.join(names)!r}, got {got}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(names):
+                    raise ParseError(f"{path}:{reader.line_num}: expected {len(names)} values, got {row}")
+                yield [f(cell) for f, cell in zip(parse, row)]
         except (csv.Error, ValueError) as exc:  # ValueError covers UnicodeDecodeError
             raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
-        if not _header_matches(got, names):
-            raise ParseError(f"{path}: not a {what} table: expected header {','.join(names)!r}, got {got}")
-        while True:
-            line, rows, failure = reader.line_num, [], None
-            try:
-                rows.extend(islice(reader, _CHUNK_ROWS))  # keeps the rows read before a failure
-            except (csv.Error, ValueError) as exc:
-                failure = reader.line_num, exc
-            end = reader.line_num
-            cells = list(filter(None, rows))
-            if not {len(names)}.issuperset(map(len, cells)):
-                _raise_first_bad_row(path, rows, line, end, parse)
-            if cells:
-                try:
-                    columns = [list(map(f, map(itemgetter(j), cells))) for j, f in enumerate(parse)]
-                except ValueError:
-                    _raise_first_bad_row(path, rows, line, end, parse)
-                yield columns
-            if failure is not None:
-                raise ParseError(f"{path}:{failure[0]}: {failure[1]}") from failure[1]
-            if len(rows) < _CHUNK_ROWS:
-                return
-
-
-def _raise_first_bad_row(path, rows, line, end, parse):
-    """Raise the ParseError for the first row of `rows` with a wrong width or a bad value.
-
-    The rows were read from the line after `line` up to line `end`. A row
-    spans one line plus one per line break inside its quoted fields, except
-    that a quote left open at the end of the file also takes in the last
-    line's own break.
-    """
-    for row in rows:
-        line = min(end, line + 1 + sum(cell.count("\n") + cell.count("\r") - cell.count("\r\n") for cell in row))
-        if not row:
-            continue
-        if len(row) != len(parse):
-            raise ParseError(f"{path}:{line}: expected {len(parse)} values, got {row}")
-        try:
-            for f, cell in zip(parse, row):
-                f(cell)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{line}: {exc}") from exc
-    raise AssertionError("no bad row in a chunk that failed to parse")
 
 
 # The numpy path takes ASCII text only: outside ASCII, numpy's int parser reads
@@ -259,10 +232,10 @@ def read_numeric_columns(path, header: dict, what: str) -> list[np.ndarray]:
     numpy.loadtxt's C reader parses an ASCII table. On such text it refuses
     every cell that int() or float() refuses and reads the same value where
     both accept one; it warns on a table with no rows. Any error or warning
-    from it hands the file to read_columns, which reads it from the start:
-    it raises the ParseError that names the bad line, or returns what only
-    Python accepts (1_000, digits outside ASCII). Both paths thus give
-    read_columns' values and errors.
+    from it hands the file to read_table, which reads it again from the start,
+    row by row: it raises the ParseError that names the bad line, or returns
+    what only Python accepts (1_000, digits outside ASCII). Both paths thus
+    give read_table's values and errors.
     """
     names, dtypes = list(header), list(header.values())
     with open(path, "rb") as fh:
@@ -277,10 +250,8 @@ def read_numeric_columns(path, header: dict, what: str) -> list[np.ndarray]:
                                       quotechar='"', ndmin=1, unpack=True, encoding="ascii")
         except (csv.Error, ValueError, Warning):
             pass
-    columns = [[] for _ in names]
-    for chunk in read_columns(path, {name: _cell_parser(name, dtype) for name, dtype in header.items()}, what):
-        for column, values in zip(columns, chunk):
-            column.extend(values)
+    rows = list(read_table(path, {name: _cell_parser(name, dtype) for name, dtype in header.items()}, what))
+    columns = zip(*rows) if rows else [()] * len(names)
     return [np.array(column, dtype=dtype) for column, dtype in zip(columns, dtypes)]
 
 
@@ -297,12 +268,6 @@ def _cell_parser(name: str, dtype):
         return value
 
     return parse
-
-
-def read_table(path, header: dict, what: str):
-    """Yield the rows of a CSV table one at a time, each a list of parsed values (see read_columns)."""
-    for columns in read_columns(path, header, what):
-        yield from map(list, zip(*columns))
 
 
 def write_table(path, header, rows) -> None:

@@ -64,13 +64,16 @@ class LatencyStats:
     mean: float
 
     @classmethod
+    def of(cls, best: float, worst: float, mean: float) -> "LatencyStats":
+        """Stats of latencies from `best` to `worst`; all-zero latencies have ratio 1."""
+        return cls(best=best, worst=worst, diff=worst - best, ratio=best / worst if worst > 0 else 1.0, mean=mean)
+
+    @classmethod
     def from_values(cls, values) -> "LatencyStats":
         arr = np.asarray(values, dtype=float)
         if arr.size == 0:
             raise EmptyPlacement("no latency samples")
-        best, worst = float(arr.min()), float(arr.max())
-        return cls(best=best, worst=worst, diff=worst - best,
-                   ratio=best / worst if worst > 0 else 1.0, mean=float(arr.mean()))
+        return cls.of(float(arr.min()), float(arr.max()), float(arr.mean()))
 
 
 @dataclass(frozen=True)
@@ -257,8 +260,7 @@ def _corner_extremes(spec: CrossbarSpec, tech: TechnologyParams, config: Configu
         worst = max(worst, float(totals.max()))
         total += float(totals.sum())
         count += totals.size
-    return LatencyStats(best=best, worst=worst, diff=worst - best,
-                        ratio=best / worst, mean=total / count)
+    return LatencyStats.of(best, worst, total / count)
 
 
 @dataclass(frozen=True)
@@ -290,10 +292,8 @@ def latency_stats(placement: Placement, tech: TechnologyParams) -> LatencyReport
         per.append(CrossbarLatencyReport(crossbar_id=xb.crossbar_id, cluster_id=xb.cluster_id,
                                          placed=LatencyStats.from_values(totals),
                                          extremes=extremes_of[key]))
-    best = min(r.extremes.best for r in per)
-    worst = max(r.extremes.worst for r in per)
-    extremes = LatencyStats(best=best, worst=worst, diff=worst - best, ratio=best / worst,
-                            mean=float(np.mean([r.extremes.mean for r in per])))
+    extremes = LatencyStats.of(min(r.extremes.best for r in per), max(r.extremes.worst for r in per),
+                               float(np.mean([r.extremes.mean for r in per])))
     return LatencyReport(per_crossbar=tuple(per),
                          aggregate=LatencyStats.from_values(np.concatenate(all_totals)),
                          extremes=extremes)

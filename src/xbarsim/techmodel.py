@@ -44,7 +44,7 @@ from .crossbar import (
     permits,
 )
 from .errors import OutOfActiveRegion, StateForbidden, ValidationError
-from .files import read_json, write_json
+from .files import json_floats, read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -119,43 +119,30 @@ class TechnologyParams:
         raise ValidationError(f"unknown resistance state {label!r}")
 
     def to_json(self) -> dict:
-        return {
-            "node": self.node_label,
-            "feature_size_nm": self.feature_size_nm,
-            "r_wl": self.r_wordline_unit,
-            "r_bl": self.r_bitline_unit,
-            "c_wl": self.c_wordline_unit,
-            "c_bl": self.c_bitline_unit,
-            "c_sense": self.c_sense,
-            "t_iso_on": self.t_iso_on,
-            "leakage_per_cell": self.leakage_per_cell,
-            "e_spike": self.e_spike,
-            "e_route_hop": self.e_route_hop,
-            "p_wordline_raise": self.p_wordline_raise,
-            "states": [{"label": s.label, "ohms": s.resistance} for s in self.states],
-        }
+        return {"node": self.node_label, **{key: getattr(self, field) for field, key in _JSON_NUMBERS.items()},
+                "states": [{"label": s.label, "ohms": s.resistance} for s in self.states]}
 
     @classmethod
     def from_json(cls, doc: dict) -> "TechnologyParams":
         try:
-            states = tuple(ResistanceState(s["label"], float(s["ohms"])) for s in doc["states"])
-            return cls(
-                feature_size_nm=float(doc["feature_size_nm"]),
-                node_label=str(doc["node"]),
-                r_wordline_unit=float(doc["r_wl"]),
-                r_bitline_unit=float(doc["r_bl"]),
-                c_wordline_unit=float(doc["c_wl"]),
-                c_bitline_unit=float(doc["c_bl"]),
-                c_sense=float(doc["c_sense"]),
-                t_iso_on=float(doc["t_iso_on"]),
-                leakage_per_cell=float(doc["leakage_per_cell"]),
-                e_spike=float(doc["e_spike"]),
-                e_route_hop=float(doc["e_route_hop"]),
-                p_wordline_raise=float(doc["p_wordline_raise"]),
-                states=states,
-            )
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            node, states = doc["node"], doc["states"]
+            if type(node) is not str:
+                raise ValueError(f"node: expected a string, got {node!r}")
+            ohms = json_floats([s["ohms"] for s in states], "ohms")
+            return cls(node_label=node,
+                       **{field: json_floats([doc[key]], key)[0] for field, key in _JSON_NUMBERS.items()},
+                       states=tuple(ResistanceState(s["label"], r) for s, r in zip(states, ohms)))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad technology document: {exc}") from exc
+
+
+# The numeric fields of TechnologyParams and their keys in a technology document.
+_JSON_NUMBERS = {
+    "feature_size_nm": "feature_size_nm", "r_wordline_unit": "r_wl", "r_bitline_unit": "r_bl",
+    "c_wordline_unit": "c_wl", "c_bitline_unit": "c_bl", "c_sense": "c_sense", "t_iso_on": "t_iso_on",
+    "leakage_per_cell": "leakage_per_cell", "e_spike": "e_spike", "e_route_hop": "e_route_hop",
+    "p_wordline_raise": "p_wordline_raise",
+}
 
 
 def load_tech(path) -> TechnologyParams:

@@ -166,6 +166,8 @@ def write_boundary_files(directory):
     spk-neuron-huge.csv (a neuron id no intp holds), spec-n-inf.json
     (N = Infinity), spec-p-fraction.json (P = 2.5), tech-huge.json (an energy
     no float holds), tech-inf.json and tech-nan.json (a non-finite energy),
+    tech-bool.json and tech-string.json (an energy of true and of "2.36e-11"),
+    tech-ohms-bool.json (a state of true ohms), tech-node-int.json (node 5),
     net-<name>.json for each BAD_NETWORKS entry and placement-<name>.json for
     each BAD_PLACEMENTS entry.
     """
@@ -186,8 +188,14 @@ def write_boundary_files(directory):
     (directory / "spk-neuron-huge.csv").write_text(f"neuron,time_us\n{pre[0]},100.0\n{2**70},200.0\n")
     (directory / "spec-n-inf.json").write_text(json.dumps({**spec.to_json(), "n": math.inf}))
     (directory / "spec-p-fraction.json").write_text(json.dumps({**spec.to_json(), "p": 2.5}))
-    for name, value in (("huge", 2**1100), ("inf", math.inf), ("nan", math.nan)):
-        (directory / f"tech-{name}.json").write_text(json.dumps({**preset("16nm").to_json(), "e_spike": value}))
+    tech = preset("16nm").to_json()
+    for name, value in (("huge", 2**1100), ("inf", math.inf), ("nan", math.nan), ("bool", True),
+                        ("string", "2.36e-11")):
+        (directory / f"tech-{name}.json").write_text(json.dumps({**tech, "e_spike": value}))
+    states = [dict(state) for state in tech["states"]]
+    states[0]["ohms"] = True
+    (directory / "tech-ohms-bool.json").write_text(json.dumps({**tech, "states": states}))
+    (directory / "tech-node-int.json").write_text(json.dumps({**tech, "node": 5}))
     doc = json.loads((directory / "net.json").read_text())
     for name, edit in BAD_NETWORKS.items():
         bad = copy.deepcopy(doc)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from xbarsim import save_network, save_spec, save_spikes
+from xbarsim import files, reports, save_network, save_spec, save_spikes
 from xbarsim.cli import main, resolve_tech
 from xbarsim.crossbar import CrossbarSpec
 from xbarsim.fixtures import mapping_demo_network
@@ -263,6 +263,27 @@ def test_outputs_match_golden_digests(tmp_path):
     assert _output_digests(tmp_path) == GOLDEN_DIGESTS
 
 
+def test_readme_flow_never_reaches_the_checked_csv_reader(tmp_path, monkeypatch):
+    """gen -> map -> simulate -> dse at the README size (64 clusters, pre/post
+    8:120) reads every table it wrote through numpy: files.read_table, the
+    checked row-by-row reader, is only a fallback for tables numpy refuses."""
+    def refuse(*args):
+        raise AssertionError("the checked csv reader was called")
+
+    monkeypatch.setattr(files, "read_table", refuse)
+    monkeypatch.setattr(reports, "read_table", refuse)
+    save_spec(CrossbarSpec(n=128, n_h=16, n_l=16, p=96, q=96), tmp_path / "spec.json")
+    save_spec(CrossbarSpec(n=128), tmp_path / "base_spec.json")
+    net, spikes, place = (str(tmp_path / name) for name in ("net.json", "spikes.csv", "placement.json"))
+    assert run(["gen", "--clusters", "64", "--pre", "8:120", "--post", "8:120", "--density", "0.12",
+                "--seed", "7", "--out-network", net, "--out-spikes", spikes]) == 0
+    assert run(["map", "--network", net, "--spec", str(tmp_path / "spec.json"), "--out", place]) == 0
+    assert run(["simulate", "--placement", place, "--spikes", spikes, "--duration", "1.0",
+                "--node", "16nm", "--out", str(tmp_path / "reports")]) == 0
+    assert run(["dse", "--networks", net, "--spec", str(tmp_path / "base_spec.json"),
+                "--grid", "96,112,128", "--out", str(tmp_path / "sweep.csv")]) == 0
+
+
 @pytest.mark.parametrize("option, value", [
     ("--mix", "HRS=abc"),
     ("--mix", "HRS"),
@@ -315,6 +336,10 @@ MALFORMED_INPUTS = {
     "node-energy-huge": _map("--node", "tech-huge.json"),
     "node-energy-inf": _simulate("--node", "tech-inf.json"),
     "node-energy-nan": _simulate("--node", "tech-nan.json"),
+    "node-energy-bool": _simulate("--node", "tech-bool.json"),
+    "node-energy-string": _simulate("--node", "tech-string.json"),
+    "node-ohms-bool": _simulate("--node", "tech-ohms-bool.json"),
+    "node-label-int": _simulate("--node", "tech-node-int.json"),
     "placement-invalid-json": _simulate(placement="bad.json"),
     "network-not-utf8": _map(network="bad.bin"),
     "spikes-not-utf8": _simulate(spikes="bad.bin"),

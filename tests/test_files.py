@@ -30,7 +30,7 @@ from xbarsim import (
     save_tech,
 )
 from xbarsim.errors import ParseError, ValidationError
-from xbarsim.files import _CHUNK_ROWS, _RECORDS_PER_CALL, Records, json_ints, read_table, write_json, write_table
+from xbarsim.files import _RECORDS_PER_CALL, Records, json_floats, json_ints, read_table, write_json, write_table
 from xbarsim.fixtures import mapping_demo_network
 from xbarsim.mapper import placement_from_json, placement_to_json
 from xbarsim.techmodel import PRESETS
@@ -138,6 +138,43 @@ def test_json_ints_rejects_other_values(value):
     with pytest.raises(ValueError) as exc:
         json_ints([1, 2.0, value, 0.5], "p")
     assert str(exc.value) == f"p: expected an integer, got {value!r}"
+
+
+def test_json_floats_accepts_ints_and_finite_floats():
+    got = json_floats([3, 2.36e-11, -2.0, 2**70, 0], "e_spike")
+    assert got == [3.0, 2.36e-11, -2.0, 2.0**70, 0.0] and {type(v) for v in got} == {float}
+
+
+@pytest.mark.parametrize("value", [True, False, "2.36e-11", None, [1.0], {"v": 1.0},
+                                   math.inf, -math.inf, math.nan, 2**1100, -2**1100], ids=repr)
+def test_json_floats_rejects_other_values(value):
+    with pytest.raises(ValueError) as exc:
+        json_floats([1, 2.5, value, "x"], "e_spike")
+    assert str(exc.value) == f"e_spike: expected a finite number, got {value!r}"
+
+
+# every number of a technology document: its top-level numeric keys, and the ohms of each of its states
+_TECH_NUMBERS = [*sorted(set(preset("16nm").to_json()) - {"node", "states"}), *range(len(preset("16nm").states))]
+
+
+@pytest.mark.parametrize("value", [True, "1.5", None])
+@pytest.mark.parametrize("field", _TECH_NUMBERS)
+def test_load_tech_takes_only_finite_json_numbers(tmp_path, field, value):
+    doc = preset("16nm").to_json()
+    key, holder = ("ohms", doc["states"][field]) if isinstance(field, int) else (field, doc)
+    holder[key] = value
+    path = tmp_path / "tech.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=rf"^bad technology document: {key}: expected a finite number, got "):
+        load_tech(path)
+
+
+@pytest.mark.parametrize("node", [5, None, ["16nm"]])
+def test_load_tech_takes_only_a_string_node(tmp_path, node):
+    path = tmp_path / "tech.json"
+    path.write_text(json.dumps({**preset("16nm").to_json(), "node": node}))
+    with pytest.raises(ValidationError, match="^bad technology document: node: expected a string, got "):
+        load_tech(path)
 
 
 def test_read_table_streams_rows(tmp_path):
@@ -253,11 +290,11 @@ def test_write_json_rejects_what_json_rejects(tmp_path, doc):
     assert str(ours.value) == str(theirs.value)
 
 
-# --- read_table: chunked and column-wise, every message as a row-by-row reader gives it
+# --- read_table: every row and message as an independent row-by-row reader gives them
 
 
 def _reference_read_table(path, header, what):
-    """The row-at-a-time reader read_table replaced: the oracle for its rows and messages."""
+    """A row-at-a-time reader written apart from read_table: the oracle for its rows and messages."""
     names, parse = list(header), list(header.values())
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -290,7 +327,10 @@ def _table(rows: int, edits: dict) -> str:
     return "\r\n".join(lines) + "\r\n"
 
 
-_LAST = _CHUNK_ROWS + 1  # the line of the first chunk's last row (the header is line 1)
+# The tables below put their edits around line 4,096, where a reader that
+# parsed 4,096 rows at a time ended its first block.
+_CHUNK_ROWS = 4096
+_LAST = _CHUNK_ROWS + 1  # the line of the first block's last row (the header is line 1)
 
 _CHUNKED_TABLES = {
     **{f"{kind}-line-{line}": _table(2 * _CHUNK_ROWS + 100, {line: text})
@@ -330,7 +370,7 @@ def test_read_table_names_bad_row_line_in_first_chunk(tmp_path):
 
 
 def test_read_table_names_undecodable_bytes_after_bad_row(tmp_path):
-    """A bad value comes before bytes that are not UTF-8 in the same chunk; the value is reported.
+    """A bad value comes before bytes that are not UTF-8; the value is reported.
 
     The file is decoded ahead of the csv reader, so the bytes sit some
     kilobytes after the value."""

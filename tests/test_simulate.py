@@ -45,7 +45,7 @@ from xbarsim import (
 from xbarsim import ControlMode
 from xbarsim.fixtures import isi_demo, mapping_demo_network
 from xbarsim import simulate, techmodel
-from xbarsim.simulate import _synapse_spike_counts, synapse_latency_totals
+from xbarsim.simulate import LatencyStats, _synapse_spike_counts, synapse_latency_totals
 from xbarsim.techmodel import PRESETS
 from xbarsim.errors import (
     EmptyCounts,
@@ -279,6 +279,11 @@ def test_latency_stats_single_synapse():
     assert agg.best == agg.worst == agg.mean
     assert agg.diff == 0.0
     assert agg.ratio == 1.0
+
+
+def test_latency_stats_of_zero_latencies_has_ratio_one():
+    stats = LatencyStats.from_values([0.0, 0.0])
+    assert (stats.best, stats.worst, stats.diff, stats.ratio, stats.mean) == (0.0, 0.0, 0.0, 1.0, 0.0)
 
 
 def test_latency_stats_two_path_spreads():

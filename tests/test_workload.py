@@ -35,7 +35,7 @@ from xbarsim.crossbar import STATE_LABELS
 from xbarsim.fixtures import mapping_demo_network
 from xbarsim.errors import Infeasible, InvalidParams, NonPositiveWeight, ParseError, ValidationError
 from xbarsim import files
-from xbarsim.files import read_columns
+from xbarsim.files import read_table
 from xbarsim.workload import network_from_json, network_to_json
 
 
@@ -82,9 +82,8 @@ def load_spikes_reference(path) -> list[SpikeTrain]:
     """load_spikes as it was before numpy read the trace: the stdlib csv reader, int() and
     float() per cell, and one list per neuron."""
     per_neuron: dict[int, list[float]] = {}
-    for neuron_column, time_column in read_columns(path, {"neuron": int, "time_us": float}, "spike"):
-        for neuron, t_us in zip(neuron_column, time_column):
-            per_neuron.setdefault(neuron, []).append(t_us / 1e6)
+    for neuron, t_us in read_table(path, {"neuron": int, "time_us": float}, "spike"):
+        per_neuron.setdefault(neuron, []).append(t_us / 1e6)
     return [SpikeTrain(neuron=nid, times=tuple(sorted(ts))) for nid, ts in sorted(per_neuron.items())]
 
 
@@ -160,7 +159,7 @@ def test_spike_train_invariants():
 
 
 def test_load_spikes_groups_by_neuron_and_sorts(tmp_path):
-    """Rows in any order, over several read chunks: one train per neuron, ascending ids, times sorted."""
+    """Rows in any order, 9,000 of them: one train per neuron, ascending ids, times sorted."""
     rng = np.random.default_rng(3)
     rows = [(int(n), float(t)) for n, t in zip(rng.integers(0, 50, 9000), rng.uniform(0, 1e6, 9000))]
     path = tmp_path / "spikes.csv"
@@ -546,5 +545,5 @@ def test_load_spikes_parses_written_traces_in_numpy(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("the checked reader read a well-formed trace")
 
-    monkeypatch.setattr(files, "read_columns", refuse)
+    monkeypatch.setattr(files, "read_table", refuse)
     assert load_spikes(path) == expected
