@@ -6,7 +6,8 @@ The partitioned variant splits every bitline between rows P and P+1 and every
 wordline between columns Q and Q+1 (1-based, as printed on the hardware
 schematics), giving four operating configurations selected by two control
 bits. Resistance-state regions A (HRS-only) and B (LRS1-only) occupy the
-near and far N_h/N_l squares.
+near and far N_h/N_l squares. The region rule has one array form, _barred,
+and one checked per-cell form, region_of and permits.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class CrossbarSpec:
         try:
             ints = {key: json_ints([doc[key]], key)[0] for key in ("n", "n_h", "n_l", "p", "q") if key in doc}
             return cls(**ints, control=ControlMode(doc.get("control", "double")))
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad crossbar spec document: {exc}") from exc
 
 
@@ -171,6 +172,14 @@ def region_of(row: int, col: int, spec: CrossbarSpec) -> Region:
 def permits(row: int, col: int, state_label: str, spec: CrossbarSpec) -> bool:
     """True if the cell's region admits the given resistance state."""
     return region_of(row, col, spec).permits(state_label)
+
+
+def _barred(row, col, state, spec: CrossbarSpec):
+    """Where the region of cell (row, col) bars state code `state`: region A admits only
+    HRS, region B only LRS1. Broadcasts numpy arrays; unchecked (see region_of)."""
+    far = spec.n - spec.n_l
+    return (((row < spec.n_h) & (col < spec.n_h) & (state != _STATE_CODE[HRS]))
+            | ((row >= far) & (col >= far) & (state != _STATE_CODE[LRS1])))
 
 
 def config_dimensions(config: Configuration, spec: CrossbarSpec) -> tuple[int, int]:

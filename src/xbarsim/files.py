@@ -90,6 +90,12 @@ def write_json(doc, path) -> None:
         fh.write("\n")
 
 
+def _brief(value) -> str:
+    """repr(value) for a message, cut to its first 20 characters and its length if over 24."""
+    text = repr(value)
+    return text if len(text) <= 24 else f"{text[:20]}... ({len(text)} characters)"
+
+
 def json_ints(values, name: str) -> list[int]:
     """A column of JSON numbers as ints: each an int or a float of integral
     value (128.0). A bool, a fraction, a non-finite number or anything else is
@@ -99,7 +105,7 @@ def json_ints(values, name: str) -> list[int]:
         return values
     bad = [v for v in values if not (type(v) is int or type(v) is float and v.is_integer())]
     if bad:
-        raise ValueError(f"{name}: expected an integer, got {bad[0]!r}")
+        raise ValueError(f"{name}: expected an integer, got {_brief(bad[0])}")
     return list(map(int, values))
 
 
@@ -110,7 +116,7 @@ def json_floats(values, name: str) -> list[float]:
     values = list(values)
     bad = [v for v in values if not (type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX)]
     if bad:
-        raise ValueError(f"{name}: expected a finite number, got {bad[0]!r}")
+        raise ValueError(f"{name}: expected a finite number, got {_brief(bad[0])}")
     return list(map(float, values))
 
 
@@ -264,7 +270,7 @@ def _cell_parser(name: str, dtype):
     def parse(cell: str) -> int:
         value = int(cell)
         if not low <= value <= high:
-            raise ValueError(f"{name} {value} does not fit {np.dtype(dtype)}")
+            raise ValueError(f"{name} {_brief(value)} does not fit {np.dtype(dtype)}")
         return value
 
     return parse

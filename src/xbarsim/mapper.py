@@ -4,23 +4,22 @@ Placement pushes HRS-heavy neurons toward low row/column indices (the short
 paths, where region A admits only HRS) and keeps every synapse on a cell
 whose region permits its state. Configuration selection then picks the
 cheapest array shape that contains the used cells, so the full '11' shape is
-used only when nothing smaller fits. A CrossbarPlacement holds its synapses
-through the one column mechanism of workload.Cluster (see workload).
+used only when nothing smaller holds them. A CrossbarPlacement holds its
+synapses through the one column mechanism of workload.Cluster (see workload).
 
-The algorithm is greedy-with-repair and fully deterministic:
+The algorithm is greedy-with-repair and fully deterministic. Its only state
+is two seat vectors: `rows` (a row per pre-neuron index) and `cols`.
 
-1. sort post-neurons by descending HRS-synapse count into columns 0.., ties
-   by original index; pre-neurons likewise into rows;
-2. while region violations remain (non-HRS in A, non-LRS1 in B), repair
-   with one best-improvement swap pass over rows, then one over columns
-   (batches of disjoint improving swaps per pair scan, until the axis is
-   stable);
-3. if violations still remain, search the band assignment: a cell violates
-   only through its row/column bands, which reduces feasibility to a small
-   constraint problem per cluster. The formulation is exact, but the search
-   is a single greedy trial propagation without backtracking, so it can
+1. seat pre-neurons by descending HRS-synapse count into rows 0.., ties by
+   index; post-neurons likewise into columns;
+2. run three stages in order, stopping as soon as no cell's region bars its
+   state (crossbar._barred): a best-improvement swap pass over rows, one over
+   columns (batches of disjoint improving swaps, until the axis is stable),
+   then the band stage. A cell violates only through its row/column bands, so
+   feasibility is a small constraint problem per cluster; it is exact, but
+   searched by one greedy trial propagation without backtracking, which can
    reject a feasible cluster (see _band_stage);
-4. raise Infeasible if violations persist.
+3. raise Infeasible if violations persist.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from .crossbar import (
     _STATE_CODE,
     Configuration,
     CrossbarSpec,
+    _barred,
     config_by_name,
     config_dimensions,
     legal_configurations,
@@ -47,8 +47,8 @@ from .crossbar import (
 from .errors import CapacityExceeded, IllegalConfig, Infeasible, ValidationError
 from .files import json_ints, read_json, write_json
 from .techmodel import TechnologyParams
-from .workload import Cluster, Network, Route, _routes_from_json, _routes_to_json
-from .workload import _synapses_from_json, _synapses_to_json, _SynapseColumns
+from .workload import Cluster, Network, Route, _route_problems, _routes_from_json, _routes_to_json
+from .workload import _sorted_pairs, _synapses_from_json, _synapses_to_json, _SynapseColumns
 
 
 @dataclass(frozen=True)
@@ -115,14 +115,9 @@ class Placement:
     routes: tuple[Route, ...] = ()
 
 
-def _violations(cluster, not_hrs, not_lrs1, rows, cols, spec):
+def _violations(cluster, rows, cols, spec):
     """Indices of synapses whose cell region rejects their state."""
-    n, n_h, n_l = spec.n, spec.n_h, spec.n_l
-    r = rows[cluster.pre]
-    c = cols[cluster.post]
-    bad = (not_hrs & (r < n_h) & (c < n_h)) \
-        | (not_lrs1 & (r >= n - n_l) & (c >= n - n_l))
-    return np.nonzero(bad)[0]
+    return np.flatnonzero(_barred(rows[cluster.pre], cols[cluster.post], cluster.state, spec))
 
 
 def _swap_repair(spec, occupants, cost_a, cost_b) -> None:
@@ -174,15 +169,6 @@ def _swap_repair(spec, occupants, cost_a, cost_b) -> None:
         occupants[:] = occ
 
 
-def _seat(order, n):
-    """(seat per neuron, occupant per slot) packing `order` into slots 0.."""
-    seats = np.empty(len(order), dtype=int)
-    seats[order] = np.arange(len(order))
-    occ = np.full(n, -1, dtype=int)
-    occ[:len(order)] = order
-    return seats, occ
-
-
 def assign_cluster(cluster: Cluster, spec: CrossbarSpec) -> Assignment:
     """Deterministic greedy-with-repair neuron/synapse assignment."""
     n = spec.n
@@ -196,20 +182,33 @@ def assign_cluster(cluster: Cluster, spec: CrossbarSpec) -> Assignment:
     not_hrs, not_lrs1 = ~is_hrs, cluster.state != _STATE_CODE[LRS1]
     hrs_pre = np.bincount(cluster.pre[is_hrs], minlength=n_pre)
     hrs_post = np.bincount(cluster.post[is_hrs], minlength=n_post)
-    # Stable sort: ties keep their original index order.
-    rows, occ_rows = _seat(np.argsort(-hrs_pre, kind="stable"), n)
-    cols, occ_cols = _seat(np.argsort(-hrs_post, kind="stable"), n)
+    # Seats by descending HRS count, ties in index order: a stable sort's ranks.
+    rows = np.argsort(np.argsort(-hrs_pre, kind="stable"))
+    cols = np.argsort(np.argsort(-hrs_post, kind="stable"))
 
     if spec.n_h > 0 or spec.n_l > 0:
-        if len(_violations(cluster, not_hrs, not_lrs1, rows, cols, spec)):
-            _repair(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols, occ_rows, occ_cols)
-        bad = _violations(cluster, not_hrs, not_lrs1, rows, cols, spec)
+        # Swap repair catches the easy cases; it is local search and stalls on
+        # tightly coupled clusters, which the band stage takes.
+        stages = (lambda: _axis_pass(spec, not_hrs, not_lrs1, cluster.pre, cols[cluster.post], rows),
+                  lambda: _axis_pass(spec, not_hrs, not_lrs1, cluster.post, rows[cluster.pre], cols),
+                  lambda: _band_stage(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols))
+        bad = _violations(cluster, rows, cols, spec)
+        for stage in stages:
+            if not len(bad):
+                break
+            stage()
+            bad = _violations(cluster, rows, cols, spec)
         if len(bad):
             details = [f"synapse {i} ({STATE_LABELS[cluster.state[i]]}) at "
                        f"({rows[cluster.pre[i]]},{cols[cluster.post[i]]})" for i in bad]
             raise Infeasible(f"cluster {cluster.id}: {len(bad)} region violations remain",
                              cluster_id=cluster.id, violations=details)
 
+    return _assignment(cluster, rows, cols)
+
+
+def _assignment(cluster: Cluster, rows, cols) -> Assignment:
+    """The Assignment of seat vectors: a row per pre-neuron index, a column per post-neuron index."""
     return Assignment(
         row_of_pre=dict(zip(cluster.pre_neurons, rows.tolist())),
         col_of_post=dict(zip(cluster.post_neurons, cols.tolist())),
@@ -217,8 +216,8 @@ def assign_cluster(cluster: Cluster, spec: CrossbarSpec) -> Assignment:
     )
 
 
-def _axis_pass(spec, not_hrs, not_lrs1, own, other_seat, seats, occ):
-    """Swap-repair one axis with the other held fixed; mutates `seats` and `occ`.
+def _axis_pass(spec, not_hrs, not_lrs1, own, other_seat, seats):
+    """Swap-repair one axis with the other held fixed; mutates `seats` through its occupant per slot.
 
     own[k] is synapse k's neuron on this axis and other_seat[k] the slot of
     its partner on the other axis, so a neuron's near-band (far-band) cost
@@ -227,29 +226,14 @@ def _axis_pass(spec, not_hrs, not_lrs1, own, other_seat, seats, occ):
     n = len(seats)
     cost_near = np.bincount(own[not_hrs & (other_seat < spec.n_h)], minlength=n)
     cost_far = np.bincount(own[not_lrs1 & (other_seat >= spec.n - spec.n_l)], minlength=n)
-    _swap_repair(spec, occ, cost_near, cost_far)
-    placed = np.nonzero(occ >= 0)[0]
-    seats[occ[placed]] = placed
+    occupants = np.full(spec.n, -1, dtype=int)
+    occupants[seats] = np.arange(n)
+    _swap_repair(spec, occupants, cost_near, cost_far)
+    placed = np.flatnonzero(occupants >= 0)
+    seats[occupants[placed]] = placed
 
 
-def _repair(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols, occ_rows, occ_cols):
-    # One best-improvement cycle over each axis catches the easy cases.
-    _axis_pass(spec, not_hrs, not_lrs1, cluster.pre, cols[cluster.post], rows, occ_rows)
-    if not len(_violations(cluster, not_hrs, not_lrs1, rows, cols, spec)):
-        return
-    _axis_pass(spec, not_hrs, not_lrs1, cluster.post, rows[cluster.pre], cols, occ_cols)
-    if not len(_violations(cluster, not_hrs, not_lrs1, rows, cols, spec)):
-        return
-
-    # Swap repair is local search and stalls on tightly coupled clusters, so
-    # fall back to the band formulation: a cell violates only through the
-    # bands its row and column sit in, which makes feasibility a small
-    # constraint problem over per-neuron band choices. The formulation is
-    # exact, but _band_stage searches it greedily and can miss a solution.
-    _band_stage(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols, occ_rows, occ_cols)
-
-
-def _band_stage(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols, occ_rows, occ_cols) -> None:
+def _band_stage(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols) -> None:
     """Greedy band assignment; reseats every neuron on success.
 
     Violations depend only on which horizontal/vertical band a neuron sits
@@ -266,16 +250,15 @@ def _band_stage(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols,
     in a fixed preference order, each trial propagating forbidden-band and
     band-full eliminations; a trial that empties some neuron's domain is
     rolled back. There is no backtracking over earlier commits, so when no
-    trial fits some neuron the stage gives up and leaves every seat as it
-    was, even if the cluster is feasible. On success, every group packs as
-    low as its band allows, HRS-heavy neurons first so they keep the
-    shortest paths.
+    trial succeeds for some neuron the stage gives up and leaves every seat
+    as it was, even if the cluster is feasible. On success, every group
+    packs as low as its band allows, HRS-heavy neurons first so they keep
+    the shortest paths.
     """
     n, n_h, n_l = spec.n, spec.n_h, spec.n_l
     NEAR, MIDDLE, FAR = 0, 1, 2
     caps = (n_h, n - n_h - n_l, n_l)
-    n_pre, n_post = len(rows), len(cols)
-    n_vars = n_pre + n_post
+    n_pre, n_vars = len(rows), len(rows) + len(cols)  # variables: pre-neurons, then post-neurons
 
     def adjacency(barred):
         # Per neuron: the partners that must leave a band if it takes it.
@@ -290,25 +273,20 @@ def _band_stage(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols,
 
     # Seat supply per axis: near commits may overflow into middle slots and
     # far commits likewise, so the binding budgets are near+middle vs
-    # N_h+mid, far+middle vs N_l+mid, and middle alone vs mid.
+    # N_h+mid, far+middle vs N_l+mid, and middle alone vs mid. A band of zero
+    # budget starts out of every domain, and a commit that fills one bars it.
     budget_near = n_h + caps[MIDDLE]
     budget_far = n_l + caps[MIDDLE]
-    full_domain = (1 << NEAR | 1 << MIDDLE | 1 << FAR) if caps[MIDDLE] > 0 \
-        else (1 << NEAR | 1 << FAR)
-    domain = [full_domain] * n_vars
+    domain = [sum(1 << band for band, budget in ((NEAR, budget_near), (MIDDLE, caps[MIDDLE]), (FAR, budget_far))
+                  if budget > 0)] * n_vars
     committed = [-1] * n_vars
-    used = [[0, 0, 0], [0, 0, 0]]  # per axis
-
-    def axis_of(var):
-        return 0 if var < n_pre else 1
-
-    def vars_of(axis):
-        return range(0, n_pre) if axis == 0 else range(n_pre, n_vars)
+    used = [[0, 0, 0], [0, 0, 0]]  # per axis: 0 holds the pre-neurons, 1 the post-neurons
+    axis_vars = (range(n_pre), range(n_pre, n_vars))
 
     def rollback(undo):
         for v, old in reversed(undo):
             if old == -1:
-                used[axis_of(v)][committed[v]] -= 1
+                used[int(v >= n_pre)][committed[v]] -= 1
                 committed[v] = -1
             else:
                 domain[v] = old
@@ -332,24 +310,14 @@ def _band_stage(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols,
                 queue.append((v, domain[v].bit_length() - 1))
             return True
 
-        def fits(axis, b):
-            near_mid = used[axis][NEAR] + used[axis][MIDDLE]
-            far_mid = used[axis][FAR] + used[axis][MIDDLE]
-            if b == NEAR:
-                return near_mid < budget_near
-            if b == FAR:
-                return far_mid < budget_far
-            return (used[axis][MIDDLE] < caps[MIDDLE]
-                    and near_mid < budget_near and far_mid < budget_far)
-
         ok = True
         while ok and qi < len(queue):
             v, b = queue[qi]
             qi += 1
             if committed[v] == b:
                 continue
-            axis = axis_of(v)
-            if committed[v] != -1 or not domain[v] & (1 << b) or not fits(axis, b):
+            axis = int(v >= n_pre)
+            if committed[v] != -1 or not domain[v] & (1 << b):
                 ok = False
                 break
             undo.append((v, -1))  # commit marker
@@ -369,7 +337,7 @@ def _band_stage(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols,
             if b == MIDDLE and used[axis][MIDDLE] == caps[MIDDLE]:
                 barred |= 1 << MIDDLE
             if ok and barred:
-                ok = all(remove(w, bb) for w in vars_of(axis) if committed[w] == -1
+                ok = all(remove(w, bb) for w in axis_vars[axis] if committed[w] == -1
                          for bb in (NEAR, MIDDLE, FAR) if barred & (1 << bb))
         if not ok:
             rollback(undo)
@@ -390,7 +358,7 @@ def _band_stage(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols,
         if not any(propagate(var, band) for band in preference if domain[var] & (1 << band)):
             return
 
-    def seat(bands, hrs_counts, seats, occ):
+    def seat(bands, hrs_counts, seats):
         # Everything packs as low as its band allows, maximizing the
         # utilization of the collapsed region: near from slot 0 (overflow
         # into middle slots is safe), the middle group next from
@@ -402,13 +370,10 @@ def _band_stage(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols,
         order = np.lexsort((-hrs_counts, bands))
         n_near = np.count_nonzero(bands == NEAR)
         pos = np.arange(len(order))
-        slots = pos + (pos >= n_near) * max(n_h - n_near, 0)
-        seats[order] = slots
-        occ[:] = -1
-        occ[slots] = order
+        seats[order] = pos + (pos >= n_near) * max(n_h - n_near, 0)
 
-    seat(committed[:n_pre], hrs_pre, rows, occ_rows)
-    seat(committed[n_pre:], hrs_post, cols, occ_cols)
+    seat(committed[:n_pre], hrs_pre, rows)
+    seat(committed[n_pre:], hrs_post, cols)
 
 
 def select_configuration(assignment: Assignment, spec: CrossbarSpec) -> Configuration:
@@ -480,24 +445,9 @@ def map_network_control(network: Network, hardware: Hardware, seed: int = 0) -> 
         n_pre, n_post = len(cluster.pre_neurons), len(cluster.post_neurons)
         if n_pre > spec.n or n_post > spec.n:
             raise Infeasible(f"cluster {cluster.id} exceeds crossbar", cluster_id=cluster.id)
-        row_slots = rng.permutation(spec.n)[:n_pre]
-        col_slots = rng.permutation(spec.n)[:n_post]
-        return Assignment(
-            row_of_pre={nid: int(row_slots[i]) for i, nid in enumerate(cluster.pre_neurons)},
-            col_of_post={nid: int(col_slots[j]) for j, nid in enumerate(cluster.post_neurons)},
-            cells=tuple(zip(row_slots[cluster.pre].tolist(), col_slots[cluster.post].tolist())),
-        )
+        return _assignment(cluster, rng.permutation(spec.n)[:n_pre], rng.permutation(spec.n)[:n_post])
 
     return _map_clusters(network, hardware, shuffled)
-
-
-def _sorted_pairs(a, b):
-    """The order that sorts the (a, b) pairs, and along it whether each entry starts a new distinct pair."""
-    order = np.lexsort((b, a))
-    a, b = a[order], b[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    return order, first
 
 
 def _disagrees(mapping: dict, keys, values) -> np.ndarray:
@@ -512,8 +462,24 @@ def _disagrees(mapping: dict, keys, values) -> np.ndarray:
 
 
 def check_placement(placement: Placement) -> list[str]:
-    """Independent soundness audit; returns human-readable problems (empty = sound), never raises."""
+    """Independent soundness audit; returns human-readable problems (empty = sound), never raises.
+
+    Besides each crossbar's cells, it checks what map_network guarantees of
+    the whole: crossbar_count is at least 1 and at least the number of
+    crossbars, crossbar ids and cluster ids are distinct, and both ends of
+    every route name a placed cluster and one of its neurons.
+    """
     problems = []
+    placed = len(placement.crossbars)
+    if placement.crossbar_count < max(1, placed):
+        problems.append(f"crossbar_count {placement.crossbar_count} is below {max(1, placed)} "
+                        f"({placed} crossbars placed)")
+    for name, ids in (("crossbar", [xb.crossbar_id for xb in placement.crossbars]),
+                      ("cluster", [xb.cluster_id for xb in placement.crossbars])):
+        if len(set(ids)) != len(ids):
+            problems.append(f"duplicate {name} ids")
+    problems += _route_problems(placement.routes, {xb.cluster_id: xb.row_of_pre.keys() | xb.col_of_post.keys()
+                                                   for xb in placement.crossbars})
     for xb in placement.crossbars:
         try:
             rows, cols = config_dimensions(xb.config, xb.spec)
@@ -524,12 +490,7 @@ def check_placement(placement: Placement) -> list[str]:
             problems.append(f"crossbar {xb.crossbar_id}: synapse cells not injective")
         inconsistent = _disagrees(xb.row_of_pre, xb.pre, xb.row) | _disagrees(xb.col_of_post, xb.post, xb.col)
         outside = ~((0 <= xb.row) & (xb.row < rows) & (0 <= xb.col) & (xb.col < cols))
-        # Region A admits only HRS, B only LRS1, C every state.
-        far = xb.spec.n - xb.spec.n_l
-        in_a = (xb.row < xb.spec.n_h) & (xb.col < xb.spec.n_h)
-        in_b = (xb.row >= far) & (xb.col >= far)
-        forbidden = ~outside & ((in_a & (xb.state != _STATE_CODE[HRS]))
-                                | (in_b & (xb.state != _STATE_CODE[LRS1])))
+        forbidden = ~outside & _barred(xb.row, xb.col, xb.state, xb.spec)
         for i in np.nonzero(inconsistent | outside | forbidden)[0].tolist():
             cell = f"({xb.row[i]},{xb.col[i]})"
             if inconsistent[i]:

@@ -16,7 +16,7 @@ from math import inf
 
 import numpy as np
 
-from .crossbar import CONFIG_11, HRS, LRS1, Configuration, CrossbarSpec, static_energy_weight
+from .crossbar import CONFIG_11, LRS1, _STATE_CODE, Configuration, CrossbarSpec, _barred, static_energy_weight
 from .errors import (
     EmptyCounts,
     EmptyPlacement,
@@ -247,12 +247,9 @@ def _corner_extremes(spec: CrossbarSpec, tech: TechnologyParams, config: Configu
     base = row[:, None] + col[None, :]
     r_idx = np.arange(len(row))[:, None]
     c_idx = np.arange(len(col))[None, :]
-    in_a = (r_idx < spec.n_h) & (c_idx < spec.n_h)
-    in_b = (r_idx >= spec.n - spec.n_l) & (c_idx >= spec.n - spec.n_l)
-    barred = {HRS: in_b, LRS1: in_a}  # A admits only HRS, B only LRS1
     best, worst, total, count = inf, -inf, 0.0, 0
     for state in tech.states:
-        mask = ~barred.get(state.label, in_a | in_b)
+        mask = ~_barred(r_idx, c_idx, _STATE_CODE[state.label], spec)
         if not mask.any():
             continue
         totals = base[mask] + sense_latency(state, tech)

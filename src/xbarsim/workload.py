@@ -25,7 +25,7 @@ import numpy as np
 
 from .crossbar import HRS, LRS1, LRS2, LRS3, STATE_LABELS, _STATE_CODE
 from .errors import InvalidParams, NonPositiveWeight, ValidationError
-from .files import Records, json_ints, read_json, read_numeric_columns, write_grouped_table, write_json
+from .files import Records, _brief, json_ints, read_json, read_numeric_columns, write_grouped_table, write_json
 from .techmodel import DEFAULT_STATES
 
 
@@ -53,6 +53,16 @@ def _index_column(values) -> np.ndarray:
         return np.array(values, dtype=np.intp)
     except OverflowError:  # no intp holds the index, so it is out of range, as -1 is
         return np.array([v if -2**62 < v < 2**62 else -1 for v in values], dtype=np.intp)
+
+
+def _sorted_pairs(a, b):
+    """The order that sorts the (a, b) pairs, and along it whether each entry starts a new
+    distinct pair: the sort is stable, so of equal pairs the first in input order starts."""
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    return order, first
 
 
 class _SynapseColumns:
@@ -133,15 +143,12 @@ class Cluster(_SynapseColumns):
             raise ValidationError(f"cluster {id}: synapse columns differ in length")
         if not count:
             raise ValidationError(f"cluster {id}: at least one synapse required")
-        # The first synapse, in order, that is out of range or repeats an earlier pair. The key
-        # is one number per pair in range; a key an out-of-range synapse shares (it may wrap)
-        # can flag a later synapse as a repeat, but never ahead of that out-of-range one.
+        # The first synapse, in order, that is out of range or repeats an earlier pair.
         outside = ((pre_column < 0) | (pre_column >= len(pre_neurons))
                    | (post_column < 0) | (post_column >= len(post_neurons)))
-        key = pre_column * len(post_neurons) + post_column
-        order = np.argsort(key, kind="stable")
-        repeated = np.zeros(count, dtype=bool)
-        repeated[order[1:]] = key[order[1:]] == key[order[:-1]]
+        order, first = _sorted_pairs(pre_column, post_column)
+        repeated = np.empty(count, dtype=bool)
+        repeated[order] = ~first
         bad = np.flatnonzero(outside | repeated)
         if bad.size:
             i = bad[0]
@@ -173,6 +180,17 @@ class Route:
             raise ValidationError(f"route hop count must be >= 1, got {self.hops}")
 
 
+def _route_problems(routes, neurons: dict):
+    """Yield, in route order, a problem per route end whose cluster is not a key of `neurons`
+    (cluster id -> its neuron ids) or whose neuron is not in that cluster."""
+    for r in routes:
+        for cid, nid, side in ((r.src_cluster, r.src_neuron, "src"), (r.dst_cluster, r.dst_neuron, "dst")):
+            if cid not in neurons:
+                yield f"route {side} references missing cluster {cid}"
+            elif nid not in neurons[cid]:
+                yield f"route {side} neuron {nid} not in cluster {cid}"
+
+
 @dataclass(frozen=True)
 class Network:
     clusters: tuple[Cluster, ...]
@@ -181,16 +199,12 @@ class Network:
     def __post_init__(self):
         object.__setattr__(self, "clusters", tuple(self.clusters))
         object.__setattr__(self, "routes", tuple(self.routes))
-        by_id = {c.id: c for c in self.clusters}
-        if len(by_id) != len(self.clusters):
+        if len({c.id for c in self.clusters}) != len(self.clusters):
             raise ValidationError("duplicate cluster ids")
-        for r in self.routes:
-            for cid, nid, side in ((r.src_cluster, r.src_neuron, "src"), (r.dst_cluster, r.dst_neuron, "dst")):
-                c = by_id.get(cid)
-                if c is None:
-                    raise ValidationError(f"route {side} references missing cluster {cid}")
-                if nid not in c.pre_neurons and nid not in c.post_neurons:
-                    raise ValidationError(f"route {side} neuron {nid} not in cluster {cid}")
+        problem = next(_route_problems(self.routes, {c.id: {*c.pre_neurons, *c.post_neurons}
+                                                     for c in self.clusters}), None)
+        if problem:
+            raise ValidationError(problem)
 
     def cluster(self, cid: int) -> Cluster:
         for c in self.clusters:
@@ -287,7 +301,7 @@ def _ids(values, name: str) -> list[int]:
     ids = json_ints(values, name)
     if ids and not (_INTP.min <= min(ids) and max(ids) <= _INTP.max):
         bad = next(i for i in ids if not _INTP.min <= i <= _INTP.max)
-        raise ValueError(f"id {bad} does not fit {_INTP.dtype}")
+        raise ValueError(f"id {_brief(bad)} does not fit {_INTP.dtype}")
     return ids
 
 

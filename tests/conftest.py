@@ -123,20 +123,37 @@ def _first_synapse(fault):
     return lambda container: fault(container["synapses"][0])
 
 
-# placement documents that parse as JSON but are malformed or unsound;
-# each edits the first crossbar of a valid placement
+def _first_crossbar(edit):
+    return lambda doc: edit(doc["crossbars"][0])
+
+
+def _second_crossbar_copies(key):
+    """An edit giving the second crossbar the first one's `key`."""
+    return lambda doc: doc["crossbars"][1].update({key: doc["crossbars"][0][key]})
+
+
+# placement documents that parse as JSON but are malformed or unsound; each
+# edits a valid placement of 3 crossbars and one route, most its first crossbar
 BAD_PLACEMENTS = {
-    "rows-not-a-map": lambda xb: xb.update(rows=[]),
-    "config-zz": lambda xb: xb.update(config="zz"),
-    "config-01-single": lambda xb: xb.update(config="01", spec={**xb["spec"], "control": "single"}),
-    "row-minus-1": lambda xb: _seat_first_synapse(xb, -1),
-    "row-500": lambda xb: _seat_first_synapse(xb, 500),
-    "state-lrs9": _first_synapse(SYNAPSE_FAULTS["synapse-state-lrs9"]),
-    "pre-not-in-rows": lambda xb: xb["rows"].pop(str(xb["synapses"][0]["pre"])),
-    "cell-shared": lambda xb: xb["synapses"].append(dict(xb["synapses"][0])),
-    "rows-fraction": lambda xb: xb["rows"].update({key: value + 0.25 for key, value in xb["rows"].items()}),
+    "rows-not-a-map": _first_crossbar(lambda xb: xb.update(rows=[])),
+    "config-zz": _first_crossbar(lambda xb: xb.update(config="zz")),
+    "config-01-single": _first_crossbar(lambda xb: xb.update(config="01", spec={**xb["spec"], "control": "single"})),
+    "row-minus-1": _first_crossbar(lambda xb: _seat_first_synapse(xb, -1)),
+    "row-500": _first_crossbar(lambda xb: _seat_first_synapse(xb, 500)),
+    "state-lrs9": _first_crossbar(_first_synapse(SYNAPSE_FAULTS["synapse-state-lrs9"])),
+    "pre-not-in-rows": _first_crossbar(lambda xb: xb["rows"].pop(str(xb["synapses"][0]["pre"]))),
+    "cell-shared": _first_crossbar(lambda xb: xb["synapses"].append(dict(xb["synapses"][0]))),
+    "rows-fraction": _first_crossbar(
+        lambda xb: xb["rows"].update({key: value + 0.25 for key, value in xb["rows"].items()})),
     # state-lrs9 (above) is the synapse-state-lrs9 fault
-    **{name: _first_synapse(fault) for name, fault in SYNAPSE_FAULTS.items() if name != "synapse-state-lrs9"},
+    **{name: _first_crossbar(_first_synapse(fault))
+       for name, fault in SYNAPSE_FAULTS.items() if name != "synapse-state-lrs9"},
+    "crossbar-count-minus-1": lambda doc: doc.update(crossbar_count=-1),
+    "crossbar-count-below-placed": lambda doc: doc.update(crossbar_count=1),
+    "crossbar-id-repeated": _second_crossbar_copies("id"),
+    "cluster-repeated": _second_crossbar_copies("cluster"),
+    "route-src-cluster-missing": lambda doc: doc["routes"][0].update(src_cluster=99),
+    "route-dst-neuron-missing": lambda doc: doc["routes"][0].update(dst_neuron=99),
 }
 
 
@@ -164,7 +181,8 @@ def write_boundary_files(directory):
     placement.json. Malformed: bad.json (invalid JSON), bad.bin (not UTF-8),
     spk-inf.csv and spk-nan.csv (a non-finite spike time),
     spk-neuron-huge.csv (a neuron id no intp holds), spec-n-inf.json
-    (N = Infinity), spec-p-fraction.json (P = 2.5), tech-huge.json (an energy
+    (N = Infinity), spec-p-fraction.json (P = 2.5), spec-list.json and
+    spec-string.json (a spec document of [] and of "x"), tech-huge.json (an energy
     no float holds), tech-inf.json and tech-nan.json (a non-finite energy),
     tech-bool.json and tech-string.json (an energy of true and of "2.36e-11"),
     tech-ohms-bool.json (a state of true ohms), tech-node-int.json (node 5),
@@ -188,6 +206,8 @@ def write_boundary_files(directory):
     (directory / "spk-neuron-huge.csv").write_text(f"neuron,time_us\n{pre[0]},100.0\n{2**70},200.0\n")
     (directory / "spec-n-inf.json").write_text(json.dumps({**spec.to_json(), "n": math.inf}))
     (directory / "spec-p-fraction.json").write_text(json.dumps({**spec.to_json(), "p": 2.5}))
+    (directory / "spec-list.json").write_text("[]")
+    (directory / "spec-string.json").write_text('"x"')
     tech = preset("16nm").to_json()
     for name, value in (("huge", 2**1100), ("inf", math.inf), ("nan", math.nan), ("bool", True),
                         ("string", "2.36e-11")):
@@ -204,5 +224,5 @@ def write_boundary_files(directory):
     doc = json.loads((directory / "placement.json").read_text())
     for name, edit in BAD_PLACEMENTS.items():
         bad = copy.deepcopy(doc)
-        edit(bad["crossbars"][0])
+        edit(bad)
         (directory / f"placement-{name}.json").write_text(json.dumps(bad))

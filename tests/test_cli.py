@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -324,8 +325,8 @@ def _map(*extra, network="net.json", spec="spec.json"):
     return ["map", "--network", network, "--spec", spec, *extra, "--out", "out"]
 
 
-def _dse(*extra):
-    return ["dse", "--networks", "net.json", "--spec", "spec.json", "--grid", "2,4", *extra, "--out", "out"]
+def _dse(*extra, spec="spec.json"):
+    return ["dse", "--networks", "net.json", "--spec", spec, "--grid", "2,4", *extra, "--out", "out"]
 
 
 # each command reads one malformed file or gets one bad numeric flag;
@@ -348,6 +349,8 @@ MALFORMED_INPUTS = {
     "spikes-neuron-huge": _simulate(spikes="spk-neuron-huge.csv"),
     "spec-n-inf": _map(spec="spec-n-inf.json"),
     "spec-p-fraction": _map(spec="spec-p-fraction.json"),
+    "spec-list": _map(spec="spec-list.json"),
+    "spec-string": _map(spec="spec-string.json"),
     **{f"network-{name}": _map(network=f"net-{name}.json") for name in BAD_NETWORKS},
     **{f"placement-{name}": _simulate(placement=f"placement-{name}.json") for name in BAD_PLACEMENTS},
     "simulate-duration-0": _simulate(duration="0"),
@@ -355,6 +358,8 @@ MALFORMED_INPUTS = {
     "simulate-duration-inf": _simulate(duration="inf"),
     "dse-networks-same-stem": ["dse", "--networks", "net.json", "other/net.json", "--spec", "spec.json",
                                "--grid", "2,4", "--out", "out"],
+    "dse-spec-list": _dse(spec="spec-list.json"),
+    "dse-spec-string": _dse(spec="spec-string.json"),
     "dse-duration-0": _dse("--duration", "0"),
     "dse-rate-negative": _dse("--rate", "-1"),
     "dse-rate-nan": _dse("--rate", "nan"),
@@ -389,6 +394,7 @@ def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     assert _exit_code(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    assert not re.search(r"\d{41}", err)  # a refused value is cut short (node-energy-huge's has 332 digits)
     assert not (tmp_path / "out").exists()
 
 

@@ -12,6 +12,7 @@ from xbarsim import (
     Assignment,
     Cluster,
     ControlMode,
+    CrossbarPlacement,
     CrossbarSpec,
     GenParams,
     Hardware,
@@ -23,6 +24,7 @@ from xbarsim import (
     map_network,
     map_network_control,
     permits,
+    Placement,
     preset,
     save_placement,
     select_configuration,
@@ -94,8 +96,7 @@ def test_violations_match_permits_brute_force(rng, spec):
         cols = rng.permutation(spec.n)[:len(cluster.post_neurons)]
         expected = [k for k, s in enumerate(cluster.synapses)
                     if not permits(int(rows[s.pre]), int(cols[s.post]), s.state, spec)]
-        got = _violations(cluster, cluster.state != STATE_LABELS.index("HRS"),
-                          cluster.state != STATE_LABELS.index("LRS1"), rows, cols, spec)
+        got = _violations(cluster, rows, cols, spec)
         assert got.tolist() == expected
 
 
@@ -163,9 +164,14 @@ def test_swap_repair_matches_full_matrix_pass_at_benchmark_size(rng, spec):
         assert occupants.tolist() == expected.tolist()
 
 
-# sha256 of the JSON of _mapping_record over _mapper_corpus: planted part, random part.
+# sha256 of the JSON of _mapping_record over _mapper_corpus (planted part, random part),
+# then over _edge_corpus.
 GOLDEN_MAPPER_DIGESTS = ["a24d2ea7ef55d4690504fae4bf14ca1d0a3788df2b46e3710cc20b4c56748974",
-                         "1804ea0a690bfeeb2dfdb12433697c80ee43645e60e6299aa4deb463f35dfc52"]
+                         "1804ea0a690bfeeb2dfdb12433697c80ee43645e60e6299aa4deb463f35dfc52",
+                         "ba5c378da72b8f8679fc47b70c6df11bd40fdc1f23e9270072e2de286797317c"]
+
+# A zero band budget (N_h = N, then N_l = N), and no middle band (N_h + N_l = N).
+EDGE_SPECS = (CrossbarSpec(n=8, n_h=8), CrossbarSpec(n=8, n_l=8), CrossbarSpec(n=8, n_h=3, n_l=5))
 
 
 def _mapper_corpus():
@@ -176,6 +182,16 @@ def _mapper_corpus():
                  for c in generate_synthetic(GenParams(clusters=8, pre_range=(8, 120), post_range=(8, 120),
                                                        density=0.12, duration=0.01, seed=seed))[0].clusters]
     return planted + synthetic
+
+
+def _edge_corpus():
+    """Small seeded corpus on EDGE_SPECS: per spec, random clusters of up to 8 x 8
+    with only HRS, only LRS1, HRS and LRS1, or every state."""
+    rng = np.random.default_rng(2025)
+    mixes = ([0, 0, 0, 1], [1, 0, 0, 0], [0.5, 0, 0, 0.5], [0.25, 0.25, 0.25, 0.25])
+    return [(random_cluster(rng, k, int(rng.integers(1, 9)), int(rng.integers(1, 9)),
+                            float(rng.uniform(0.1, 0.6)), mixes[k % len(mixes)]), spec)
+            for spec in EDGE_SPECS for k in range(12)]
 
 
 def _mapping_record(cluster, spec):
@@ -197,9 +213,15 @@ def test_mapper_outputs_match_golden_digests(monkeypatch):
             return _stage(*args)
         monkeypatch.setattr(mapper, name, counted)
     records = [_mapping_record(cluster, spec) for cluster, spec in _mapper_corpus()]
-    digests = [hashlib.sha256(json.dumps(part).encode()).hexdigest() for part in (records[:16], records[16:])]
+    band_calls = calls["_band_stage"]
+    # The edge corpus reaches the band stage, and maps some clusters and rejects others.
+    edge = [_mapping_record(cluster, spec) for cluster, spec in _edge_corpus()]
+    digests = [hashlib.sha256(json.dumps(part).encode()).hexdigest()
+               for part in (records[:16], records[16:], edge)]
     assert calls["_swap_repair"] > 0 and calls["_band_stage"] > 0
     assert sum(r[0] == "infeasible" for r in records) == 1
+    assert calls["_band_stage"] - band_calls >= len(EDGE_SPECS)
+    assert 0 < sum(r[0] == "infeasible" for r in edge) < len(edge)
     assert digests == GOLDEN_MAPPER_DIGESTS
 
 
@@ -437,6 +459,22 @@ def test_check_placement_reports_illegal_configuration():
     xb = dataclasses.replace(placement.crossbars[0], config=CONFIG_01)
     problems = check_placement(_replace_first_crossbar(placement, xb))
     assert problems[0] == f"crossbar {xb.crossbar_id}: configuration '01' illegal under single control"
+
+
+@pytest.mark.parametrize("spec", BAND_SPECS)
+def test_check_placement_region_verdicts_match_permits(spec):
+    # One synapse on every cell in one state: check_placement flags exactly
+    # the cells where the checked per-cell rule refuses that state.
+    cells = [(r, c) for r in range(spec.n) for c in range(spec.n)]
+    for code, label in enumerate(STATE_LABELS):
+        xb = CrossbarPlacement(crossbar_id=0, cluster_id=0, spec=spec, config=CONFIG_11,
+                               row_of_pre={r: r for r in range(spec.n)},
+                               col_of_post={spec.n + c: c for c in range(spec.n)},
+                               pre=[r for r, _ in cells], post=[spec.n + c for _, c in cells],
+                               state=[code] * len(cells), row=[r for r, _ in cells], col=[c for _, c in cells])
+        expected = [f"crossbar 0: state {label} forbidden at ({r},{c})"
+                    for r, c in cells if not permits(r, c, label, spec)]
+        assert check_placement(Placement(crossbars=(xb,), crossbar_count=1)) == expected
 
 
 def test_region_constrained_states_still_respected_with_random_states(rng):
