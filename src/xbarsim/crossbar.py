@@ -22,7 +22,7 @@ from .errors import (
     IndexOutOfRange,
     ValidationError,
 )
-from .files import json_ints, read_json, write_json
+from .files import _brief, json_ints, read_json, write_json
 
 HRS = "HRS"
 LRS1 = "LRS1"
@@ -33,6 +33,10 @@ STATE_LABELS = (LRS1, LRS2, LRS3, HRS)
 # Resistance state label -> its index in STATE_LABELS, the state code that
 # cluster and placement columns store.
 _STATE_CODE = {label: code for code, label in enumerate(STATE_LABELS)}
+
+# The largest crossbar dimension N a spec takes. The latency evaluator builds
+# N x N float arrays (simulate._corner_extremes), 134 MB each at this bound.
+MAX_N = 4096
 
 
 class ControlMode(str, Enum):
@@ -50,6 +54,7 @@ class CrossbarSpec:
     """The tuple <N, N_h, N_l, P, Q> plus the control-granularity flag.
 
     Baseline (unpartitioned, unconstrained) is n_h = n_l = 0, p = q = n.
+    N is at most MAX_N.
     """
 
     n: int
@@ -64,8 +69,8 @@ class CrossbarSpec:
             object.__setattr__(self, "p", self.n)
         if self.q is None:
             object.__setattr__(self, "q", self.n)
-        if self.n < 1:
-            raise ValidationError(f"crossbar dimension must be >= 1, got {self.n}")
+        if not 1 <= self.n <= MAX_N:
+            raise ValidationError(f"crossbar dimension must satisfy 1 <= N <= {MAX_N}, got {_brief(self.n)}")
         if not (1 <= self.p <= self.n and 1 <= self.q <= self.n):
             raise ValidationError(f"partition points must satisfy 1 <= P,Q <= N: P={self.p} Q={self.q} N={self.n}")
         if self.n_h < 0 or self.n_l < 0 or self.n_h + self.n_l > self.n:

@@ -2,19 +2,18 @@
 
 JSON is written with exactly the bytes of `json.dumps(doc, indent=2,
 sort_keys=True) + "\\n"`, streamed container by container. Each container
-whose values are all scalars goes through the C encoder in one call. A list of
-records held as Records (its columns) is written through one %-template per
-record, a block of records at a time, and builds no dict. JSON is read by the
-C scanner, which refuses the NaN and Infinity tokens. CSV is written in the
-csv module's default dialect (CRLF line ends). A numeric table is parsed
-whole by numpy's C text reader, and read again by the checked reader if numpy
-refuses anything in it, so that it gives the checked reader's values and
-errors. The checked reader, read_table, reads any table row by row.
+whose values are all scalars, such as a column of synapse indices, goes
+through the C encoder in one call. JSON is read by the C scanner, which
+refuses the NaN and Infinity tokens. CSV is written in the csv module's
+default dialect (CRLF line ends). A numeric table is parsed whole by numpy's
+C text reader, and read again by the checked reader if numpy refuses anything
+in it, so that it gives the checked reader's values and errors. The checked
+reader, read_table, reads any table row by row.
 
-Undecodable input (bad JSON or CSV, non-UTF-8 bytes, a wrong header or row
-width, a bad value) raises ParseError; a table's message names the line. A
-JSON NaN or Infinity token is a ValidationError, as any other non-finite
-number a document holds is.
+Undecodable input (bad JSON or CSV, non-UTF-8 bytes, an integer literal
+beyond Python's digit limit, a wrong header or row width, a bad value) raises
+ParseError; a table's message names the line. A JSON NaN or Infinity token is
+a ValidationError, as any other non-finite number a document holds is.
 """
 
 from __future__ import annotations
@@ -24,9 +23,7 @@ import io
 import json
 import sys
 import warnings
-from itertools import islice
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 import numpy as np
 
@@ -36,35 +33,9 @@ _FLOAT_MAX = sys.float_info.max
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
-# Records that write_json formats per write() call: the text of a block is
-# held until it is written, about 50 bytes for each key and value.
-_RECORDS_PER_CALL = 256
-
 # The C encoder, sorting keys, with "\0" as the item separator: ensure_ascii
 # escapes a NUL inside a string, so every raw "\0" in its output is a separator.
 _encode = json.JSONEncoder(sort_keys=True, separators=("\0", ": ")).encode
-
-
-class Records:
-    """A list of JSON records held as its columns: `names` are the distinct
-    string keys of every record and `columns` one list of JSON scalars per
-    name, all of one length. It iterates as the dicts it stands for, so
-    json.dumps(doc, indent=2, sort_keys=True, default=list) gives the bytes
-    that write_json writes for it."""
-
-    __slots__ = ("names", "columns")
-
-    def __init__(self, names, columns):
-        self.names, self.columns = tuple(names), tuple(columns)
-        if len(self.columns) != len(self.names) or len(set(map(len, self.columns))) > 1:
-            raise ValueError(f"Records: need one column per name, all of one length: got {len(self.names)} "
-                             f"names and columns of lengths {[len(column) for column in self.columns]}")
-
-    def __len__(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
-
-    def __iter__(self):
-        return (dict(zip(self.names, values)) for values in zip(*self.columns))
 
 
 def _refuse_constant(token: str):
@@ -72,13 +43,15 @@ def _refuse_constant(token: str):
 
 
 def read_json(path):
-    """The document in `path`. JSON that does not decode is a ParseError; a
-    NaN, Infinity or -Infinity token, which json reads but JSON does not
-    have, is a ValidationError, as a non-finite value is in every document."""
+    """The document in `path`. JSON that does not decode, or that holds an
+    integer literal longer than sys.get_int_max_str_digits() allows, is a
+    ParseError; a NaN, Infinity or -Infinity token, which json reads but JSON
+    does not have, is a ValidationError, as a non-finite value is in every
+    document."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh, parse_constant=_refuse_constant)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError and the digit limit
         raise ParseError(f"{path}: {exc}") from exc
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
@@ -96,16 +69,17 @@ def _brief(value) -> str:
     return text if len(text) <= 24 else f"{text[:20]}... ({len(text)} characters)"
 
 
-def json_ints(values, name: str) -> list[int]:
+def json_ints(values, name: str, indexed: bool = False) -> list[int]:
     """A column of JSON numbers as ints: each an int or a float of integral
     value (128.0). A bool, a fraction, a non-finite number or anything else is
-    a ValueError naming `name` and the first such value."""
+    a ValueError naming `name`, the first such value and, if `indexed`, its
+    index: "pre[3]: expected an integer, got 0.9"."""
     values = list(values)
     if set(map(type, values)) <= {int}:
         return values
-    bad = [v for v in values if not (type(v) is int or type(v) is float and v.is_integer())]
-    if bad:
-        raise ValueError(f"{name}: expected an integer, got {_brief(bad[0])}")
+    bad = next((i for i, v in enumerate(values) if not (type(v) is int or type(v) is float and v.is_integer())), None)
+    if bad is not None:
+        raise ValueError(f"{name}{f'[{bad}]' if indexed else ''}: expected an integer, got {_brief(values[bad])}")
     return list(map(int, values))
 
 
@@ -152,8 +126,6 @@ def _write_value(write, value, newline) -> None:
                 write(("," if i else "") + inner)
                 _write_value(write, item, inner)
             write(newline + "]")
-    elif isinstance(value, Records):
-        _write_columns(write, value, newline)
     else:
         write(_encode(value))
 
@@ -167,29 +139,6 @@ def _write_spread(write, text: str, newline: str) -> None:
     write(text[0] + inner)
     write(text[1:-1].replace("\0", "," + inner))
     write(newline + text[-1])
-
-
-def _write_columns(write, records: Records, newline: str) -> None:
-    """Write `records` as json.dumps lays out the list of dicts it stands for:
-    keys sorted, a column of exact ints through %d and every other value
-    through the encoder, one %-template per record and _RECORDS_PER_CALL
-    records per write."""
-    count = len(records)
-    if not count:
-        write("[]")
-        return
-    record, field = newline + "  ", newline + "    "
-    keys, columns = [], []
-    for name, column in sorted(zip(records.names, records.columns), key=itemgetter(0)):
-        exact_ints = set(map(type, column)) <= {int}
-        keys.append(encode_basestring_ascii(name).replace("%", "%%") + (": %d" if exact_ints else ": %s"))
-        columns.append(column if exact_ints else map(_encode, column))
-    template = "{" + field + ("," + field).join(keys) + record + "}"
-    values = zip(*columns)
-    for start in range(0, count, _RECORDS_PER_CALL):
-        write(("," if start else "[") + record
-              + ("," + record).join(map(template.__mod__, islice(values, _RECORDS_PER_CALL))))
-    write(newline + "]")
 
 
 def _header_matches(row, names) -> bool:

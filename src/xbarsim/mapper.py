@@ -507,8 +507,8 @@ def check_placement(placement: Placement) -> list[str]:
 
 
 def placement_to_json(placement: Placement) -> dict:
-    """The placement document; each crossbar's "synapses" is a Records, which
-    write_json writes, and json.dumps writes with default=list."""
+    """The placement document; each crossbar's "synapses" holds its columns
+    pre, post, state, row and col as lists, each state as its label."""
     return {
         "crossbar_count": placement.crossbar_count,
         "crossbars": [

@@ -6,11 +6,12 @@ columns, and every synapse names a (pre index, post index, resistance state)
 triple. Inter-cluster traffic is summarized as routes with a fixed hop count.
 
 Cluster and mapper.CrossbarPlacement hold synapses alike, as read-only numpy
-columns (the state an index into STATE_LABELS) through _SynapseColumns and one
-JSON record decoder and encoder. The encoder hands the columns to the writer
-as files.Records, so a document's synapse records are never built as dicts.
-Synapse, PlacedSynapse and `.synapses` are read-only compatibility views that
-the benchmark harness and the tests read.
+columns (the state an index into STATE_LABELS) through _SynapseColumns. In the
+network and placement documents, and in partition_simple's layers, a holder's
+"synapses" is one object of column lists, read by one decoder,
+_synapses_from_json; the generic JSON writer writes each column in one
+encoder call. Synapse, PlacedSynapse and `.synapses` are read-only
+compatibility views that the benchmark harness and the tests read.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import accumulate, chain, takewhile
 from math import inf, isfinite
-from operator import gt, itemgetter, lt
+from operator import gt, lt
 
 import numpy as np
 
 from .crossbar import HRS, LRS1, LRS2, LRS3, STATE_LABELS, _STATE_CODE
 from .errors import InvalidParams, NonPositiveWeight, ValidationError
-from .files import Records, _brief, json_ints, read_json, read_numeric_columns, write_grouped_table, write_json
+from .files import _brief, json_ints, read_json, read_numeric_columns, write_grouped_table, write_json
 from .techmodel import DEFAULT_STATES
 
 
@@ -40,12 +41,15 @@ class Synapse:
             raise ValidationError(f"unknown resistance state {self.state!r}")
 
 
-def _state_codes(labels) -> list[int]:
-    """Resistance state labels as indices into STATE_LABELS."""
+def _state_codes(labels, name: str) -> list[int]:
+    """A sequence of resistance state labels as indices into STATE_LABELS. A
+    label that is not one of them is a ValidationError naming `name`, the
+    first such label and its index."""
     try:
         return list(map(_STATE_CODE.__getitem__, labels))
-    except KeyError as exc:
-        raise ValidationError(f"unknown resistance state {exc.args[0]!r}") from None
+    except (KeyError, TypeError):
+        i = next(i for i, label in enumerate(labels) if not (isinstance(label, str) and label in _STATE_CODE))
+        raise ValidationError(f"{name}[{i}]: unknown resistance state {_brief(labels[i])}") from None
 
 
 def _index_column(values) -> np.ndarray:
@@ -121,7 +125,7 @@ class Cluster(_SynapseColumns):
     def __init__(self, id, pre_neurons, post_neurons, synapses):
         synapses = tuple(synapses)
         self._fill(id, pre_neurons, post_neurons, [s.pre for s in synapses], [s.post for s in synapses],
-                   _state_codes([s.state for s in synapses]))
+                   _state_codes([s.state for s in synapses], "state"))
 
     @classmethod
     def from_columns(cls, id, pre_neurons, post_neurons, pre, post, state) -> Cluster:
@@ -254,31 +258,37 @@ def _routes_from_json(docs) -> tuple[Route, ...]:
     return tuple(Route(*(json_ints([r[f.name]], f.name)[0] for f in fields(Route))) for r in docs)
 
 
-def _synapses_to_json(holder: _SynapseColumns) -> Records:
-    """The JSON records of `holder`'s synapses as Records: its columns by name, each state as its label."""
-    return Records(holder._COLUMNS, holder._values())
+def _synapses_to_json(holder: _SynapseColumns) -> dict:
+    """The "synapses" object of `holder`: one list per column, each state as its label."""
+    return dict(zip(holder._COLUMNS, holder._values()))
 
 
-def _synapses_from_json(records, columns: dict) -> dict:
-    """The columns named in `columns` of JSON synapse records, one list each:
-    the state as state codes, every other field through json_ints. An error
-    is the first bad record's."""
-    def parse(records):
-        values = tuple(zip(*map(itemgetter(*columns), records))) or ((),) * len(columns)
-        return {name: _state_codes(map(str, column)) if name == "state" else json_ints(column, name)
-                for name, column in zip(columns, values)}
-
-    try:
-        return parse(records)
-    except (KeyError, TypeError, ValueError, ValidationError):
-        for record in records:
-            parse([record])
-        raise
+def _synapses_from_json(doc, columns: dict) -> dict:
+    """The columns named in `columns` of a "synapses" object of column lists,
+    one list each: the state as state codes, every other column through
+    json_ints. An error names the column, and for a bad value its index; a
+    missing column, one that is not a list, columns of unequal length and a
+    list of synapse records (the old record layout) are refused."""
+    if not isinstance(doc, dict):
+        got = "a list (the old record layout)" if isinstance(doc, list) else _brief(doc)
+        raise ValueError(f"synapses: expected an object of column lists {'/'.join(columns)}, got {got}")
+    values = {}
+    for name in columns:
+        column = doc.get(name)
+        if not isinstance(column, list):
+            raise ValueError(f"synapses.{name}: expected a list, got "
+                             + (_brief(column) if name in doc else "no such column"))
+        values[name] = (_state_codes(column, f"synapses.{name}") if name == "state"
+                        else json_ints(column, f"synapses.{name}", indexed=True))
+    if len(set(map(len, values.values()))) > 1:
+        raise ValueError("synapses: columns of unequal length: "
+                         + ", ".join(f"{name} {len(column)}" for name, column in values.items()))
+    return values
 
 
 def network_to_json(network: Network) -> dict:
-    """The network document; each cluster's "synapses" is a Records, which
-    write_json writes, and json.dumps writes with default=list."""
+    """The network document; each cluster's "synapses" holds its columns
+    pre, post and state as lists, each state as its label."""
     return {
         "clusters": [
             {
@@ -420,7 +430,7 @@ def generate_synthetic(params: GenParams) -> tuple[Network, list[SpikeTrain]]:
     rng = np.random.default_rng(params.seed)
     mix_labels = sorted(params.state_mix)
     mix_probs = np.array([params.state_mix[k] for k in mix_labels])
-    mix_codes = np.array(_state_codes(mix_labels), dtype=np.int8)
+    mix_codes = np.array(_state_codes(mix_labels, "state_mix"), dtype=np.int8)
 
     clusters = []
     next_id = 0
@@ -481,19 +491,20 @@ def _poisson_trains(rng, neurons, rate: float, duration: float) -> list[SpikeTra
 def partition_simple(layer: dict, n: int) -> list[Cluster]:
     """Greedy tiling of one monolithic layer into crossbar-sized clusters.
 
-    The layer is {pre_count, post_count, synapses:[{pre,post,state}]} with
-    indices in [0, pre_count) x [0, post_count). Pre and post index ranges
-    are cut into chunks of n; each chunk pair holding at least one synapse
-    becomes a cluster. The union of cluster synapses is the input set.
+    The layer is {pre_count, post_count, synapses: {pre, post, state}}, its
+    synapses column lists as in a network document, with indices in
+    [0, pre_count) x [0, post_count). Pre and post index ranges are cut into
+    chunks of n; each chunk pair holding at least one synapse becomes a
+    cluster. The union of cluster synapses is the input set.
     """
     if n < 1:
         raise ValidationError(f"crossbar dimension must be >= 1, got {n}")
-    synapses = layer.get("synapses", [])
-    if not synapses:
+    synapses = _synapses_from_json(layer["synapses"], Cluster._COLUMNS)
+    if not synapses["pre"]:
         raise ValidationError("layer has no synapses")
     pre_count, post_count = int(layer["pre_count"]), int(layer["post_count"])
     tiles: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for pre, post, state in zip(*_synapses_from_json(synapses, Cluster._COLUMNS).values()):
+    for pre, post, state in zip(*synapses.values()):
         if not (0 <= pre < pre_count and 0 <= post < post_count):
             raise ValidationError(f"synapse ({pre},{post}) outside layer bounds")
         tiles.setdefault((pre // n, post // n), []).append((pre, post, state))

@@ -103,24 +103,40 @@ def rng():
 
 def _seat_first_synapse(xb, row):
     """Move the first synapse, and its pre-neuron, to `row`."""
-    syn = xb["synapses"][0]
-    syn["row"] = row
-    xb["rows"][str(syn["pre"])] = row
+    synapses = xb["synapses"]
+    synapses["row"][0] = row
+    xb["rows"][str(synapses["pre"][0])] = row
 
 
-# faults in a document's first synapse record; the network and placement
-# documents share one synapse record decoder, so both tables carry each one
+def _repeat_first_synapse(xb):
+    """Append a copy of the first synapse, so that two synapses share its cell."""
+    for column in xb["synapses"].values():
+        column.append(column[0])
+
+
+def _set_first(column, value):
+    """An edit setting entry 0, the first synapse's, of a synapse column."""
+    return lambda holder: holder["synapses"][column].__setitem__(0, value)
+
+
+def _as_records(holder):
+    """Store the synapses in the layout before columns: one record per synapse."""
+    synapses = holder["synapses"]
+    holder["synapses"] = [dict(zip(synapses, values)) for values in zip(*synapses.values())]
+
+
+# faults in the synapse columns of a cluster or crossbar; the network and
+# placement documents share one synapse decoder, so both tables carry each one
 SYNAPSE_FAULTS = {
-    "synapse-pre-inf": lambda record: record.update(pre=math.inf),
-    "synapse-pre-fraction": lambda record: record.update(pre=0.9),
-    "synapse-pre-true": lambda record: record.update(pre=True),
-    "synapse-state-lrs9": lambda record: record.update(state="LRS9"),
-    "synapse-state-missing": lambda record: record.pop("state"),
+    "synapse-pre-inf": _set_first("pre", math.inf),
+    "synapse-pre-fraction": _set_first("pre", 0.9),
+    "synapse-pre-true": _set_first("pre", True),
+    "synapse-state-lrs9": _set_first("state", "LRS9"),
+    "synapse-state-missing": lambda holder: holder["synapses"].pop("state"),
+    "synapse-column-not-a-list": lambda holder: holder["synapses"].update(post=holder["synapses"]["post"][0]),
+    "synapse-columns-unequal": lambda holder: holder["synapses"]["post"].append(0),
+    "synapse-record-layout": _as_records,
 }
-
-
-def _first_synapse(fault):
-    return lambda container: fault(container["synapses"][0])
 
 
 def _first_crossbar(edit):
@@ -140,14 +156,15 @@ BAD_PLACEMENTS = {
     "config-01-single": _first_crossbar(lambda xb: xb.update(config="01", spec={**xb["spec"], "control": "single"})),
     "row-minus-1": _first_crossbar(lambda xb: _seat_first_synapse(xb, -1)),
     "row-500": _first_crossbar(lambda xb: _seat_first_synapse(xb, 500)),
-    "state-lrs9": _first_crossbar(_first_synapse(SYNAPSE_FAULTS["synapse-state-lrs9"])),
-    "pre-not-in-rows": _first_crossbar(lambda xb: xb["rows"].pop(str(xb["synapses"][0]["pre"]))),
-    "cell-shared": _first_crossbar(lambda xb: xb["synapses"].append(dict(xb["synapses"][0]))),
+    "state-lrs9": _first_crossbar(SYNAPSE_FAULTS["synapse-state-lrs9"]),
+    "pre-not-in-rows": _first_crossbar(lambda xb: xb["rows"].pop(str(xb["synapses"]["pre"][0]))),
+    "cell-shared": _first_crossbar(_repeat_first_synapse),
     "rows-fraction": _first_crossbar(
         lambda xb: xb["rows"].update({key: value + 0.25 for key, value in xb["rows"].items()})),
     # state-lrs9 (above) is the synapse-state-lrs9 fault
-    **{name: _first_crossbar(_first_synapse(fault))
+    **{name: _first_crossbar(fault)
        for name, fault in SYNAPSE_FAULTS.items() if name != "synapse-state-lrs9"},
+    "spec-n-huge": _first_crossbar(lambda xb: xb["spec"].update(n=2**70)),
     "crossbar-count-minus-1": lambda doc: doc.update(crossbar_count=-1),
     "crossbar-count-below-placed": lambda doc: doc.update(crossbar_count=1),
     "crossbar-id-repeated": _second_crossbar_copies("id"),
@@ -163,9 +180,9 @@ def _first_cluster(edit):
 
 # network documents that parse as JSON (with its Infinity extension) but hold
 # an id that is not an integer or that no intp holds, a fractional hop count
-# or a bad synapse record; each edits a valid network
+# or bad synapse columns; each edits a valid network
 BAD_NETWORKS = {
-    **{name: _first_cluster(_first_synapse(fault)) for name, fault in SYNAPSE_FAULTS.items()},
+    **{name: _first_cluster(fault) for name, fault in SYNAPSE_FAULTS.items()},
     "id-inf": _first_cluster(lambda cluster: cluster.update(id=math.inf)),
     "pre-neuron-huge": _first_cluster(lambda cluster: cluster["pre"].__setitem__(0, 2**70)),
     # no route names the last cluster, and int() would read 2.5 as a fresh id
@@ -181,7 +198,9 @@ def write_boundary_files(directory):
     placement.json. Malformed: bad.json (invalid JSON), bad.bin (not UTF-8),
     spk-inf.csv and spk-nan.csv (a non-finite spike time),
     spk-neuron-huge.csv (a neuron id no intp holds), spec-n-inf.json
-    (N = Infinity), spec-p-fraction.json (P = 2.5), spec-list.json and
+    (N = Infinity), spec-p-fraction.json (P = 2.5), spec-n-huge.json (N = 2**70),
+    spec-n-huge-regions.json (N = 2**70, N_h = 4), spec-n-digits.json (N of
+    5,000 nines, beyond Python's integer digit limit), spec-list.json and
     spec-string.json (a spec document of [] and of "x"), tech-huge.json (an energy
     no float holds), tech-inf.json and tech-nan.json (a non-finite energy),
     tech-bool.json and tech-string.json (an energy of true and of "2.36e-11"),
@@ -206,6 +225,9 @@ def write_boundary_files(directory):
     (directory / "spk-neuron-huge.csv").write_text(f"neuron,time_us\n{pre[0]},100.0\n{2**70},200.0\n")
     (directory / "spec-n-inf.json").write_text(json.dumps({**spec.to_json(), "n": math.inf}))
     (directory / "spec-p-fraction.json").write_text(json.dumps({**spec.to_json(), "p": 2.5}))
+    (directory / "spec-n-huge.json").write_text(json.dumps({"n": 2**70}))
+    (directory / "spec-n-huge-regions.json").write_text(json.dumps({"n": 2**70, "n_h": 4}))
+    (directory / "spec-n-digits.json").write_text('{"n": ' + "9" * 5000 + "}")
     (directory / "spec-list.json").write_text("[]")
     (directory / "spec-string.json").write_text('"x"')
     tech = preset("16nm").to_json()

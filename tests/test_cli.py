@@ -243,8 +243,8 @@ def _output_digests(tmp_path):
 
 
 GOLDEN_DIGESTS = {
-    "net.json": "b8499b82c40e265c302ee822ecee35186a5055fd20d0c89eed5d18393fc49dcc",
-    "placement.json": "5c99a3128c49f6fb368262332fc156368054db292dd4bc6c639fbaa51d3b25bc",
+    "net.json": "e545f3d9a4b34bb5420d382f5fa8c7204e5a62471f079e3e6380923f116cc2e2",
+    "placement.json": "df61b0b96cb24e6bab24d32a75d75503908be7c398c4e8ec2828eaa424a60fa4",
     "reports/energy.csv": "d127cec1c2f37e7870eb2940340c235015600f83fb5497eda5aa71d1f61d6fbb",
     "reports/isi.csv": "e3d2e13c2f3b4ab1f37454dbbe0f0e81bd595c2d1639495cac0f2ad3aca9770d",
     "reports/latency.csv": "7e696fa0f911d71ea57f0d65d58bc5098c20c64ef8aee87ec98fb5fe68e0fca6",
@@ -349,6 +349,9 @@ MALFORMED_INPUTS = {
     "spikes-neuron-huge": _simulate(spikes="spk-neuron-huge.csv"),
     "spec-n-inf": _map(spec="spec-n-inf.json"),
     "spec-p-fraction": _map(spec="spec-p-fraction.json"),
+    "spec-n-huge": _map(spec="spec-n-huge.json"),
+    "spec-n-huge-regions": _map(spec="spec-n-huge-regions.json"),
+    "spec-n-5000-digits": _map(spec="spec-n-digits.json"),
     "spec-list": _map(spec="spec-list.json"),
     "spec-string": _map(spec="spec-string.json"),
     **{f"network-{name}": _map(network=f"net-{name}.json") for name in BAD_NETWORKS},

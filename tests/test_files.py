@@ -5,17 +5,21 @@ import csv
 import inspect
 import json
 import math
-from itertools import cycle, islice
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from xbarsim import (
+    Cluster,
+    ControlMode,
     CrossbarSpec,
     GenParams,
     Hardware,
+    Network,
+    Route,
+    Synapse,
     generate_synthetic,
     load_network,
     load_placement,
@@ -29,8 +33,9 @@ from xbarsim import (
     save_spec,
     save_tech,
 )
-from xbarsim.errors import ParseError, ValidationError
-from xbarsim.files import _RECORDS_PER_CALL, Records, json_floats, json_ints, read_table, write_json, write_table
+from xbarsim.crossbar import STATE_LABELS
+from xbarsim.errors import Infeasible, ParseError, ValidationError
+from xbarsim.files import json_floats, json_ints, read_table, write_json, write_table
 from xbarsim.fixtures import mapping_demo_network
 from xbarsim.mapper import placement_from_json, placement_to_json
 from xbarsim.techmodel import PRESETS
@@ -62,7 +67,11 @@ def test_loaders_reject_undecodable_files(tmp_path, loader, name):
 
 
 # The exact message of a BAD_PLACEMENTS case, where one is pinned.
-BAD_PLACEMENT_MESSAGES = {"state-lrs9": "bad placement document: unknown resistance state 'LRS9'"}
+BAD_PLACEMENT_MESSAGES = {
+    "state-lrs9": "bad placement document: synapses.state[0]: unknown resistance state 'LRS9'",
+    "synapse-record-layout": "bad placement document: synapses: expected an object of column lists "
+                             "pre/post/state/row/col, got a list (the old record layout)",
+}
 
 
 @pytest.mark.parametrize("name", BAD_PLACEMENTS)
@@ -86,6 +95,48 @@ def test_every_json_document_written_reads_back_equal(tmp_path, node):
                               (save_network, load_network, network), (save_placement, load_placement, placement)):
         save(value, tmp_path / "doc.json")
         assert load(tmp_path / "doc.json") == value
+
+
+_IDS = st.integers(-2**63, 2**63 - 1)
+
+
+@st.composite
+def _networks(draw):
+    """Networks of 1 to 3 clusters, each of 1 to 6 pre- and post-neurons with
+    any int64 ids and 1 or more synapses, and up to 3 routes between them."""
+    clusters = []
+    for cid in draw(st.lists(_IDS, min_size=1, max_size=3, unique=True)):
+        pre, post = (draw(st.lists(_IDS, min_size=1, max_size=6, unique=True)) for _ in range(2))
+        pairs = draw(st.lists(st.tuples(st.integers(0, len(pre) - 1), st.integers(0, len(post) - 1)),
+                              min_size=1, unique=True))
+        states = draw(st.lists(st.sampled_from(STATE_LABELS), min_size=len(pairs), max_size=len(pairs)))
+        clusters.append(Cluster(cid, pre, post, [Synapse(p, q, state) for (p, q), state in zip(pairs, states)]))
+    ends = st.sampled_from(clusters).flatmap(
+        lambda c: st.tuples(st.just(c.id), st.sampled_from(c.pre_neurons + c.post_neurons)))
+    routes = draw(st.lists(st.builds(lambda src, dst, hops: Route(*src, *dst, hops), ends, ends, st.integers(1, 4)),
+                           max_size=3))
+    return Network(clusters, routes)
+
+
+_SPECS = st.builds(CrossbarSpec, n=st.just(8), n_h=st.integers(0, 1), n_l=st.integers(0, 1),
+                   p=st.integers(1, 8), q=st.integers(1, 8), control=st.sampled_from(ControlMode))
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(network=_networks(), spec=_SPECS)
+def test_network_and_placement_documents_read_back_equal(network, spec):
+    """A network and its placement, dumped as write_json writes them, decode to equal values."""
+    assert network_from_json(json.loads(_dumps(network_to_json(network)))) == network
+    try:
+        placement = map_network(network, Hardware(crossbar_count=len(network.clusters), spec=spec,
+                                                  tech=preset("16nm")))
+    except Infeasible:
+        assume(False)
+    assert placement_from_json(json.loads(_dumps(placement_to_json(placement)))) == placement
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
@@ -113,19 +164,49 @@ def test_load_placement_names_file_first_problem_and_count(tmp_path):
         load_placement(path)
 
 
-def test_synapse_record_errors_name_the_first_bad_record():
-    # Records are parsed column by column, then a bad batch record by record: a bad
-    # state in record 0 is reported ahead of a bad pre in record 1.
+# Edits of the demo documents' first "synapses" object, and the message each
+# gives after "bad network document: " or "bad placement document: ". Columns
+# are decoded in the order pre, post, state (, row, col), so the first bad
+# column is reported, and in it the first bad entry.
+_SYNAPSE_COLUMN_ERRORS = [
+    ({"pre": {3: 0.9}, "state": {0: "LRS9"}}, r"synapses\.pre\[3\]: expected an integer, got 0\.9"),
+    ({"pre": {3: 0.9, 1: 0.5}}, r"synapses\.pre\[1\]: expected an integer, got 0\.5"),
+    ({"post": {2: True}, "state": {0: "LRS9"}}, r"synapses\.post\[2\]: expected an integer, got True"),
+    ({"state": {2: "LRS9", 3: 7}}, r"synapses\.state\[2\]: unknown resistance state 'LRS9'"),
+    ({"state": {3: ["HRS"]}}, r"synapses\.state\[3\]: unknown resistance state \['HRS'\]"),
+]
+
+
+def test_synapse_column_errors_name_the_column_and_index():
     network = mapping_demo_network()
     placement = map_network(network, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4), tech=preset("16nm")))
-    network_doc, placement_doc = (json.loads(json.dumps(doc, default=list))
-                                  for doc in (network_to_json(network), placement_to_json(placement)))
-    for records in (network_doc["clusters"][0]["synapses"], placement_doc["crossbars"][0]["synapses"]):
-        records[0]["state"], records[1]["pre"] = "LRS9", 0.5
-    with pytest.raises(ValidationError, match=r"^unknown resistance state 'LRS9'$"):
-        network_from_json(network_doc)
-    with pytest.raises(ValidationError, match=r"^bad placement document: unknown resistance state 'LRS9'$"):
-        placement_from_json(placement_doc)
+    for edits, message in _SYNAPSE_COLUMN_ERRORS:
+        network_doc, placement_doc = (json.loads(json.dumps(doc))
+                                      for doc in (network_to_json(network), placement_to_json(placement)))
+        for synapses in (network_doc["clusters"][0]["synapses"], placement_doc["crossbars"][0]["synapses"]):
+            for name, entries in edits.items():
+                for i, value in entries.items():
+                    synapses[name][i] = value
+        # a bad state is the decoder's ValidationError, which network_from_json passes on as it is
+        prefix = "" if message.startswith(r"synapses\.state") else "bad network document: "
+        with pytest.raises(ValidationError, match=f"^{prefix}{message}$"):
+            network_from_json(network_doc)
+        with pytest.raises(ValidationError, match=f"^bad placement document: {message}$"):
+            placement_from_json(placement_doc)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: s.pop("post"), "synapses.post: expected a list, got no such column"),
+    (lambda s: s.update(post=0), "synapses.post: expected a list, got 0"),
+    (lambda s: s.update(post=None), "synapses.post: expected a list, got None"),
+    (lambda s: s["state"].pop(), "synapses: columns of unequal length: pre 4, post 4, state 3"),
+], ids=["missing", "not-a-list", "null", "unequal"])
+def test_synapse_column_shape_errors_name_the_column(edit, message):
+    doc = json.loads(json.dumps(network_to_json(mapping_demo_network())))
+    edit(doc["clusters"][0]["synapses"])
+    with pytest.raises(ValidationError) as exc:
+        network_from_json(doc)
+    assert str(exc.value) == f"bad network document: {message}"
 
 
 def test_json_ints_accepts_ints_and_integral_floats():
@@ -205,32 +286,12 @@ def test_read_table_rejects_malformed_tables(tmp_path, text, message):
 
 # --- write_json: the bytes of json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-# strings built from the pieces the writer splices compact output at, and the
-# %-template syntax it formats records with
+# strings built from the pieces the writer splices compact output at
 _TRICKY_TEXT = st.lists(st.sampled_from(["\0", "}", "{", ",", ": ", "}\0{", '"', "\\", "\n", "a", "\u00e9",
                                          "\u2028", "\U0001f600", "%", "%s", "%%"])).map("".join)
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True, allow_infinity=True)
             | st.text() | _TRICKY_TEXT)
 _KEYS = st.text() | _TRICKY_TEXT
-
-# the values of one Records column: one scalar kind, or any mix
-_COLUMN_VALUES = st.sampled_from([
-    st.integers(), st.integers(min_value=2**64) | st.integers(max_value=-2**64), st.booleans(), st.none(),
-    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([math.nan, math.inf, -math.inf]),
-    st.text() | _TRICKY_TEXT, _SCALARS,
-])
-
-
-@st.composite
-def _records(draw):
-    """Records of 0 to 4 columns: none, a few, or more than one write block of
-    records (a drawn cycle of values repeated to the record count)."""
-    names = draw(st.lists(_KEYS, unique=True, max_size=4))
-    count = draw(st.sampled_from([0, 1, 2, 3, _RECORDS_PER_CALL, 2 * _RECORDS_PER_CALL + 3]))
-    columns = [list(islice(cycle(draw(st.lists(draw(_COLUMN_VALUES), min_size=1, max_size=5))), count))
-               for _ in names]
-    return Records(names, columns)
-
 
 def _containers(children):
     return (st.lists(children) | st.lists(children).map(tuple)
@@ -240,8 +301,7 @@ def _containers(children):
 
 
 def _expected(doc) -> str:
-    """json.dumps's bytes, a Records written as the list of dicts it iterates as."""
-    return json.dumps(doc, indent=2, sort_keys=True, default=list) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _assert_written(path, doc):
@@ -255,7 +315,7 @@ def _assert_written(path, doc):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=st.recursive(_SCALARS | _records(), _containers, max_leaves=20))
+@given(doc=st.recursive(_SCALARS, _containers, max_leaves=20))
 def test_write_json_matches_json_dumps(tmp_path, doc):
     path = tmp_path / "doc.json"
     write_json(doc, path)
@@ -271,13 +331,6 @@ def test_write_json_matches_json_dumps_on_readme_size_documents(tmp_path):
     for doc in (network_to_json(network), placement_to_json(placement)):
         write_json(doc, tmp_path / "doc.json")
         _assert_written(tmp_path / "doc.json", doc)
-
-
-@pytest.mark.parametrize("names, columns", [(["a", "b"], [[1, 2], [1]]), (["a"], [[1], [2]]), (["a", "b"], [[1]])],
-                         ids=repr)
-def test_records_need_one_column_per_name_all_of_one_length(names, columns):
-    with pytest.raises(ValueError, match="^Records: "):
-        Records(names, columns)
 
 
 @pytest.mark.parametrize("doc", [

@@ -96,7 +96,7 @@ def test_network_round_trip(tmp_path):
 
 def test_minimal_network_file(tmp_path):
     doc = {"clusters": [{"id": 0, "pre": [1], "post": [2],
-                         "synapses": [{"pre": 0, "post": 0, "state": "HRS"}]}]}
+                         "synapses": {"pre": [0], "post": [0], "state": ["HRS"]}}]}
     path = tmp_path / "one.json"
     path.write_text(json.dumps(doc))
     net = load_network(path)
@@ -106,8 +106,7 @@ def test_minimal_network_file(tmp_path):
 
 def test_duplicate_synapse_rejected(tmp_path):
     doc = {"clusters": [{"id": 0, "pre": [1, 2], "post": [3],
-                         "synapses": [{"pre": 0, "post": 0, "state": "HRS"},
-                                      {"pre": 0, "post": 0, "state": "LRS1"}]}]}
+                         "synapses": {"pre": [0, 0], "post": [0, 0], "state": ["HRS", "LRS1"]}}]}
     path = tmp_path / "dup.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError):
@@ -272,16 +271,18 @@ def test_cluster_validation_matches_reference(seed, faults):
     message = cluster_error_reference(7, pre_neurons, post_neurons, triples)
     pre, post, labels = ([t[i] for t in triples] for i in range(3))
     doc = {"clusters": [{"id": 7, "pre": pre_neurons, "post": post_neurons,
-                         "synapses": [{"pre": p, "post": q, "state": lab} for p, q, lab in triples]}]}
+                         "synapses": {"pre": pre, "post": post, "state": labels}}]}
     builders = (lambda: Cluster(id=7, pre_neurons=pre_neurons, post_neurons=post_neurons,
                                 synapses=tuple(Synapse(*t) for t in triples)),
                 lambda: network_from_json(json.loads(json.dumps(doc))).clusters[0])
+    # The document decoder names the state column and the first unknown label's index.
+    doc_message = f"synapses.state[{labels.index('LRS9')}]: {message}" if "LRS9" in labels else message
     # The column form takes state codes; an unknown label stands for a code out of range.
     codes = [STATE_LABELS.index(lab) if lab in STATE_LABELS else len(STATE_LABELS) for lab in labels]
     columns_message = cluster_error_reference(7, pre_neurons, post_neurons, [(p, q, "HRS") for p, q in zip(pre, post)])
     if columns_message is None and "LRS9" in labels:
         columns_message = f"cluster 7: unknown resistance state code {len(STATE_LABELS)}"
-    for build, expected in ((builders[0], message), (builders[1], message),
+    for build, expected in ((builders[0], message), (builders[1], doc_message),
                             (lambda: Cluster.from_columns(7, pre_neurons, post_neurons, pre, post, codes),
                              columns_message)):
         if expected is None:
@@ -387,7 +388,7 @@ def test_generate_spike_trains_poisson_like():
 
 def test_partition_single_neuron():
     layer = {"pre_count": 4, "post_count": 1,
-             "synapses": [{"pre": i, "post": 0, "state": "HRS"} for i in range(4)]}
+             "synapses": {"pre": list(range(4)), "post": [0] * 4, "state": ["HRS"] * 4}}
     clusters = partition_simple(layer, 4)
     assert len(clusters) == 1
     assert len(clusters[0].synapses) == 4
@@ -395,7 +396,7 @@ def test_partition_single_neuron():
 
 def test_partition_wide_neuron():
     layer = {"pre_count": 130, "post_count": 1,
-             "synapses": [{"pre": i, "post": 0, "state": "LRS1"} for i in range(130)]}
+             "synapses": {"pre": list(range(130)), "post": [0] * 130, "state": ["LRS1"] * 130}}
     clusters = partition_simple(layer, 128)
     assert len(clusters) == 2
     assert sum(len(c.pre_neurons) for c in clusters) >= 130
@@ -412,8 +413,10 @@ def test_partition_conserves_synapses(rng):
                          "post": int(rng.integers(post_count)),
                          "state": "LRS2"})
     seen = {(s["pre"], s["post"]): s["state"] for s in synapses}
+    pairs = list(seen)
     layer = {"pre_count": pre_count, "post_count": post_count,
-             "synapses": [{"pre": p, "post": q, "state": st} for (p, q), st in seen.items()]}
+             "synapses": {"pre": [p for p, _ in pairs], "post": [q for _, q in pairs],
+                          "state": [seen[pair] for pair in pairs]}}
     clusters = partition_simple(layer, 16)
     out = set()
     for c in clusters:
@@ -424,7 +427,7 @@ def test_partition_conserves_synapses(rng):
 
 def test_partition_empty_rejected():
     with pytest.raises(ValidationError):
-        partition_simple({"pre_count": 4, "post_count": 4, "synapses": []}, 4)
+        partition_simple({"pre_count": 4, "post_count": 4, "synapses": {"pre": [], "post": [], "state": []}}, 4)
 
 
 def test_spike_csv_round_trip(tmp_path):
