@@ -58,7 +58,6 @@ from .simulate import (
     average_latency_delta,
     compute_isi,
     corner_extremes,
-    default_if_neuron,
     energy_report,
     if_neuron_fire,
     isi_distortion,
@@ -79,7 +78,6 @@ from .techmodel import (
     save_tech,
     sense_latency,
     tap_delays,
-    zero_delay_tech,
 )
 from .workload import (
     Cluster,

@@ -167,7 +167,7 @@ def cmd_map(args) -> int:
         histogram[xb.config.name] = histogram.get(xb.config.name, 0) + 1
     print(f"placement -> {args.out}")
     for xb in placement.crossbars:
-        util = synapse_utilization(len(xb.pre), spec.n)
+        util = synapse_utilization(len(xb.cluster.state), spec.n)
         print(f"  crossbar {xb.crossbar_id}: cluster {xb.cluster_id}, config '{xb.config.name}', "
               f"utilization {100 * util:.5g}%")
     print("config histogram: " + ", ".join(f"'{k}'={histogram[k]}" for k in sorted(histogram)))

@@ -72,9 +72,11 @@ class CrossbarSpec:
         if not 1 <= self.n <= MAX_N:
             raise ValidationError(f"crossbar dimension must satisfy 1 <= N <= {MAX_N}, got {_brief(self.n)}")
         if not (1 <= self.p <= self.n and 1 <= self.q <= self.n):
-            raise ValidationError(f"partition points must satisfy 1 <= P,Q <= N: P={self.p} Q={self.q} N={self.n}")
+            raise ValidationError(f"partition points must satisfy 1 <= P,Q <= N: "
+                                  f"P={_brief(self.p)} Q={_brief(self.q)} N={self.n}")
         if self.n_h < 0 or self.n_l < 0 or self.n_h + self.n_l > self.n:
-            raise ValidationError(f"regions must satisfy 0 <= N_h, N_l and N_h+N_l <= N: N_h={self.n_h} N_l={self.n_l}")
+            raise ValidationError(f"regions must satisfy 0 <= N_h, N_l and N_h+N_l <= N: "
+                                  f"N_h={_brief(self.n_h)} N_l={_brief(self.n_l)}")
         if not isinstance(self.control, ControlMode):
             object.__setattr__(self, "control", ControlMode(self.control))
 

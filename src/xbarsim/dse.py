@@ -82,7 +82,7 @@ def sweep_pq(networks, base_spec: CrossbarSpec, tech: TechnologyParams, grid,
         hardware = Hardware(crossbar_count=len(network.clusters), spec=base, tech=tech)
         mapped = map_network(network, hardware)
         e0, l0, v0, _ = _evaluate(mapped, base, tech, activity)
-        extents = [(int(xb.row.max()), int(xb.col.max())) for xb in mapped.crossbars]
+        extents = [tuple(int(cell.max()) for cell in xb.cells()) for xb in mapped.crossbars]
         points = []
         for p, q in grid:
             spec = replace(base_spec, p=p, q=q)

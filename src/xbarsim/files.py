@@ -70,11 +70,12 @@ def _brief(value) -> str:
 
 
 def json_ints(values, name: str, indexed: bool = False) -> list[int]:
-    """A column of JSON numbers as ints: each an int or a float of integral
-    value (128.0). A bool, a fraction, a non-finite number or anything else is
-    a ValueError naming `name`, the first such value and, if `indexed`, its
-    index: "pre[3]: expected an integer, got 0.9"."""
-    values = list(values)
+    """A JSON list of numbers as ints: each an int or a float of integral
+    value (128.0). Anything but a list is a ValueError naming `name`; so is
+    a bool, a fraction, a non-finite number or any other value in it, named
+    with its index if `indexed`: "pre[3]: expected an integer, got 0.9"."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name}: expected a list, got {_brief(values)}")
     if set(map(type, values)) <= {int}:
         return values
     bad = next((i for i, v in enumerate(values) if not (type(v) is int or type(v) is float and v.is_integer())), None)

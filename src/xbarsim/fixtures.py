@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .crossbar import HRS, LRS1, LRS2, LRS3
 from .simulate import IFNeuron
-from .workload import Cluster, Network, Route, SpikeTrain, Synapse
+from .workload import Cluster, Network, Route, Synapse
 
 
 def mapping_demo_network() -> Network:
@@ -39,8 +39,3 @@ def isi_demo():
     on_time = [(20e-6, LRS1), (21e-6, LRS1), (22e-6, LRS1)]
     delayed = [(20e-6, LRS1), (21e-6, LRS1), (27e-6, LRS1)]
     return neuron, on_time, delayed
-
-
-def isi_demo_trains() -> list[SpikeTrain]:
-    """The three input spike trains of the demo, one spike each."""
-    return [SpikeTrain(neuron=i, times=(t,)) for i, t in enumerate((20e-6, 21e-6, 22e-6))]

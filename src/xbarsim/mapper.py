@@ -4,8 +4,8 @@ Placement pushes HRS-heavy neurons toward low row/column indices (the short
 paths, where region A admits only HRS) and keeps every synapse on a cell
 whose region permits its state. Configuration selection then picks the
 cheapest array shape that contains the used cells, so the full '11' shape is
-used only when nothing smaller holds them. A CrossbarPlacement holds its
-synapses through the one column mechanism of workload.Cluster (see workload).
+used only when nothing smaller holds them. A CrossbarPlacement is its cluster
+and two seat vectors; a synapse's cell is derived from them, never stored.
 
 The algorithm is greedy-with-repair and fully deterministic. Its only state
 is two seat vectors: `rows` (a row per pre-neuron index) and `cols`.
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -45,10 +44,10 @@ from .crossbar import (
     static_energy_weight,
 )
 from .errors import CapacityExceeded, IllegalConfig, Infeasible, ValidationError
-from .files import json_ints, read_json, write_json
+from .files import _brief, json_ints, read_json, write_json
 from .techmodel import TechnologyParams
-from .workload import Cluster, Network, Route, _route_problems, _routes_from_json, _routes_to_json
-from .workload import _sorted_pairs, _synapses_from_json, _synapses_to_json, _SynapseColumns
+from .workload import Cluster, Network, Route, _cluster_from_json, _cluster_to_json, _route_problems
+from .workload import _routes_from_json, _routes_to_json
 
 
 @dataclass(frozen=True)
@@ -79,33 +78,62 @@ class PlacedSynapse:
 
 
 @dataclass(frozen=True, eq=False)
-class CrossbarPlacement(_SynapseColumns):
-    """One mapped cluster. Its synapse columns hold the global pre/post neuron
-    ids, the state code and the cell's row/col, one entry per synapse."""
-
-    _COLUMNS = {"pre": np.intp, "post": np.intp, "state": np.int8, "row": np.intp, "col": np.intp}
-    _RECORD = PlacedSynapse
+class CrossbarPlacement:
+    """One mapped cluster: rows[i] is the row of cluster.pre_neurons[i] and
+    cols[j] the column of cluster.post_neurons[j], as read-only intp arrays.
+    A synapse's cell is (rows[pre], cols[post]); cells() gathers them."""
 
     crossbar_id: int
-    cluster_id: int
+    cluster: Cluster
     spec: CrossbarSpec
     config: Configuration
-    row_of_pre: dict
-    col_of_post: dict
-    pre: np.ndarray
-    post: np.ndarray
-    state: np.ndarray
-    row: np.ndarray
-    col: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+    def __post_init__(self):
+        """Make each seat vector a read-only intp array of one seat per neuron,
+        keeping one that already is, so that dataclasses.replace shares it."""
+        for name, neurons in (("rows", self.cluster.pre_neurons), ("cols", self.cluster.post_neurons)):
+            seats = getattr(self, name)
+            if not (isinstance(seats, np.ndarray) and seats.dtype == np.intp and not seats.flags.writeable):
+                seats = np.array(seats, dtype=np.intp)
+                seats.flags.writeable = False
+                object.__setattr__(self, name, seats)
+            if seats.shape != (len(neurons),):
+                raise ValidationError(f"crossbar {self.crossbar_id}: {name} holds {len(seats)} seats "
+                                      f"for {len(neurons)} neurons")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.crossbar_id, self.cluster, self.spec, self.config)
+                == (other.crossbar_id, other.cluster, other.spec, other.config)
+                and np.array_equal(self.rows, other.rows) and np.array_equal(self.cols, other.cols))
+
+    @property
+    def cluster_id(self) -> int:
+        return self.cluster.id
+
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row and the column of each synapse's cell, in cluster synapse order."""
+        return self.rows[self.cluster.pre], self.cols[self.cluster.post]
+
+    @property
+    def synapses(self) -> tuple[PlacedSynapse, ...]:
+        """One PlacedSynapse view per synapse, with global neuron ids, built on each access."""
+        c = self.cluster
+        return tuple(map(PlacedSynapse, np.array(c.pre_neurons)[c.pre].tolist(),
+                         np.array(c.post_neurons)[c.post].tolist(), c._labels(),
+                         *(cell.tolist() for cell in self.cells())))
 
     @property
     def m(self) -> int:
         """Count of LRS-state synapses."""
-        return len(self.state) - self.n_hrs
+        return len(self.cluster.state) - self.n_hrs
 
     @property
     def n_hrs(self) -> int:
-        return int(np.count_nonzero(self.state == _STATE_CODE[HRS]))
+        return int(np.count_nonzero(self.cluster.state == _STATE_CODE[HRS]))
 
 
 @dataclass(frozen=True)
@@ -171,6 +199,14 @@ def _swap_repair(spec, occupants, cost_a, cost_b) -> None:
 
 def assign_cluster(cluster: Cluster, spec: CrossbarSpec) -> Assignment:
     """Deterministic greedy-with-repair neuron/synapse assignment."""
+    rows, cols = _seats(cluster, spec)
+    return Assignment(row_of_pre=dict(zip(cluster.pre_neurons, rows.tolist())),
+                      col_of_post=dict(zip(cluster.post_neurons, cols.tolist())),
+                      cells=tuple(zip(rows[cluster.pre].tolist(), cols[cluster.post].tolist())))
+
+
+def _seats(cluster: Cluster, spec: CrossbarSpec) -> tuple[np.ndarray, np.ndarray]:
+    """assign_cluster's seat vectors: a row per pre-neuron index and a column per post-neuron index."""
     n = spec.n
     n_pre, n_post = len(cluster.pre_neurons), len(cluster.post_neurons)
     if n_pre > n or n_post > n:
@@ -203,17 +239,7 @@ def assign_cluster(cluster: Cluster, spec: CrossbarSpec) -> Assignment:
                        f"({rows[cluster.pre[i]]},{cols[cluster.post[i]]})" for i in bad]
             raise Infeasible(f"cluster {cluster.id}: {len(bad)} region violations remain",
                              cluster_id=cluster.id, violations=details)
-
-    return _assignment(cluster, rows, cols)
-
-
-def _assignment(cluster: Cluster, rows, cols) -> Assignment:
-    """The Assignment of seat vectors: a row per pre-neuron index, a column per post-neuron index."""
-    return Assignment(
-        row_of_pre=dict(zip(cluster.pre_neurons, rows.tolist())),
-        col_of_post=dict(zip(cluster.post_neurons, cols.tolist())),
-        cells=tuple(zip(rows[cluster.pre].tolist(), cols[cluster.post].tolist())),
-    )
+    return rows, cols
 
 
 def _axis_pass(spec, not_hrs, not_lrs1, own, other_seat, seats):
@@ -404,30 +430,24 @@ def _config_candidates(spec: CrossbarSpec) -> tuple[tuple[int, int, Configuratio
     return tuple((*config_dimensions(config, spec), config) for config in ranked)
 
 
-def _map_clusters(network: Network, hardware: Hardware, assign) -> Placement:
-    """First-fit in descending synapse count; assign(cluster) seats a cluster."""
+def _map_clusters(network: Network, hardware: Hardware, seats) -> Placement:
+    """First-fit in descending synapse count; seats(cluster) gives a cluster's seat vectors."""
     if len(network.clusters) > hardware.crossbar_count:
         raise CapacityExceeded(f"{len(network.clusters)} clusters > {hardware.crossbar_count} crossbars")
     spec = hardware.spec
     order = sorted(network.clusters, key=lambda c: (-len(c.state), c.id))
     crossbars = []
     for crossbar_id, cluster in enumerate(order):
-        assignment = assign(cluster)
-        cells = assignment.cells
-        rows, cols = np.fromiter(chain.from_iterable(cells), np.intp, 2 * len(cells)).reshape(-1, 2).T
-        crossbars.append(CrossbarPlacement(
-            crossbar_id=crossbar_id, cluster_id=cluster.id, spec=spec,
-            config=select_configuration(assignment, spec), row_of_pre=dict(assignment.row_of_pre),
-            col_of_post=dict(assignment.col_of_post),
-            pre=np.array(cluster.pre_neurons)[cluster.pre], post=np.array(cluster.post_neurons)[cluster.post],
-            state=cluster.state, row=rows, col=cols))
+        rows, cols = seats(cluster)
+        config = _cheapest_config(rows[cluster.pre].max(), cols[cluster.post].max(), spec)
+        crossbars.append(CrossbarPlacement(crossbar_id, cluster, spec, config, rows, cols))
     return Placement(crossbars=tuple(crossbars), crossbar_count=hardware.crossbar_count,
                      routes=network.routes)
 
 
 def map_network(network: Network, hardware: Hardware) -> Placement:
     """Map clusters to crossbars, first-fit in descending synapse count."""
-    return _map_clusters(network, hardware, lambda cluster: assign_cluster(cluster, hardware.spec))
+    return _map_clusters(network, hardware, lambda cluster: _seats(cluster, hardware.spec))
 
 
 def map_network_control(network: Network, hardware: Hardware, seed: int = 0) -> Placement:
@@ -445,29 +465,20 @@ def map_network_control(network: Network, hardware: Hardware, seed: int = 0) -> 
         n_pre, n_post = len(cluster.pre_neurons), len(cluster.post_neurons)
         if n_pre > spec.n or n_post > spec.n:
             raise Infeasible(f"cluster {cluster.id} exceeds crossbar", cluster_id=cluster.id)
-        return _assignment(cluster, rng.permutation(spec.n)[:n_pre], rng.permutation(spec.n)[:n_post])
+        return rng.permutation(spec.n)[:n_pre], rng.permutation(spec.n)[:n_post]
 
     return _map_clusters(network, hardware, shuffled)
-
-
-def _disagrees(mapping: dict, keys, values) -> np.ndarray:
-    """Per entry, mapping.get(key) != value; one lookup per distinct (key, value)."""
-    order, first = _sorted_pairs(keys, values)
-    distinct = order[first]
-    verdicts = np.array([mapping.get(k) != v for k, v in zip(keys[distinct].tolist(), values[distinct].tolist())],
-                        dtype=bool)
-    disagrees = np.empty(len(order), dtype=bool)
-    disagrees[order] = verdicts[np.cumsum(first) - 1]
-    return disagrees
 
 
 def check_placement(placement: Placement) -> list[str]:
     """Independent soundness audit; returns human-readable problems (empty = sound), never raises.
 
-    Besides each crossbar's cells, it checks what map_network guarantees of
-    the whole: crossbar_count is at least 1 and at least the number of
-    crossbars, crossbar ids and cluster ids are distinct, and both ends of
-    every route name a placed cluster and one of its neurons.
+    Per crossbar: a legal configuration, distinct seats on each axis (so
+    distinct cells, as a Cluster holds each pair once), every cell inside the
+    active array and permitting its state, and the seat of a neuron with no
+    synapse inside the crossbar. Of the whole, what map_network guarantees:
+    crossbar_count at least 1 and at least the number of crossbars, distinct
+    crossbar and cluster ids, and routes whose ends name a placed neuron.
     """
     problems = []
     placed = len(placement.crossbars)
@@ -478,27 +489,33 @@ def check_placement(placement: Placement) -> list[str]:
                       ("cluster", [xb.cluster_id for xb in placement.crossbars])):
         if len(set(ids)) != len(ids):
             problems.append(f"duplicate {name} ids")
-    problems += _route_problems(placement.routes, {xb.cluster_id: xb.row_of_pre.keys() | xb.col_of_post.keys()
-                                                   for xb in placement.crossbars})
+    problems += _route_problems(placement.routes, [xb.cluster for xb in placement.crossbars])
     for xb in placement.crossbars:
+        where, c = f"crossbar {xb.crossbar_id}", xb.cluster
         try:
             rows, cols = config_dimensions(xb.config, xb.spec)
         except IllegalConfig as exc:
-            problems.append(f"crossbar {xb.crossbar_id}: {exc}")
+            problems.append(f"{where}: {exc}")
             rows = cols = xb.spec.n
-        if not _sorted_pairs(xb.row, xb.col)[1].all():
-            problems.append(f"crossbar {xb.crossbar_id}: synapse cells not injective")
-        inconsistent = _disagrees(xb.row_of_pre, xb.pre, xb.row) | _disagrees(xb.col_of_post, xb.post, xb.col)
-        outside = ~((0 <= xb.row) & (xb.row < rows) & (0 <= xb.col) & (xb.col < cols))
-        forbidden = ~outside & _barred(xb.row, xb.col, xb.state, xb.spec)
-        for i in np.nonzero(inconsistent | outside | forbidden)[0].tolist():
-            cell = f"({xb.row[i]},{xb.col[i]})"
-            if inconsistent[i]:
-                problems.append(f"crossbar {xb.crossbar_id}: cell {cell} inconsistent with neuron maps")
+        for axis, seats, neurons, of_synapse in (("row", xb.rows, c.pre_neurons, c.pre),
+                                                 ("column", xb.cols, c.post_neurons, c.post)):
+            seat, count = np.unique(seats, return_counts=True)
+            problems += [f"{where}: {axis} {s} seats {k} neurons" for s, k in zip(seat.tolist(), count.tolist())
+                         if k > 1]
+            idle = np.ones(len(seats), dtype=bool)
+            idle[of_synapse] = False
+            problems += [f"{where}: neuron {neurons[i]} seated at {axis} {seats[i]}, outside the "
+                         f"{xb.spec.n}x{xb.spec.n} crossbar"
+                         for i in np.flatnonzero(idle & ((seats < 0) | (seats >= xb.spec.n))).tolist()]
+        row, col = xb.cells()
+        outside = ~((0 <= row) & (row < rows) & (0 <= col) & (col < cols))
+        forbidden = ~outside & _barred(row, col, c.state, xb.spec)
+        for i in np.flatnonzero(outside | forbidden).tolist():
+            cell = f"({row[i]},{col[i]})"
             if outside[i]:
-                problems.append(f"crossbar {xb.crossbar_id}: cell {cell} outside config '{xb.config.name}'")
-            elif forbidden[i]:
-                problems.append(f"crossbar {xb.crossbar_id}: state {STATE_LABELS[xb.state[i]]} forbidden at {cell}")
+                problems.append(f"{where}: cell {cell} outside config '{xb.config.name}'")
+            else:
+                problems.append(f"{where}: state {STATE_LABELS[c.state[i]]} forbidden at {cell}")
     return problems
 
 
@@ -507,19 +524,19 @@ def check_placement(placement: Placement) -> list[str]:
 
 
 def placement_to_json(placement: Placement) -> dict:
-    """The placement document; each crossbar's "synapses" holds its columns
-    pre, post, state, row and col as lists, each state as its label."""
+    """The placement document; each crossbar holds its cluster as the
+    network document does, and a seat per pre-neuron ("rows") and per
+    post-neuron ("cols"), in the cluster's neuron order."""
     return {
         "crossbar_count": placement.crossbar_count,
         "crossbars": [
             {
                 "id": xb.crossbar_id,
-                "cluster": xb.cluster_id,
                 "spec": xb.spec.to_json(),
                 "config": xb.config.name,
-                "rows": {str(k): v for k, v in sorted(xb.row_of_pre.items())},
-                "cols": {str(k): v for k, v in sorted(xb.col_of_post.items())},
-                "synapses": _synapses_to_json(xb),
+                "cluster": _cluster_to_json(xb.cluster),
+                "rows": xb.rows.tolist(),
+                "cols": xb.cols.tolist(),
                 "stats": {"m": xb.m, "n_hrs": xb.n_hrs},
             }
             for xb in placement.crossbars
@@ -528,17 +545,23 @@ def placement_to_json(placement: Placement) -> dict:
     }
 
 
+def _placed_cluster(doc) -> Cluster:
+    if type(doc) is int:
+        raise ValueError(f"cluster: expected a cluster object, got the cluster id {_brief(doc)} "
+                         "(the earlier layout, with per-synapse cells and seat maps)")
+    return _cluster_from_json(doc)
+
+
 def placement_from_json(doc: dict) -> Placement:
     try:
         crossbars = tuple(
             CrossbarPlacement(
                 crossbar_id=json_ints([x["id"]], "id")[0],
-                cluster_id=json_ints([x["cluster"]], "cluster")[0],
+                cluster=_placed_cluster(x["cluster"]),
                 spec=CrossbarSpec.from_json(x["spec"]),
                 config=config_by_name(x["config"]),
-                row_of_pre=dict(zip(map(int, x["rows"]), json_ints(x["rows"].values(), "rows"))),
-                col_of_post=dict(zip(map(int, x["cols"]), json_ints(x["cols"].values(), "cols"))),
-                **_synapses_from_json(x["synapses"], CrossbarPlacement._COLUMNS),
+                rows=json_ints(x["rows"], "rows", indexed=True),
+                cols=json_ints(x["cols"], "cols", indexed=True),
             )
             for x in doc["crossbars"]
         )

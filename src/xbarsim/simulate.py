@@ -16,7 +16,7 @@ from math import inf
 
 import numpy as np
 
-from .crossbar import CONFIG_11, LRS1, _STATE_CODE, Configuration, CrossbarSpec, _barred, static_energy_weight
+from .crossbar import CONFIG_11, _STATE_CODE, Configuration, CrossbarSpec, _barred, static_energy_weight
 from .errors import (
     EmptyCounts,
     EmptyPlacement,
@@ -46,13 +46,6 @@ class IFNeuron:
             raise ValidationError("increments must be positive")
         if self.leak_per_second < 0 or self.refractory < 0:
             raise ValidationError("leak and refractory must be >= 0")
-
-
-def default_if_neuron(tech: TechnologyParams) -> IFNeuron:
-    """Default neuron: increments scale with state conductance, LRS1 -> 0.8."""
-    lrs1 = tech.state(LRS1).resistance
-    increments = {s.label: 0.8 * lrs1 / s.resistance for s in tech.states}
-    return IFNeuron(v_threshold=1.0, v_increment_per_state=increments)
 
 
 @dataclass(frozen=True)
@@ -176,14 +169,13 @@ def _placement_totals(placement: Placement, tech: TechnologyParams):
     sense = np.array([sense_latency(s, tech) for s in tech.states])  # by state code
     for xb in placement.crossbars:
         row, col = tap_delays(xb.spec, xb.config, tech)
-        yield xb, row[xb.row] + col[xb.col] + sense[xb.state]
+        cell_row, cell_col = xb.cells()
+        yield xb, row[cell_row] + col[cell_col] + sense[xb.cluster.state]
 
 
 def _spike_times(placement: Placement, trains) -> dict:
     """{pre-neuron id: spike times}; every train must belong to a placed pre-neuron."""
-    known = set()
-    for xb in placement.crossbars:
-        known.update(xb.row_of_pre)
+    known = {nid for xb in placement.crossbars for nid in xb.cluster.pre_neurons}
     by_neuron = {}
     for t in trains:
         if t.neuron not in known:
@@ -324,18 +316,18 @@ def neuron_isi_distortion(placement: Placement, trains, tech: TechnologyParams) 
     spikes are omitted.
     """
     by_neuron = _spike_times(placement, trains)
-    posts = np.unique(np.concatenate([np.empty(0, np.intp), *(xb.post for xb in placement.crossbars)]))
+    posts = np.unique(np.array([nid for xb in placement.crossbars for nid in xb.cluster.post_neurons], np.intp))
     k = np.zeros(len(posts))
     first_in, first_out = np.full(len(posts), inf), np.full(len(posts), inf)
     last_in, last_out = np.full(len(posts), -inf), np.full(len(posts), -inf)
     for xb, delay in _placement_totals(placement, tech):
-        neurons, of_synapse = np.unique(xb.pre, return_inverse=True)
-        times = [by_neuron.get(nid, ()) for nid in neurons.tolist()]
-        spikes = np.array([len(t) for t in times], dtype=np.intp)[of_synapse]
-        first = np.array([t[0] if t else 0.0 for t in times], dtype=float)[of_synapse]
-        last = np.array([t[-1] if t else 0.0 for t in times], dtype=float)[of_synapse]
+        c = xb.cluster
+        times = [by_neuron.get(nid, ()) for nid in c.pre_neurons]
+        spikes = np.array([len(t) for t in times], dtype=np.intp)[c.pre]
+        first = np.array([t[0] if t else 0.0 for t in times], dtype=float)[c.pre]
+        last = np.array([t[-1] if t else 0.0 for t in times], dtype=float)[c.pre]
         live = spikes > 0
-        at = np.searchsorted(posts, xb.post[live])
+        at = np.searchsorted(posts, c.post_neurons)[c.post[live]]
         spikes, first, last, delay = spikes[live], first[live], last[live], delay[live]
         k += np.bincount(at, weights=spikes, minlength=len(posts))
         np.minimum.at(first_in, at, first)
@@ -368,8 +360,9 @@ def energy_report(placement: Placement, activity: Activity, tech: TechnologyPara
     routing_j = activity.routed_spike_hops * tech.e_route_hop
     terms = [np.zeros(1)]
     for xb, totals in _placement_totals(placement, tech):
-        counts = _synapse_spike_counts(activity, xb.pre)
-        far = (xb.row >= xb.spec.p) | (xb.col >= xb.spec.q)
+        c = xb.cluster
+        counts = _synapse_spike_counts(activity, np.array(c.pre_neurons, dtype=np.intp))[c.pre]
+        far = (xb.rows >= xb.spec.p)[c.pre] | (xb.cols >= xb.spec.q)[c.post]
         k = np.where(far, 3 if xb.config == CONFIG_11 else 2, 1)
         access = counts * tech.p_wordline_raise * totals * k
         terms.append(access[counts > 0])

@@ -26,7 +26,7 @@ absolute seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
 
@@ -277,14 +277,3 @@ def _tap_delays(spec: CrossbarSpec, config: Configuration,
 
     return (axis(rows, spec.p, config.rows_expanded, tech.r_bitline_unit, tech.c_bitline_unit),
             axis(cols, spec.q, config.cols_expanded, tech.r_wordline_unit, tech.c_wordline_unit))
-
-
-def zero_delay_tech(reference: TechnologyParams | None = None) -> TechnologyParams:
-    """Degenerate tech where every path has (effectively) zero delay.
-
-    Strict-positivity invariants keep true zeros out, so the smallest normal
-    float stands in; useful for identity checks in event-level simulation.
-    """
-    base = reference or PRESETS["45nm"]
-    tiny = 2.2250738585072014e-308
-    return replace(base, c_wordline_unit=tiny, c_bitline_unit=tiny, c_sense=tiny, t_iso_on=0.0)

@@ -5,13 +5,12 @@ crossbar: pre-synaptic neurons drive rows, post-synaptic neurons sink on
 columns, and every synapse names a (pre index, post index, resistance state)
 triple. Inter-cluster traffic is summarized as routes with a fixed hop count.
 
-Cluster and mapper.CrossbarPlacement hold synapses alike, as read-only numpy
-columns (the state an index into STATE_LABELS) through _SynapseColumns. In the
-network and placement documents, and in partition_simple's layers, a holder's
-"synapses" is one object of column lists, read by one decoder,
-_synapses_from_json; the generic JSON writer writes each column in one
-encoder call. Synapse, PlacedSynapse and `.synapses` are read-only
-compatibility views that the benchmark harness and the tests read.
+Only a Cluster holds synapses, as read-only numpy columns (the state an index
+into STATE_LABELS); a mapper.CrossbarPlacement holds its cluster. Both
+documents store a cluster as one object, read by _cluster_from_json, whose
+"synapses" (as in partition_simple's layers) holds one list per column.
+Synapse, PlacedSynapse and `.synapses` are read-only compatibility views that
+the benchmark harness and the tests read.
 """
 
 from __future__ import annotations
@@ -69,40 +68,8 @@ def _sorted_pairs(a, b):
     return order, first
 
 
-class _SynapseColumns:
-    """Base of a frozen dataclass whose synapses are read-only numpy columns,
-    one entry each: _COLUMNS names them, in record order, with their dtypes,
-    the `state` column indexes STATE_LABELS, and _RECORD is the view class."""
-
-    def __post_init__(self) -> None:
-        """Make each column a read-only array of its dtype, keeping one that
-        already is, so that dataclasses.replace shares it in O(1)."""
-        for name, dtype in self._COLUMNS.items():
-            column = getattr(self, name)
-            if not (isinstance(column, np.ndarray) and column.dtype == dtype and not column.flags.writeable):
-                column = np.array(column, dtype=dtype)
-                column.flags.writeable = False
-                object.__setattr__(self, name, column)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) if f.name in self._COLUMNS
-                   else getattr(self, f.name) == getattr(other, f.name) for f in fields(self))
-
-    def _values(self) -> list[list]:
-        """The columns as lists of Python values, each state as its label."""
-        return [list(map(STATE_LABELS.__getitem__, getattr(self, name).tolist())) if name == "state"
-                else getattr(self, name).tolist() for name in self._COLUMNS]
-
-    @property
-    def synapses(self) -> tuple:
-        """One _RECORD view per synapse, built from the columns on each access."""
-        return tuple(map(self._RECORD, *self._values()))
-
-
 @dataclass(frozen=True, init=False, eq=False)
-class Cluster(_SynapseColumns):
+class Cluster:
     """A crossbar-sized part of the network. Its synapses are read-only
     columns, one entry each: `pre` and `post` index pre_neurons and
     post_neurons (intp), and `state` indexes STATE_LABELS (int8).
@@ -112,8 +79,7 @@ class Cluster(_SynapseColumns):
     hash() compare values.
     """
 
-    _COLUMNS = {"pre": np.intp, "post": np.intp, "state": np.int8}
-    _RECORD = Synapse
+    _COLUMNS = ("pre", "post", "state")
 
     id: int
     pre_neurons: tuple[int, ...]
@@ -161,14 +127,29 @@ class Cluster(_SynapseColumns):
         unknown = np.flatnonzero((state_column < 0) | (state_column >= len(STATE_LABELS)))
         if unknown.size:
             raise ValidationError(f"cluster {id}: unknown resistance state code {state[unknown[0]]}")
-        for name, value in zip(("id", "pre_neurons", "post_neurons", *self._COLUMNS),
-                               (id, pre_neurons, post_neurons, pre_column, post_column, state_column)):
-            object.__setattr__(self, name, value)
-        self.__post_init__()
+        vars(self).update(id=id, pre_neurons=pre_neurons, post_neurons=post_neurons)
+        for name, column in zip(self._COLUMNS, (pre_column, post_column, state_column.astype(np.int8))):
+            column.flags.writeable = False
+            vars(self)[name] = column
+
+    def _key(self) -> tuple:
+        return (self.id, self.pre_neurons, self.post_neurons,
+                *(getattr(self, name).tobytes() for name in self._COLUMNS))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self):
-        return hash((self.id, self.pre_neurons, self.post_neurons,
-                     *(getattr(self, name).tobytes() for name in self._COLUMNS)))
+        return hash(self._key())
+
+    def _labels(self) -> list[str]:
+        """The state label of each synapse."""
+        return list(map(STATE_LABELS.__getitem__, self.state.tolist()))
+
+    @property
+    def synapses(self) -> tuple[Synapse, ...]:
+        """One Synapse view per synapse, built from the columns on each access."""
+        return tuple(map(Synapse, self.pre.tolist(), self.post.tolist(), self._labels()))
 
 
 @dataclass(frozen=True)
@@ -184,9 +165,10 @@ class Route:
             raise ValidationError(f"route hop count must be >= 1, got {self.hops}")
 
 
-def _route_problems(routes, neurons: dict):
-    """Yield, in route order, a problem per route end whose cluster is not a key of `neurons`
-    (cluster id -> its neuron ids) or whose neuron is not in that cluster."""
+def _route_problems(routes, clusters):
+    """Yield, in route order, a problem per route end that names no cluster of
+    `clusters`, or a neuron that is not in the cluster it names."""
+    neurons = {c.id: {*c.pre_neurons, *c.post_neurons} for c in clusters}
     for r in routes:
         for cid, nid, side in ((r.src_cluster, r.src_neuron, "src"), (r.dst_cluster, r.dst_neuron, "dst")):
             if cid not in neurons:
@@ -205,8 +187,7 @@ class Network:
         object.__setattr__(self, "routes", tuple(self.routes))
         if len({c.id for c in self.clusters}) != len(self.clusters):
             raise ValidationError("duplicate cluster ids")
-        problem = next(_route_problems(self.routes, {c.id: {*c.pre_neurons, *c.post_neurons}
-                                                     for c in self.clusters}), None)
+        problem = next(_route_problems(self.routes, self.clusters), None)
         if problem:
             raise ValidationError(problem)
 
@@ -258,17 +239,13 @@ def _routes_from_json(docs) -> tuple[Route, ...]:
     return tuple(Route(*(json_ints([r[f.name]], f.name)[0] for f in fields(Route))) for r in docs)
 
 
-def _synapses_to_json(holder: _SynapseColumns) -> dict:
-    """The "synapses" object of `holder`: one list per column, each state as its label."""
-    return dict(zip(holder._COLUMNS, holder._values()))
-
-
-def _synapses_from_json(doc, columns: dict) -> dict:
-    """The columns named in `columns` of a "synapses" object of column lists,
-    one list each: the state as state codes, every other column through
+def _synapses_from_json(doc) -> dict:
+    """The columns pre, post and state of a "synapses" object of column
+    lists, one list each: the state as state codes, the others through
     json_ints. An error names the column, and for a bad value its index; a
     missing column, one that is not a list, columns of unequal length and a
     list of synapse records (the old record layout) are refused."""
+    columns = Cluster._COLUMNS
     if not isinstance(doc, dict):
         got = "a list (the old record layout)" if isinstance(doc, list) else _brief(doc)
         raise ValueError(f"synapses: expected an object of column lists {'/'.join(columns)}, got {got}")
@@ -286,23 +263,6 @@ def _synapses_from_json(doc, columns: dict) -> dict:
     return values
 
 
-def network_to_json(network: Network) -> dict:
-    """The network document; each cluster's "synapses" holds its columns
-    pre, post and state as lists, each state as its label."""
-    return {
-        "clusters": [
-            {
-                "id": c.id,
-                "pre": list(c.pre_neurons),
-                "post": list(c.post_neurons),
-                "synapses": _synapses_to_json(c),
-            }
-            for c in network.clusters
-        ],
-        "routes": _routes_to_json(network.routes),
-    }
-
-
 _INTP = np.iinfo(np.intp)
 
 
@@ -315,14 +275,26 @@ def _ids(values, name: str) -> list[int]:
     return ids
 
 
+def _cluster_to_json(c: Cluster) -> dict:
+    """The cluster object of the network and placement documents: its ids, and
+    in "synapses" its columns pre, post and state as lists, each state as its label."""
+    return {"id": c.id, "pre": list(c.pre_neurons), "post": list(c.post_neurons),
+            "synapses": {"pre": c.pre.tolist(), "post": c.post.tolist(), "state": c._labels()}}
+
+
+def _cluster_from_json(doc: dict) -> Cluster:
+    """The one decoder of a cluster object, in either document."""
+    return Cluster.from_columns(*_ids([doc["id"]], "cluster id"), _ids(doc["pre"], "pre-neuron id"),
+                                _ids(doc["post"], "post-neuron id"), **_synapses_from_json(doc["synapses"]))
+
+
+def network_to_json(network: Network) -> dict:
+    return {"clusters": list(map(_cluster_to_json, network.clusters)), "routes": _routes_to_json(network.routes)}
+
+
 def network_from_json(doc: dict) -> Network:
     try:
-        clusters = tuple(
-            Cluster.from_columns(*_ids([c["id"]], "cluster id"), _ids(c["pre"], "pre-neuron id"),
-                                 _ids(c["post"], "post-neuron id"),
-                                 **_synapses_from_json(c["synapses"], Cluster._COLUMNS))
-            for c in doc["clusters"]
-        )
+        clusters = tuple(map(_cluster_from_json, doc["clusters"]))
         routes = _routes_from_json(doc.get("routes", ()))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad network document: {exc}") from exc
@@ -499,7 +471,7 @@ def partition_simple(layer: dict, n: int) -> list[Cluster]:
     """
     if n < 1:
         raise ValidationError(f"crossbar dimension must be >= 1, got {n}")
-    synapses = _synapses_from_json(layer["synapses"], Cluster._COLUMNS)
+    synapses = _synapses_from_json(layer["synapses"])
     if not synapses["pre"]:
         raise ValidationError("layer has no synapses")
     pre_count, post_count = int(layer["pre_count"]), int(layer["post_count"])

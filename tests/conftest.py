@@ -89,11 +89,20 @@ def planted_cluster(rng, cid, spec: CrossbarSpec, size_hi=128, lo_d=0.02, hi_d=0
                    synapses=tuple(synapses))
 
 
-def synapse_columns(synapses) -> dict:
-    """CrossbarPlacement column arguments holding the given PlacedSynapse records."""
-    return {"pre": [s.pre for s in synapses], "post": [s.post for s in synapses],
-            "state": [STATE_LABELS.index(s.state) for s in synapses],
-            "row": [s.row for s in synapses], "col": [s.col for s in synapses]}
+def seated_cluster(synapses, cluster_id=0, row_of_pre=None, col_of_post=None) -> dict:
+    """CrossbarPlacement arguments cluster, rows and cols holding the given
+    PlacedSynapse records. Each neuron sits where its records put it;
+    row_of_pre and col_of_post ({neuron id: seat}) may seat more neurons,
+    ones with no synapse. Neurons are in id order."""
+    row_of = {s.pre: s.row for s in synapses} | (row_of_pre or {})
+    col_of = {s.post: s.col for s in synapses} | (col_of_post or {})
+    assert all((row_of[s.pre], col_of[s.post]) == (s.row, s.col) for s in synapses), "records disagree on a seat"
+    pre, post = sorted(row_of), sorted(col_of)
+    pre_index, post_index = {nid: i for i, nid in enumerate(pre)}, {nid: i for i, nid in enumerate(post)}
+    cluster = Cluster.from_columns(cluster_id, pre, post, [pre_index[s.pre] for s in synapses],
+                                   [post_index[s.post] for s in synapses],
+                                   [STATE_LABELS.index(s.state) for s in synapses])
+    return {"cluster": cluster, "rows": [row_of[nid] for nid in pre], "cols": [col_of[nid] for nid in post]}
 
 
 @pytest.fixture
@@ -102,16 +111,47 @@ def rng():
 
 
 def _seat_first_synapse(xb, row):
-    """Move the first synapse, and its pre-neuron, to `row`."""
-    synapses = xb["synapses"]
-    synapses["row"][0] = row
-    xb["rows"][str(synapses["pre"][0])] = row
+    """Move the pre-neuron of the first synapse to `row`."""
+    xb["rows"][xb["cluster"]["synapses"]["pre"][0]] = row
 
 
 def _repeat_first_synapse(xb):
     """Append a copy of the first synapse, so that two synapses share its cell."""
-    for column in xb["synapses"].values():
+    for column in xb["cluster"]["synapses"].values():
         column.append(column[0])
+
+
+def _share_a_row(doc):
+    """Seat a pre-neuron on the row of another that reaches none of its post-neurons, so that every cell stays
+    distinct while two pre-neurons share a row."""
+    for xb in doc["crossbars"]:
+        synapses = xb["cluster"]["synapses"]
+        posts = [{q for p, q in zip(synapses["pre"], synapses["post"]) if p == i} for i in range(len(xb["rows"]))]
+        pair = next(((i, j) for j in range(len(posts)) for i in range(j) if not posts[i] & posts[j]), None)
+        if pair:
+            xb["rows"][pair[1]] = xb["rows"][pair[0]]
+            return
+    raise AssertionError("no crossbar has two pre-neurons without a common post-neuron")
+
+
+def _seat_idle_neuron_outside(xb):
+    """Add a pre-neuron with no synapse, seated at row 999, outside the crossbar."""
+    xb["cluster"]["pre"].append(999)
+    xb["rows"].append(999)
+
+
+def _previous_layout(xb):
+    """Store the crossbar as the layout before seat vectors did: a cluster id,
+    seat maps keyed by neuron id, and per-synapse cells with global ids."""
+    cluster = xb.pop("cluster")
+    synapses = cluster["synapses"]
+    xb.update(cluster=cluster["id"],
+              rows={str(nid): row for nid, row in zip(cluster["pre"], xb["rows"])},
+              cols={str(nid): col for nid, col in zip(cluster["post"], xb["cols"])},
+              synapses={"pre": [cluster["pre"][i] for i in synapses["pre"]],
+                        "post": [cluster["post"][j] for j in synapses["post"]], "state": synapses["state"],
+                        "row": [xb["rows"][i] for i in synapses["pre"]],
+                        "col": [xb["cols"][j] for j in synapses["post"]]})
 
 
 def _set_first(column, value):
@@ -143,6 +183,10 @@ def _first_crossbar(edit):
     return lambda doc: edit(doc["crossbars"][0])
 
 
+def _first_placed_cluster(edit):
+    return lambda doc: edit(doc["crossbars"][0]["cluster"])
+
+
 def _second_crossbar_copies(key):
     """An edit giving the second crossbar the first one's `key`."""
     return lambda doc: doc["crossbars"][1].update({key: doc["crossbars"][0][key]})
@@ -151,24 +195,27 @@ def _second_crossbar_copies(key):
 # placement documents that parse as JSON but are malformed or unsound; each
 # edits a valid placement of 3 crossbars and one route, most its first crossbar
 BAD_PLACEMENTS = {
-    "rows-not-a-map": _first_crossbar(lambda xb: xb.update(rows=[])),
+    "rows-not-a-list": _first_crossbar(lambda xb: xb.update(rows=dict(zip(map(str, xb["cluster"]["pre"]),
+                                                                          xb["rows"])))),
     "config-zz": _first_crossbar(lambda xb: xb.update(config="zz")),
     "config-01-single": _first_crossbar(lambda xb: xb.update(config="01", spec={**xb["spec"], "control": "single"})),
     "row-minus-1": _first_crossbar(lambda xb: _seat_first_synapse(xb, -1)),
     "row-500": _first_crossbar(lambda xb: _seat_first_synapse(xb, 500)),
-    "state-lrs9": _first_crossbar(SYNAPSE_FAULTS["synapse-state-lrs9"]),
-    "pre-not-in-rows": _first_crossbar(lambda xb: xb["rows"].pop(str(xb["synapses"]["pre"][0]))),
+    "state-lrs9": _first_placed_cluster(SYNAPSE_FAULTS["synapse-state-lrs9"]),
+    "pre-not-in-rows": _first_crossbar(lambda xb: xb["rows"].pop(xb["cluster"]["synapses"]["pre"][0])),
     "cell-shared": _first_crossbar(_repeat_first_synapse),
-    "rows-fraction": _first_crossbar(
-        lambda xb: xb["rows"].update({key: value + 0.25 for key, value in xb["rows"].items()})),
+    "rows-shared": _share_a_row,
+    "seat-outside": _first_crossbar(_seat_idle_neuron_outside),
+    "rows-fraction": _first_crossbar(lambda xb: xb.update(rows=[row + 0.25 for row in xb["rows"]])),
+    "previous-layout": _first_crossbar(_previous_layout),
     # state-lrs9 (above) is the synapse-state-lrs9 fault
-    **{name: _first_crossbar(fault)
+    **{name: _first_placed_cluster(fault)
        for name, fault in SYNAPSE_FAULTS.items() if name != "synapse-state-lrs9"},
     "spec-n-huge": _first_crossbar(lambda xb: xb["spec"].update(n=2**70)),
     "crossbar-count-minus-1": lambda doc: doc.update(crossbar_count=-1),
     "crossbar-count-below-placed": lambda doc: doc.update(crossbar_count=1),
     "crossbar-id-repeated": _second_crossbar_copies("id"),
-    "cluster-repeated": _second_crossbar_copies("cluster"),
+    "cluster-repeated": lambda doc: doc["crossbars"][1]["cluster"].update(id=doc["crossbars"][0]["cluster"]["id"]),
     "route-src-cluster-missing": lambda doc: doc["routes"][0].update(src_cluster=99),
     "route-dst-neuron-missing": lambda doc: doc["routes"][0].update(dst_neuron=99),
 }
@@ -200,7 +247,8 @@ def write_boundary_files(directory):
     spk-neuron-huge.csv (a neuron id no intp holds), spec-n-inf.json
     (N = Infinity), spec-p-fraction.json (P = 2.5), spec-n-huge.json (N = 2**70),
     spec-n-huge-regions.json (N = 2**70, N_h = 4), spec-n-digits.json (N of
-    5,000 nines, beyond Python's integer digit limit), spec-list.json and
+    5,000 nines, beyond Python's integer digit limit), spec-p-huge.json and
+    spec-n-h-huge.json (N = 4 and P or N_h = 2**200), spec-list.json and
     spec-string.json (a spec document of [] and of "x"), tech-huge.json (an energy
     no float holds), tech-inf.json and tech-nan.json (a non-finite energy),
     tech-bool.json and tech-string.json (an energy of true and of "2.36e-11"),
@@ -228,6 +276,8 @@ def write_boundary_files(directory):
     (directory / "spec-n-huge.json").write_text(json.dumps({"n": 2**70}))
     (directory / "spec-n-huge-regions.json").write_text(json.dumps({"n": 2**70, "n_h": 4}))
     (directory / "spec-n-digits.json").write_text('{"n": ' + "9" * 5000 + "}")
+    (directory / "spec-p-huge.json").write_text(json.dumps({"n": 4, "p": 2**200}))
+    (directory / "spec-n-h-huge.json").write_text(json.dumps({"n": 4, "n_h": 2**200}))
     (directory / "spec-list.json").write_text("[]")
     (directory / "spec-string.json").write_text('"x"')
     tech = preset("16nm").to_json()

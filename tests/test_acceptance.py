@@ -54,7 +54,7 @@ from xbarsim.cli import main as cli_main
 from xbarsim.crossbar import legal_configurations
 from xbarsim.fixtures import isi_demo
 
-from conftest import planted_cluster, synapse_columns
+from conftest import planted_cluster, seated_cluster
 
 
 def _ok(num, label):
@@ -210,10 +210,7 @@ def test_criterion_07_energy_ordering():
     activity = Activity(spike_counts={0: 7, 1: 2}, routed_spike_hops=3.0, duration=1.0)
 
     def energy(config):
-        rows = {p: r for p, _, _, r, _ in placed}
-        cols = {q: c for _, q, _, _, c in placed}
-        xb = CrossbarPlacement(0, 0, spec, config, rows, cols,
-                               **synapse_columns([PlacedSynapse(*t) for t in placed]))
+        xb = CrossbarPlacement(0, spec=spec, config=config, **seated_cluster([PlacedSynapse(*t) for t in placed]))
         return energy_report(Placement((xb,), 1), activity, tech)
 
     reports = {c.name: energy(c) for c in CONFIGURATIONS}

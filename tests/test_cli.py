@@ -244,7 +244,7 @@ def _output_digests(tmp_path):
 
 GOLDEN_DIGESTS = {
     "net.json": "e545f3d9a4b34bb5420d382f5fa8c7204e5a62471f079e3e6380923f116cc2e2",
-    "placement.json": "df61b0b96cb24e6bab24d32a75d75503908be7c398c4e8ec2828eaa424a60fa4",
+    "placement.json": "ba8d0a4f7860612d56d4cd2b7346b859219324ede49ca46b2ed3d92cfee7ee3e",
     "reports/energy.csv": "d127cec1c2f37e7870eb2940340c235015600f83fb5497eda5aa71d1f61d6fbb",
     "reports/isi.csv": "e3d2e13c2f3b4ab1f37454dbbe0f0e81bd595c2d1639495cac0f2ad3aca9770d",
     "reports/latency.csv": "7e696fa0f911d71ea57f0d65d58bc5098c20c64ef8aee87ec98fb5fe68e0fca6",
@@ -352,6 +352,8 @@ MALFORMED_INPUTS = {
     "spec-n-huge": _map(spec="spec-n-huge.json"),
     "spec-n-huge-regions": _map(spec="spec-n-huge-regions.json"),
     "spec-n-5000-digits": _map(spec="spec-n-digits.json"),
+    "spec-p-huge": _map(spec="spec-p-huge.json"),
+    "spec-n-h-huge": _map(spec="spec-n-h-huge.json"),
     "spec-list": _map(spec="spec-list.json"),
     "spec-string": _map(spec="spec-string.json"),
     **{f"network-{name}": _map(network=f"net-{name}.json") for name in BAD_NETWORKS},
@@ -389,16 +391,26 @@ def test_boundary_files_are_valid(tmp_path, monkeypatch, argv):
     assert (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
-def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+# the whole error output of a MALFORMED_INPUTS case, where it is pinned
+_HUGE = "16069380442589902755... (61 characters)"  # 2**200, cut short
+MALFORMED_ERRORS = {
+    "spec-p-huge": f"error: partition points must satisfy 1 <= P,Q <= N: P={_HUGE} Q=4 N=4\n",
+    "spec-n-h-huge": f"error: regions must satisfy 0 <= N_h, N_l and N_h+N_l <= N: N_h={_HUGE} N_l=0\n",
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_INPUTS)
+def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, name):
     """A bad file or flag exits 2 with an error line, no traceback and no output."""
     monkeypatch.chdir(tmp_path)
     write_boundary_files(tmp_path)
-    assert _exit_code(argv) == 2
+    assert _exit_code(MALFORMED_INPUTS[name]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert not re.search(r"\d{41}", err)  # a refused value is cut short (node-energy-huge's has 332 digits)
     assert not (tmp_path / "out").exists()
+    if name in MALFORMED_ERRORS:
+        assert err == MALFORMED_ERRORS[name]
 
 
 def test_version_flag():

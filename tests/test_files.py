@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from xbarsim import (
@@ -37,7 +37,7 @@ from xbarsim.crossbar import STATE_LABELS
 from xbarsim.errors import Infeasible, ParseError, ValidationError
 from xbarsim.files import json_floats, json_ints, read_table, write_json, write_table
 from xbarsim.fixtures import mapping_demo_network
-from xbarsim.mapper import placement_from_json, placement_to_json
+from xbarsim.mapper import check_placement, placement_from_json, placement_to_json
 from xbarsim.techmodel import PRESETS
 from xbarsim.workload import network_from_json, network_to_json
 from xbarsim.reports import read_energy_csv, read_isi_csv, read_latency_csv, read_sweep_csv
@@ -70,17 +70,31 @@ def test_loaders_reject_undecodable_files(tmp_path, loader, name):
 BAD_PLACEMENT_MESSAGES = {
     "state-lrs9": "bad placement document: synapses.state[0]: unknown resistance state 'LRS9'",
     "synapse-record-layout": "bad placement document: synapses: expected an object of column lists "
-                             "pre/post/state/row/col, got a list (the old record layout)",
+                             "pre/post/state, got a list (the old record layout)",
+    "previous-layout": "bad placement document: cluster: expected a cluster object, got the cluster id 0 "
+                       "(the earlier layout, with per-synapse cells and seat maps)",
+    "pre-not-in-rows": "bad placement document: crossbar 0: rows holds 3 seats for 4 neurons",
+    "rows-not-a-list": "bad placement document: rows: expected a list, got {'0': 0, '1': 1, '2'... (32 characters)",
+}
+
+# The problems check_placement finds in a BAD_PLACEMENTS case, where they are pinned.
+BAD_PLACEMENT_PROBLEMS = {
+    "rows-shared": ["crossbar 1: row 2 seats 2 neurons"],
+    "seat-outside": ["crossbar 0: neuron 999 seated at row 999, outside the 4x4 crossbar"],
+    "cluster-repeated": ["duplicate cluster ids", "route src neuron 4 not in cluster 0"],
 }
 
 
 @pytest.mark.parametrize("name", BAD_PLACEMENTS)
 def test_load_placement_rejects_malformed_or_unsound_documents(tmp_path, name):
     write_boundary_files(tmp_path)
+    path = tmp_path / f"placement-{name}.json"
     with pytest.raises(ValidationError) as exc:
-        load_placement(tmp_path / f"placement-{name}.json")
+        load_placement(path)
     if name in BAD_PLACEMENT_MESSAGES:
         assert str(exc.value) == BAD_PLACEMENT_MESSAGES[name]
+    if name in BAD_PLACEMENT_PROBLEMS:
+        assert check_placement(placement_from_json(json.loads(path.read_text()))) == BAD_PLACEMENT_PROBLEMS[name]
 
 
 @pytest.mark.parametrize("node", PRESETS)
@@ -103,11 +117,14 @@ _IDS = st.integers(-2**63, 2**63 - 1)
 @st.composite
 def _networks(draw):
     """Networks of 1 to 3 clusters, each of 1 to 6 pre- and post-neurons with
-    any int64 ids and 1 or more synapses, and up to 3 routes between them."""
+    any int64 ids and 1 or more synapses, and up to 3 routes between them.
+    The synapses reach only a leading part of each neuron list, which may
+    leave neurons with no synapse on either axis."""
     clusters = []
     for cid in draw(st.lists(_IDS, min_size=1, max_size=3, unique=True)):
         pre, post = (draw(st.lists(_IDS, min_size=1, max_size=6, unique=True)) for _ in range(2))
-        pairs = draw(st.lists(st.tuples(st.integers(0, len(pre) - 1), st.integers(0, len(post) - 1)),
+        reached_pre, reached_post = draw(st.integers(1, len(pre))), draw(st.integers(1, len(post)))
+        pairs = draw(st.lists(st.tuples(st.integers(0, reached_pre - 1), st.integers(0, reached_post - 1)),
                               min_size=1, unique=True))
         states = draw(st.lists(st.sampled_from(STATE_LABELS), min_size=len(pairs), max_size=len(pairs)))
         clusters.append(Cluster(cid, pre, post, [Synapse(p, q, state) for (p, q), state in zip(pairs, states)]))
@@ -126,10 +143,15 @@ def _dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+_IDLE_NEURONS = Network([Cluster(5, (1, 2, 3), (4, 5), [Synapse(1, 0, "HRS")])])
+
+
 @settings(max_examples=60, deadline=None)
 @given(network=_networks(), spec=_SPECS)
+@example(network=_IDLE_NEURONS, spec=CrossbarSpec(n=8))
 def test_network_and_placement_documents_read_back_equal(network, spec):
-    """A network and its placement, dumped as write_json writes them, decode to equal values."""
+    """A network and its placement, dumped as write_json writes them, decode to
+    equal values, the seats of neurons with no synapse among them."""
     assert network_from_json(json.loads(_dumps(network_to_json(network)))) == network
     try:
         placement = map_network(network, Hardware(crossbar_count=len(network.clusters), spec=spec,
@@ -183,7 +205,8 @@ def test_synapse_column_errors_name_the_column_and_index():
     for edits, message in _SYNAPSE_COLUMN_ERRORS:
         network_doc, placement_doc = (json.loads(json.dumps(doc))
                                       for doc in (network_to_json(network), placement_to_json(placement)))
-        for synapses in (network_doc["clusters"][0]["synapses"], placement_doc["crossbars"][0]["synapses"]):
+        for synapses in (network_doc["clusters"][0]["synapses"],
+                         placement_doc["crossbars"][0]["cluster"]["synapses"]):
             for name, entries in edits.items():
                 for i, value in entries.items():
                     synapses[name][i] = value

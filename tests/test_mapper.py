@@ -23,7 +23,9 @@ from xbarsim import (
     generate_synthetic,
     map_network,
     map_network_control,
+    Network,
     permits,
+    PlacedSynapse,
     Placement,
     preset,
     save_placement,
@@ -34,10 +36,11 @@ from xbarsim import (
 from xbarsim.crossbar import STATE_LABELS, legal_configurations
 from xbarsim.fixtures import mapping_demo_network
 from xbarsim import mapper
-from xbarsim.mapper import _disagrees, _sorted_pairs, _swap_repair, _violations, load_placement
+from xbarsim.mapper import _swap_repair, _violations, load_placement
+from xbarsim.workload import _sorted_pairs
 from xbarsim.errors import CapacityExceeded, Infeasible, ValidationError
 
-from conftest import MEMO_SPECS, planted_cluster, random_cluster, synapse_columns
+from conftest import MEMO_SPECS, planted_cluster, random_cluster, seated_cluster
 
 TECH = preset("16nm")
 
@@ -225,6 +228,25 @@ def test_mapper_outputs_match_golden_digests(monkeypatch):
     assert digests == GOLDEN_MAPPER_DIGESTS
 
 
+def test_map_network_cells_equal_assign_cluster_cells():
+    """On every cluster of the golden corpora, map_network's seats and derived
+    cells and its configuration are those of assign_cluster and select_configuration."""
+    mapped = 0
+    for cluster, spec in [*_mapper_corpus(), *_edge_corpus()]:
+        try:
+            a = assign_cluster(cluster, spec)
+        except Infeasible:
+            continue
+        xb, = map_network(Network(clusters=(cluster,)), Hardware(crossbar_count=1, spec=spec, tech=TECH)).crossbars
+        assert xb.cluster is cluster
+        assert dict(zip(cluster.pre_neurons, xb.rows.tolist())) == a.row_of_pre
+        assert dict(zip(cluster.post_neurons, xb.cols.tolist())) == a.col_of_post
+        assert tuple(zip(*(cell.tolist() for cell in xb.cells()))) == a.cells
+        assert xb.config is select_configuration(a, spec)
+        mapped += 1
+    assert mapped > 0
+
+
 def test_assignment_values_are_python_ints_in_neuron_order(rng):
     for cluster, spec in [(planted_cluster(rng, 0, PLANTED_SPEC), PLANTED_SPEC),
                           (random_cluster(rng, 1, 90, 70, 0.12, id_base=500), RANDOM_SPEC)]:
@@ -400,12 +422,13 @@ def test_placement_round_trip(tmp_path):
 def test_crossbar_columns_are_read_only_shared_and_compared_by_value():
     placement = map_network(mapping_demo_network(), Hardware(crossbar_count=3, spec=CrossbarSpec(n=4), tech=TECH))
     xb = placement.crossbars[0]
-    columns = ("pre", "post", "state", "row", "col")
-    assert not any(getattr(xb, name).flags.writeable for name in columns)
+    columns = ((xb.cluster, "pre"), (xb.cluster, "post"), (xb.cluster, "state"), (xb, "rows"), (xb, "cols"))
+    assert not any(getattr(holder, name).flags.writeable for holder, name in columns)
     reconfigured = dataclasses.replace(xb, config=CONFIG_11)
-    assert all(getattr(reconfigured, name) is getattr(xb, name) for name in columns)
-    assert dataclasses.replace(xb, **synapse_columns(xb.synapses)) == xb
-    assert dataclasses.replace(xb, **synapse_columns(xb.synapses[1:])) != xb
+    assert reconfigured.cluster is xb.cluster
+    assert all(getattr(reconfigured, name) is getattr(xb, name) for name in ("rows", "cols"))
+    assert dataclasses.replace(xb, **seated_cluster(xb.synapses)) == xb
+    assert dataclasses.replace(xb, **seated_cluster(xb.synapses[1:])) != xb
 
 
 def test_check_placement_detects_corruption():
@@ -413,12 +436,12 @@ def test_check_placement_detects_corruption():
     spec = CrossbarSpec(n=4, n_h=2, n_l=0)
     placement = map_network(net, Hardware(crossbar_count=3, spec=spec, tech=TECH))
     assert check_placement(placement) == []
-    # break the cell/neuron-map consistency of one synapse
+    # move one synapse's pre-neuron onto the row of another
     xb = placement.crossbars[0]
     bad_syn = dataclasses.replace(xb.synapses[0], row=(xb.synapses[0].row + 1) % 4)
     corrupted = dataclasses.replace(
         placement,
-        crossbars=(dataclasses.replace(xb, **synapse_columns((bad_syn,) + xb.synapses[1:])),)
+        crossbars=(dataclasses.replace(xb, **seated_cluster((bad_syn,) + xb.synapses[1:])),)
         + placement.crossbars[1:])
     assert check_placement(corrupted) != []
 
@@ -432,22 +455,18 @@ def test_check_placement_reports_cells_outside_crossbar(row):
     placement = map_network(mapping_demo_network(), Hardware(crossbar_count=3, spec=CrossbarSpec(n=4), tech=TECH))
     xb = placement.crossbars[0]
     s = xb.synapses[0]
-    moved = dataclasses.replace(xb, row_of_pre={**xb.row_of_pre, s.pre: row},
-                                **synapse_columns((dataclasses.replace(s, row=row),) + xb.synapses[1:]))
+    moved = dataclasses.replace(xb, **seated_cluster((dataclasses.replace(s, row=row),) + xb.synapses[1:]))
     problems = check_placement(_replace_first_crossbar(placement, moved))
     assert problems == [f"crossbar {xb.crossbar_id}: cell ({row},{s.col}) outside config '{xb.config.name}'"]
 
 
 def test_pair_checks_match_brute_force(rng):
-    """check_placement's sorted-pair checks against one Python comparison per entry,
-    on repeated pairs, out-of-range cells and neuron maps that miss or disagree."""
+    """The sorted-pair check that Cluster refuses repeated synapses with, against
+    one Python set of the pairs, on repeated and out-of-range pairs."""
     for _ in range(200):
         size = int(rng.integers(0, 40))
         keys = rng.integers(-2, 6, size=size).astype(np.intp)
         values = rng.choice(np.array([-1, 0, 1, 2, 3, 500], dtype=np.intp), size=size)
-        mapping = {int(k): int(rng.choice([-1, 0, 1, 500])) for k in rng.integers(-2, 6, size=4)}
-        expected = [mapping.get(k) != v for k, v in zip(keys.tolist(), values.tolist())]
-        assert _disagrees(mapping, keys, values).tolist() == expected
         injective = len(set(zip(keys.tolist(), values.tolist()))) == size
         assert bool(_sorted_pairs(keys, values)[1].all()) == injective
 
@@ -466,12 +485,9 @@ def test_check_placement_region_verdicts_match_permits(spec):
     # One synapse on every cell in one state: check_placement flags exactly
     # the cells where the checked per-cell rule refuses that state.
     cells = [(r, c) for r in range(spec.n) for c in range(spec.n)]
-    for code, label in enumerate(STATE_LABELS):
-        xb = CrossbarPlacement(crossbar_id=0, cluster_id=0, spec=spec, config=CONFIG_11,
-                               row_of_pre={r: r for r in range(spec.n)},
-                               col_of_post={spec.n + c: c for c in range(spec.n)},
-                               pre=[r for r, _ in cells], post=[spec.n + c for _, c in cells],
-                               state=[code] * len(cells), row=[r for r, _ in cells], col=[c for _, c in cells])
+    for label in STATE_LABELS:
+        xb = CrossbarPlacement(crossbar_id=0, spec=spec, config=CONFIG_11,
+                               **seated_cluster([PlacedSynapse(r, spec.n + c, label, r, c) for r, c in cells]))
         expected = [f"crossbar 0: state {label} forbidden at ({r},{c})"
                     for r, c in cells if not permits(r, c, label, spec)]
         assert check_placement(Placement(crossbars=(xb,), crossbar_count=1)) == expected

@@ -27,7 +27,6 @@ from xbarsim import (
     compute_isi,
     config_dimensions,
     corner_extremes,
-    default_if_neuron,
     energy_report,
     generate_synthetic,
     if_neuron_fire,
@@ -40,13 +39,12 @@ from xbarsim import (
     neuron_isi_distortion,
     region_of,
     sweep_pq,
-    zero_delay_tech,
 )
 from xbarsim import ControlMode
 from xbarsim.fixtures import isi_demo, mapping_demo_network
 from xbarsim import simulate, techmodel
 from xbarsim.simulate import LatencyStats, _synapse_spike_counts, synapse_latency_totals
-from xbarsim.techmodel import PRESETS
+from xbarsim.techmodel import PRESETS, TechnologyParams
 from xbarsim.errors import (
     EmptyCounts,
     EmptyPlacement,
@@ -56,17 +54,32 @@ from xbarsim.errors import (
     ValidationError,
 )
 
-from conftest import MEMO_SPECS, planted_cluster, random_cluster, synapse_columns
+from conftest import MEMO_SPECS, planted_cluster, random_cluster, seated_cluster
 
 TECH = preset("16nm")
 
 
+def zero_delay_tech(reference: TechnologyParams | None = None) -> TechnologyParams:
+    """Degenerate tech where every path has (effectively) zero delay.
+
+    Strict-positivity invariants keep true zeros out, so the smallest normal
+    float stands in; useful for identity checks in event-level simulation.
+    """
+    base = reference or PRESETS["45nm"]
+    tiny = 2.2250738585072014e-308
+    return dataclasses.replace(base, c_wordline_unit=tiny, c_bitline_unit=tiny, c_sense=tiny, t_iso_on=0.0)
+
+
+def default_if_neuron(tech: TechnologyParams) -> IFNeuron:
+    """Default neuron: increments scale with state conductance, LRS1 -> 0.8."""
+    lrs1 = tech.state("LRS1").resistance
+    increments = {s.label: 0.8 * lrs1 / s.resistance for s in tech.states}
+    return IFNeuron(v_threshold=1.0, v_increment_per_state=increments)
+
+
 def one_crossbar(spec, config, placed):
-    rows = {p: r for p, _, _, r, _ in placed}
-    cols = {q: c for _, q, _, _, c in placed}
-    xb = CrossbarPlacement(crossbar_id=0, cluster_id=0, spec=spec, config=config,
-                           row_of_pre=rows, col_of_post=cols,
-                           **synapse_columns([PlacedSynapse(*t) for t in placed]))
+    xb = CrossbarPlacement(crossbar_id=0, spec=spec, config=config,
+                           **seated_cluster([PlacedSynapse(*t) for t in placed]))
     return Placement(crossbars=(xb,), crossbar_count=1)
 
 
@@ -392,7 +405,7 @@ def test_memoized_kernels_stay_plain_functions():
 def test_evaluators_index_columns_not_synapse_views(rng, monkeypatch):
     """No evaluator walks PlacedSynapse views: with them unavailable, every result is unchanged."""
     placement = mixed_placement(rng)
-    pre = sorted({nid for xb in placement.crossbars for nid in xb.row_of_pre})
+    pre = sorted({nid for xb in placement.crossbars for nid in xb.cluster.pre_neurons})
     trains = [SpikeTrain(nid, tuple(np.sort(rng.uniform(0, 1e-3, size=3)))) for nid in pre[::2]]
     activity = activity_from_trains(trains, (), 1.0)
     net = Network(clusters=(random_cluster(rng, 0, 10, 12, 0.5),
@@ -477,7 +490,7 @@ def test_synapse_latency_totals_match_path_latency(rng):
         every_cell = tuple(PlacedSynapse(r, 1000 + c, _permitted_state(r, c, spec, r + c), r, c)
                            for r in range(rows) for c in range(cols))
         for synapses in (mapped.synapses, every_cell):
-            xb = dataclasses.replace(mapped, config=config, **synapse_columns(
+            xb = dataclasses.replace(mapped, config=config, **seated_cluster(
                 [s for s in synapses if s.row < rows and s.col < cols]))
             assert xb.synapses
             vec = synapse_latency_totals(xb, TECH)
@@ -652,12 +665,12 @@ def test_energy_total_is_sum():
 def test_neuron_isi_distortion_matches_two_synapse_example():
     # Two pre-neurons feed one post; delays differ, ISI shifts by the delay gap.
     spec = CrossbarSpec(n=16)
-    placed = [(0, 100, "LRS1", 0, 0), (1, 100, "HRS", 9, 9)]
+    placed = [(0, 100, "LRS1", 0, 0), (1, 100, "HRS", 9, 0)]
     placement = one_crossbar(spec, CONFIG_11, placed)
     t1, t2 = 1.0, 2.0
     trains = [SpikeTrain(neuron=0, times=(t1,)), SpikeTrain(neuron=1, times=(t2,))]
     x = path_latency(0, 0, TECH.state("LRS1"), CONFIG_11, spec, TECH).total
-    y = path_latency(9, 9, TECH.state("HRS"), CONFIG_11, spec, TECH).total
+    y = path_latency(9, 0, TECH.state("HRS"), CONFIG_11, spec, TECH).total
     distortions = neuron_isi_distortion(placement, trains, TECH)
     assert distortions[100] == pytest.approx(abs(y - x), rel=1e-9)
 
@@ -688,9 +701,8 @@ def _random_shared_placement(rng):
                 if rng.random() < 0.6:
                     state = _permitted_state(row, col, spec, int(rng.integers(4)))
                     synapses.append(PlacedSynapse(pre, post, state, row, col))
-        crossbars.append(CrossbarPlacement(crossbar_id=xid, cluster_id=xid, spec=spec,
-                                           config=config, row_of_pre=row_of_pre,
-                                           col_of_post=col_of_post, **synapse_columns(synapses)))
+        crossbars.append(CrossbarPlacement(crossbar_id=xid, spec=spec, config=config,
+                                           **seated_cluster(synapses, xid, row_of_pre, col_of_post)))
     return Placement(crossbars=tuple(crossbars), crossbar_count=len(crossbars))
 
 
@@ -714,7 +726,7 @@ def test_neuron_isi_distortion_matches_sort_merge(rng):
     seen_shared = seen_silent = 0
     for _ in range(20):
         placement = _random_shared_placement(rng)
-        placed = sorted({nid for xb in placement.crossbars for nid in xb.row_of_pre})
+        placed = sorted({nid for xb in placement.crossbars for nid in xb.cluster.pre_neurons})
         trains = []
         for nid in placed:
             draw = rng.random()
@@ -726,7 +738,7 @@ def test_neuron_isi_distortion_matches_sort_merge(rng):
         # last arrivals are its pre-neuron's first and last spikes shifted
         expected = _sort_merge_isi(placement, trains, TECH)
         assert neuron_isi_distortion(placement, trains, TECH) == expected
-        posts = [set(xb.col_of_post) for xb in placement.crossbars]
+        posts = [set(xb.cluster.post_neurons) for xb in placement.crossbars]
         seen_shared += sum(map(len, posts)) > len(set().union(*posts))
         seen_silent += len(placed) > sum(1 for t in trains if t.times)
     assert seen_shared and seen_silent
