@@ -146,14 +146,16 @@ def _header_matches(row, names) -> bool:
     return row is not None and [h.strip() for h in row] == names
 
 
-def read_table(path, header: dict, what: str):
+def read_table(path, header: dict, what: str, earlier: dict | None = None):
     """Yield the rows of a CSV table one at a time, each a list of parsed values.
 
     `header` maps each column name, in order, to the function that parses
     that column's cells; the file's header must name exactly these columns.
-    Blank lines are skipped. A row of the wrong width, a cell its function
-    refuses, or text the csv module cannot read is a ParseError naming the
-    line the csv reader stopped at.
+    A header that is a key of `earlier` (a retired layout) is refused with
+    the key's value, which names that layout, in the message. Blank lines
+    are skipped. A row of the wrong width, a cell its function refuses, or
+    text the csv module cannot read is a ParseError naming the line the csv
+    reader stopped at.
     """
     names, parse = list(header), list(header.values())
     with open(path, newline="", encoding="utf-8") as fh:
@@ -161,7 +163,9 @@ def read_table(path, header: dict, what: str):
         try:
             got = next(reader, None)
             if not _header_matches(got, names):
-                raise ParseError(f"{path}: not a {what} table: expected header {','.join(names)!r}, got {got}")
+                layout = (earlier or {}).get(",".join(h.strip() for h in got or ()))
+                raise ParseError(f"{path}: not a {what} table: expected header {','.join(names)!r}, got {got}"
+                                 + (f" ({layout})" if layout else ""))
             for row in reader:
                 if not row:
                     continue
@@ -178,12 +182,13 @@ def read_table(path, header: dict, what: str):
 _NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def read_numeric_columns(path, header: dict, what: str) -> list[np.ndarray]:
+def read_numeric_columns(path, header: dict, what: str, earlier: dict | None = None) -> list[np.ndarray]:
     """A whole CSV table of numbers, one numpy array per column.
 
     `header` maps each column name, in order, to the numpy dtype of its
     cells: a float dtype, parsed as float() parses, or an integer dtype,
-    parsed as int() parses and refused outside the dtype's range.
+    parsed as int() parses and refused outside the dtype's range. `earlier`
+    is read_table's.
 
     numpy.loadtxt's C reader parses an ASCII table. On such text it refuses
     every cell that int() or float() refuses and reads the same value where
@@ -206,7 +211,7 @@ def read_numeric_columns(path, header: dict, what: str) -> list[np.ndarray]:
                                       quotechar='"', ndmin=1, unpack=True, encoding="ascii")
         except (csv.Error, ValueError, Warning):
             pass
-    rows = list(read_table(path, {name: _cell_parser(name, dtype) for name, dtype in header.items()}, what))
+    rows = list(read_table(path, {name: _cell_parser(name, dtype) for name, dtype in header.items()}, what, earlier))
     columns = zip(*rows) if rows else [()] * len(names)
     return [np.array(column, dtype=dtype) for column, dtype in zip(columns, dtypes)]
 
@@ -235,13 +240,13 @@ def write_table(path, header, rows) -> None:
 
 
 def write_grouped_table(path, header, groups) -> None:
-    """Header row, then one `key,repr(value)` row per value of each (key, values) group.
+    """Header row, then one `key,str(value)` row per value of each (key, values) group.
 
-    The same bytes as write_table with those rows, for numeric keys and
+    The same bytes as write_table with those rows, for integer keys and
     values (their text needs no quoting), joined into one string per group.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for key, values in groups:
             if values:
-                fh.write(f"{key}," + f"\r\n{key},".join(map(repr, values)) + "\r\n")
+                fh.write(f"{key}," + f"\r\n{key},".join(map(str, values)) + "\r\n")

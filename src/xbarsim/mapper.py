@@ -549,7 +549,7 @@ def _placed_cluster(doc) -> Cluster:
     if type(doc) is int:
         raise ValueError(f"cluster: expected a cluster object, got the cluster id {_brief(doc)} "
                          "(the earlier layout, with per-synapse cells and seat maps)")
-    return _cluster_from_json(doc)
+    return _cluster_from_json(doc, "cluster")
 
 
 def placement_from_json(doc: dict) -> Placement:

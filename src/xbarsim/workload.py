@@ -15,6 +15,8 @@ the benchmark harness and the tests read.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import accumulate, chain, takewhile
@@ -282,8 +284,11 @@ def _cluster_to_json(c: Cluster) -> dict:
             "synapses": {"pre": c.pre.tolist(), "post": c.post.tolist(), "state": c._labels()}}
 
 
-def _cluster_from_json(doc: dict) -> Cluster:
-    """The one decoder of a cluster object, in either document."""
+def _cluster_from_json(doc, name: str) -> Cluster:
+    """The one decoder of a cluster object, in either document; `name`, where
+    the document holds it, names a value that is not an object."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name}: expected a cluster object, got {_brief(doc)}")
     return Cluster.from_columns(*_ids([doc["id"]], "cluster id"), _ids(doc["pre"], "pre-neuron id"),
                                 _ids(doc["post"], "post-neuron id"), **_synapses_from_json(doc["synapses"]))
 
@@ -294,7 +299,7 @@ def network_to_json(network: Network) -> dict:
 
 def network_from_json(doc: dict) -> Network:
     try:
-        clusters = tuple(map(_cluster_from_json, doc["clusters"]))
+        clusters = tuple(_cluster_from_json(c, f"clusters[{i}]") for i, c in enumerate(doc["clusters"]))
         routes = _routes_from_json(doc.get("routes", ()))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad network document: {exc}") from exc
@@ -309,20 +314,24 @@ def save_network(network: Network, path) -> None:
     write_json(network_to_json(network), path)
 
 
-_SPIKE_COLUMNS = {"neuron": np.intp, "time_us": np.float64}
+_SPIKE_COLUMNS = {"neuron": np.intp, "time_ns": np.int64}
+# The trace's header before times were whole nanoseconds.
+_EARLIER_SPIKE_HEADERS = {"neuron,time_us": "the earlier layout, with times in float microseconds"}
 
 
 def load_spikes(path) -> list[SpikeTrain]:
-    """Read a spike trace CSV with header `neuron,time_us` (times in us).
+    """Read a spike trace CSV with header `neuron,time_ns` (times in whole
+    nanoseconds, each ns / 1e9 seconds in memory).
 
     One train per neuron, in neuron order, its times sorted; the first train
-    in that order whose times are not finite, >= 0 and distinct raises the
-    SpikeTrain constructor's ValidationError.
+    in that order whose times are not >= 0 and distinct raises the
+    SpikeTrain constructor's ValidationError. A trace with the earlier
+    `neuron,time_us` header is a ParseError that names that layout.
     """
-    neuron, time_us = read_numeric_columns(path, _SPIKE_COLUMNS, "spike")
+    neuron, ns = read_numeric_columns(path, _SPIKE_COLUMNS, "spike", _EARLIER_SPIKE_HEADERS)
     if not neuron.size:
         return []
-    t = time_us / 1e6
+    t = ns / 1e9
     if not np.all((neuron[1:] > neuron[:-1]) | ((neuron[1:] == neuron[:-1]) & (t[1:] > t[:-1]))):
         order = np.lexsort((t, neuron))  # rows not in save_spikes' order
         neuron, t = neuron[order], t[order]
@@ -342,8 +351,28 @@ def load_spikes(path) -> list[SpikeTrain]:
 
 
 def save_spikes(trains, path) -> None:
-    write_grouped_table(path, _SPIKE_COLUMNS,
-                        ((train.neuron, [t * 1e6 for t in train.times]) for train in trains))
+    """Write a spike trace CSV with header `neuron,time_ns`: a row per spike,
+    each time t as its nearest whole nanosecond ns = rint(t * 1e9).
+
+    A time that is not on that grid (ns / 1e9 != t) or whose ns no int64
+    holds is a ValidationError, raised before the file is opened, so that
+    load_spikes reads back exactly the trains saved.
+    """
+    trains = list(trains)
+    ends = list(accumulate(len(train.times) for train in trains))
+    t = np.fromiter(chain.from_iterable(train.times for train in trains), dtype=np.float64,
+                    count=ends[-1] if ends else 0)
+    with np.errstate(over="ignore"):  # a time whose ns no float holds is refused with the others
+        scaled = t * 1e9
+    fits = scaled < 2.0**63
+    ns = np.rint(np.where(fits, scaled, 0)).astype(np.int64)
+    bad = ~fits | (ns / 1e9 != t)
+    if bad.any():
+        i = int(np.argmax(bad))
+        problem = "is not a whole number of nanoseconds" if fits[i] else "has more nanoseconds than an int64 holds"
+        raise ValidationError(f"neuron {trains[bisect_right(ends, i)].neuron}: spike time {t[i].item()!r} s {problem}")
+    write_grouped_table(path, _SPIKE_COLUMNS, ((train.neuron, ns[end - len(train.times):end].tolist())
+                                               for train, end in zip(trains, ends)))
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +399,11 @@ def quantize_weights(weights, states=DEFAULT_STATES) -> list[str]:
 # synthetic workloads
 
 
+# Generated spike times are whole nanoseconds below 2**51 (about 26 days): there
+# every tick and its seconds, tick / 1e9, convert to each other exactly.
+MAX_DURATION = 2**51 / 1e9
+
+
 @dataclass(frozen=True)
 class GenParams:
     clusters: int
@@ -393,8 +427,8 @@ class GenParams:
             raise InvalidParams(f"unknown states in mix: {set(self.state_mix) - set(STATE_LABELS)}")
         if any(v < 0 for v in self.state_mix.values()) or abs(sum(self.state_mix.values()) - 1.0) > 1e-9:
             raise InvalidParams("state_mix fractions must be non-negative and sum to 1")
-        if not (0 <= self.spike_rate < inf and 0 < self.duration < inf):
-            raise InvalidParams("spike_rate must be finite and >= 0, duration finite and > 0")
+        if not (0 <= self.spike_rate < inf and 0 < self.duration <= MAX_DURATION):
+            raise InvalidParams(f"spike_rate must be finite and >= 0, duration > 0 and at most {MAX_DURATION} s")
 
 
 def generate_synthetic(params: GenParams) -> tuple[Network, list[SpikeTrain]]:
@@ -438,13 +472,18 @@ _GAP_BLOCK = 4096  # Poisson gaps drawn per Generator call
 
 
 def _poisson_trains(rng, neurons, rate: float, duration: float) -> list[SpikeTrain]:
-    """Poisson spike times in [0, duration) per neuron, in order; a neuron
-    that does not spike gets no train.
+    """Poisson spike times from [0, duration) per neuron, in order, on the
+    nanosecond grid; a neuron that does not spike gets no train.
 
     The gaps come from rng in blocks: a block equals as many scalar draws,
-    and each neuron's running sum adds its gaps in order, so the times are
-    those of drawing one gap at a time until the sum reaches duration. The
-    unused tail of the last block is drawn too, so rng is spent afterwards.
+    and each neuron's running sum adds its gaps in order, so the drawn times
+    are those of drawing one gap at a time until the sum reaches duration.
+    The unused tail of the last block is drawn too, so rng is spent afterwards.
+
+    Each drawn time t becomes the tick floor(t * 1e9), all in one pass. A
+    tick at or below the tick before it in the same train moves to that tick
+    plus 1, so every train strictly increases (and a train with such moves
+    may end past duration). A time is its tick / 1e9 seconds.
     """
     if rate == 0:
         return []
@@ -452,12 +491,24 @@ def _poisson_trains(rng, neurons, rate: float, duration: float) -> list[SpikeTra
     scale = 1.0 / rate
     # Endless: iter() stops only when a block equals None.
     gaps = chain.from_iterable(iter(lambda: rng.exponential(scale, _GAP_BLOCK).tolist(), None))
-    trains = []
+    drawn, owners, bounds = array("d"), [], [0]  # the times as doubles, not float objects
     for nid in neurons:
-        times = tuple(takewhile(partial(gt, duration), accumulate(gaps)))
-        if times:
-            trains.append(SpikeTrain(neuron=nid, times=times))
-    return trains
+        drawn.extend(takewhile(partial(gt, duration), accumulate(gaps)))
+        if len(drawn) > bounds[-1]:
+            owners.append(nid)
+            bounds.append(len(drawn))
+    ticks = np.floor(np.frombuffer(drawn) * 1e9).astype(np.int64)
+    later = np.ones(len(ticks), dtype=bool)  # not the first tick of its train
+    later[bounds[:-1]] = False
+    clashes = np.flatnonzero(later[1:] & (ticks[1:] <= ticks[:-1])) + 1
+    for k in np.unique(np.searchsorted(bounds, clashes, side="right") - 1).tolist():
+        # Only a train that holds a clash: new[i] = max(ticks[i], new[i - 1] + 1), a running maximum.
+        train = slice(bounds[k], bounds[k + 1])
+        i = np.arange(train.stop - train.start)
+        ticks[train] = np.maximum.accumulate(ticks[train] - i) + i
+    times = (ticks / 1e9).tolist()
+    return [SpikeTrain._prechecked(nid, tuple(times[start:end]))
+            for nid, start, end in zip(owners, bounds, bounds[1:])]
 
 
 def partition_simple(layer: dict, n: int) -> list[Cluster]:

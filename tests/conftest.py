@@ -208,6 +208,7 @@ BAD_PLACEMENTS = {
     "seat-outside": _first_crossbar(_seat_idle_neuron_outside),
     "rows-fraction": _first_crossbar(lambda xb: xb.update(rows=[row + 0.25 for row in xb["rows"]])),
     "previous-layout": _first_crossbar(_previous_layout),
+    "cluster-not-an-object": _first_crossbar(lambda xb: xb.update(cluster=[3])),
     # state-lrs9 (above) is the synapse-state-lrs9 fault
     **{name: _first_placed_cluster(fault)
        for name, fault in SYNAPSE_FAULTS.items() if name != "synapse-state-lrs9"},
@@ -231,6 +232,7 @@ def _first_cluster(edit):
 BAD_NETWORKS = {
     **{name: _first_cluster(fault) for name, fault in SYNAPSE_FAULTS.items()},
     "id-inf": _first_cluster(lambda cluster: cluster.update(id=math.inf)),
+    "cluster-not-an-object": lambda doc: doc["clusters"].__setitem__(0, 3),
     "pre-neuron-huge": _first_cluster(lambda cluster: cluster["pre"].__setitem__(0, 2**70)),
     # no route names the last cluster, and int() would read 2.5 as a fresh id
     "last-cluster-id-fraction": lambda doc: doc["clusters"][-1].update(id=2.5),
@@ -243,8 +245,9 @@ def write_boundary_files(directory):
 
     Valid: net.json and its copy other/net.json, spec.json (N = 4), spk.csv,
     placement.json. Malformed: bad.json (invalid JSON), bad.bin (not UTF-8),
-    spk-inf.csv and spk-nan.csv (a non-finite spike time),
-    spk-neuron-huge.csv (a neuron id no intp holds), spec-n-inf.json
+    spk-inf.csv and spk-nan.csv (a non-finite spike time), spk-fraction.csv
+    (100.5 ns), spk-huge.csv (2**70 ns), spk-neuron-huge.csv (a neuron id no
+    intp holds), spk-time-us.csv (the earlier neuron,time_us layout), spec-n-inf.json
     (N = Infinity), spec-p-fraction.json (P = 2.5), spec-n-huge.json (N = 2**70),
     spec-n-huge-regions.json (N = 2**70, N_h = 4), spec-n-digits.json (N of
     5,000 nines, beyond Python's integer digit limit), spec-p-huge.json and
@@ -263,14 +266,15 @@ def write_boundary_files(directory):
     save_network(network, directory / "other" / "net.json")
     save_spec(spec, directory / "spec.json")
     pre = [nid for c in network.clusters for nid in c.pre_neurons]
-    save_spikes([SpikeTrain(neuron=nid, times=(0.1, 0.2 + 0.01 * nid)) for nid in pre], directory / "spk.csv")
+    save_spikes([SpikeTrain(neuron=nid, times=(0.1, (20 + nid) / 100)) for nid in pre], directory / "spk.csv")
     placement = map_network(network, Hardware(crossbar_count=3, spec=spec, tech=preset("16nm")))
     save_placement(placement, directory / "placement.json")
     (directory / "bad.json").write_text("{not json")
-    (directory / "bad.bin").write_bytes(b"\xff\xfe\x00\x81neuron,time_us\r\n")
-    for value in ("inf", "nan"):
-        (directory / f"spk-{value}.csv").write_text(f"neuron,time_us\n{pre[0]},100.0\n{pre[0]},{value}\n")
-    (directory / "spk-neuron-huge.csv").write_text(f"neuron,time_us\n{pre[0]},100.0\n{2**70},200.0\n")
+    (directory / "bad.bin").write_bytes(b"\xff\xfe\x00\x81neuron,time_ns\r\n")
+    for name, value in (("inf", "inf"), ("nan", "nan"), ("fraction", "100.5"), ("huge", 2**70)):
+        (directory / f"spk-{name}.csv").write_text(f"neuron,time_ns\n{pre[0]},100000\n{pre[0]},{value}\n")
+    (directory / "spk-neuron-huge.csv").write_text(f"neuron,time_ns\n{pre[0]},100000\n{2**70},200000\n")
+    (directory / "spk-time-us.csv").write_text(f"neuron,time_us\n{pre[0]},100.0\n{pre[0]},200.0\n")
     (directory / "spec-n-inf.json").write_text(json.dumps({**spec.to_json(), "n": math.inf}))
     (directory / "spec-p-fraction.json").write_text(json.dumps({**spec.to_json(), "p": 2.5}))
     (directory / "spec-n-huge.json").write_text(json.dumps({"n": 2**70}))

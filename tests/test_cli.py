@@ -246,11 +246,11 @@ GOLDEN_DIGESTS = {
     "net.json": "e545f3d9a4b34bb5420d382f5fa8c7204e5a62471f079e3e6380923f116cc2e2",
     "placement.json": "ba8d0a4f7860612d56d4cd2b7346b859219324ede49ca46b2ed3d92cfee7ee3e",
     "reports/energy.csv": "d127cec1c2f37e7870eb2940340c235015600f83fb5497eda5aa71d1f61d6fbb",
-    "reports/isi.csv": "e3d2e13c2f3b4ab1f37454dbbe0f0e81bd595c2d1639495cac0f2ad3aca9770d",
+    "reports/isi.csv": "d281f741c082c96e94e4aea8dc8474daba32ceca6feac9baa8f238efd65bc182",
     "reports/latency.csv": "7e696fa0f911d71ea57f0d65d58bc5098c20c64ef8aee87ec98fb5fe68e0fca6",
-    "reports/report.json": "ba56345084e6c23008798e9bcfd55f1a4fbc0fc9e2a6cf7383bc0b3c9a8cd00b",
+    "reports/report.json": "efa38e61be4c4b89abaaa2160e86114951b17e409334f9fa9f9409f688adab77",
     "spec.json": "f1e7d4c2eafe96c9a1e2b3845453bef0cf02536b3c961dfa2d354a851246adac",
-    "spk.csv": "de652fa7b06fc323fd05a3072acb308153d740aad288cc168a6bac3d614baaf3",
+    "spk.csv": "d50d9640618281a2e511a23e6ab74624b878cafa8028dae118752dd65baa991d",
     "sweep.csv": "0f28c68690a588078d1f81785d723dca6a8276ddcc6fe7bfd7fcdd44d327873b",
 }
 
@@ -347,6 +347,9 @@ MALFORMED_INPUTS = {
     "spikes-time-inf": _simulate(spikes="spk-inf.csv"),
     "spikes-time-nan": _simulate(spikes="spk-nan.csv"),
     "spikes-neuron-huge": _simulate(spikes="spk-neuron-huge.csv"),
+    "spikes-time-us-layout": _simulate(spikes="spk-time-us.csv"),
+    "spikes-time-fraction": _simulate(spikes="spk-fraction.csv"),
+    "spikes-time-huge": _simulate(spikes="spk-huge.csv"),
     "spec-n-inf": _map(spec="spec-n-inf.json"),
     "spec-p-fraction": _map(spec="spec-p-fraction.json"),
     "spec-n-huge": _map(spec="spec-n-huge.json"),
@@ -396,6 +399,12 @@ _HUGE = "16069380442589902755... (61 characters)"  # 2**200, cut short
 MALFORMED_ERRORS = {
     "spec-p-huge": f"error: partition points must satisfy 1 <= P,Q <= N: P={_HUGE} Q=4 N=4\n",
     "spec-n-h-huge": f"error: regions must satisfy 0 <= N_h, N_l and N_h+N_l <= N: N_h={_HUGE} N_l=0\n",
+    "spikes-time-us-layout": "error: spk-time-us.csv: not a spike table: expected header 'neuron,time_ns', got "
+                             "['neuron', 'time_us'] (the earlier layout, with times in float microseconds)\n",
+    "spikes-time-fraction": "error: spk-fraction.csv:3: invalid literal for int() with base 10: '100.5'\n",
+    "spikes-time-huge": "error: spk-huge.csv:3: time_ns 1180591620717411303424 does not fit int64\n",
+    "network-cluster-not-an-object": "error: bad network document: clusters[0]: expected a cluster object, got 3\n",
+    "placement-cluster-not-an-object": "error: bad placement document: cluster: expected a cluster object, got [3]\n",
 }
 
 

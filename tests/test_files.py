@@ -49,7 +49,7 @@ LOADERS = [load_spec, load_tech, load_network, load_placement, load_spikes,
 
 # CSV readers and their headers
 TABLES = {
-    load_spikes: "neuron,time_us",
+    load_spikes: "neuron,time_ns",
     read_latency_csv: "crossbar,cluster,best,worst,diff,ratio,mean,"
                       "extreme_best,extreme_worst,extreme_diff,extreme_ratio",
     read_energy_csv: "static_j,spike_j,routing_j,access_overhead_j,total_j",

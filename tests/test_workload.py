@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from unittest import mock
 
@@ -62,7 +63,9 @@ def cluster_error_reference(cid, pre_neurons, post_neurons, triples):
 
 
 def poisson_trains_reference(rng, neurons, rate, duration):
-    """Poisson trains drawn one scalar gap at a time until the running time reaches duration."""
+    """Poisson trains drawn one scalar gap at a time until the running time reaches duration,
+    each time t then put on the nanosecond grid one at a time: tick floor(t * 1e9), moved to
+    the train's previous tick plus 1 if at or below it, and t = tick / 1e9."""
     trains = []
     for nid in neurons:
         times = []
@@ -73,8 +76,12 @@ def poisson_trains_reference(rng, neurons, rate, duration):
                 if t >= duration:
                     break
                 times.append(t)
-        if times:
-            trains.append(SpikeTrain(neuron=nid, times=tuple(times)))
+        ticks = []
+        for t in times:
+            tick = math.floor(t * 1e9)
+            ticks.append(tick if not ticks or tick > ticks[-1] else ticks[-1] + 1)
+        if ticks:
+            trains.append(SpikeTrain(neuron=nid, times=tuple(tick / 1e9 for tick in ticks)))
     return trains
 
 
@@ -82,8 +89,8 @@ def load_spikes_reference(path) -> list[SpikeTrain]:
     """load_spikes as it was before numpy read the trace: the stdlib csv reader, int() and
     float() per cell, and one list per neuron."""
     per_neuron: dict[int, list[float]] = {}
-    for neuron, t_us in read_table(path, {"neuron": int, "time_us": float}, "spike"):
-        per_neuron.setdefault(neuron, []).append(t_us / 1e6)
+    for neuron, t_ns in read_table(path, {"neuron": int, "time_ns": int}, "spike"):
+        per_neuron.setdefault(neuron, []).append(t_ns / 1e9)
     return [SpikeTrain(neuron=nid, times=tuple(sorted(ts))) for nid, ts in sorted(per_neuron.items())]
 
 
@@ -160,12 +167,12 @@ def test_spike_train_invariants():
 def test_load_spikes_groups_by_neuron_and_sorts(tmp_path):
     """Rows in any order, 9,000 of them: one train per neuron, ascending ids, times sorted."""
     rng = np.random.default_rng(3)
-    rows = [(int(n), float(t)) for n, t in zip(rng.integers(0, 50, 9000), rng.uniform(0, 1e6, 9000))]
+    rows = [(int(n), int(t)) for n, t in zip(rng.integers(0, 50, 9000), rng.integers(0, 10**15, 9000))]
     path = tmp_path / "spikes.csv"
-    path.write_text("neuron,time_us\n" + "".join(f"{n},{t!r}\n" for n, t in rows))
+    path.write_text("neuron,time_ns\n" + "".join(f"{n},{t}\n" for n, t in rows))
     per_neuron = {}
     for n, t in rows:
-        per_neuron.setdefault(n, []).append(t / 1e6)
+        per_neuron.setdefault(n, []).append(t / 1e9)
     assert load_spikes(path) == [SpikeTrain(n, tuple(sorted(ts))) for n, ts in sorted(per_neuron.items())]
 
 
@@ -218,6 +225,12 @@ def test_generate_deterministic():
 def test_generated_trains_match_scalar_draws(seed, rate, duration, clusters):
     params = GenParams(clusters=clusters, pre_range=(1, 4), post_range=(1, 2), density=0.5,
                        spike_rate=rate, duration=duration, seed=seed)
+    trains, want = _generated_and_reference_trains(params)
+    assert _hex_trains(trains) == _hex_trains(want)
+
+
+def _generated_and_reference_trains(params):
+    """generate_synthetic's trains, and poisson_trains_reference's from the same rng state."""
     states = []
     real = workload._poisson_trains
 
@@ -229,9 +242,80 @@ def test_generated_trains_match_scalar_draws(seed, rate, duration, clusters):
         network, trains = generate_synthetic(params)
     rng = np.random.default_rng()
     rng.bit_generator.state = states[0]
-    want = poisson_trains_reference(rng, [nid for c in network.clusters for nid in c.pre_neurons], rate, duration)
-    assert [(t.neuron, [x.hex() for x in t.times]) for t in trains] == \
-        [(t.neuron, [x.hex() for x in t.times]) for t in want]
+    neurons = [nid for c in network.clusters for nid in c.pre_neurons]
+    return trains, poisson_trains_reference(rng, neurons, params.spike_rate, params.duration)
+
+
+def _hex_trains(trains):
+    return [(t.neuron, [x.hex() for x in t.times]) for t in trains]
+
+
+def test_generated_ticks_that_clash_move_past_the_tick_before(tmp_path):
+    """At 2e9 Hz for 200 ns a train draws about 400 times onto 200 ticks, so many
+    floor to a tick already taken: each moves to the tick before it plus 1, as
+    in the scalar reference, and the train runs past the duration."""
+    params = GenParams(clusters=1, pre_range=(3, 3), post_range=(1, 1), density=1.0,
+                       spike_rate=2e9, duration=2e-7, seed=4)
+    trains, want = _generated_and_reference_trains(params)
+    assert _hex_trains(trains) == _hex_trains(want)
+    assert len(trains) == 3 and all(len(t.times) > 200 and t.times[-1] > 2e-7 for t in trains)
+    save_spikes(trains, tmp_path / "spikes.csv")
+    assert load_spikes(tmp_path / "spikes.csv") == trains
+
+
+def test_trains_generated_up_to_the_longest_duration_save_and_read_back(tmp_path):
+    """Up to MAX_DURATION (2**51 ns) every generated tick converts to seconds and back exactly."""
+    params = GenParams(clusters=2, pre_range=(3, 3), post_range=(1, 1), density=1.0,
+                       spike_rate=2e-5, duration=workload.MAX_DURATION, seed=1)
+    _, trains = generate_synthetic(params)
+    assert sum(len(t.times) for t in trains) > 100
+    save_spikes(trains, tmp_path / "spikes.csv")
+    assert load_spikes(tmp_path / "spikes.csv") == trains
+    with pytest.raises(InvalidParams, match="duration"):
+        GenParams(clusters=1, pre_range=(1, 1), post_range=(1, 1), density=1.0,
+                  duration=workload.MAX_DURATION * (1 + 1e-15))
+
+
+# Lists of spike ticks in ns, mostly below 2**51, where every tick and its seconds
+# convert exactly, some up to the largest int64.
+_TICKS = st.lists(st.integers(0, 2**51) | st.integers(0, 2**63 - 1), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ticks=st.dictionaries(st.integers(-2**63, 2**63 - 1), _TICKS, max_size=4),
+       floats=st.dictionaries(st.integers(0, 9), st.lists(st.floats(0, 1e10), max_size=4), max_size=2))
+@example(ticks={0: [0, 1, 2**51], 5: [2**53 + 1, 2**62]}, floats={})
+@example(ticks={1: [2**63 - 1]}, floats={})  # 2**63 ns once rounded to a float second: refused
+@example(ticks={}, floats={3: [0.1, 5e-324]})  # 5e-324 s is off the grid: refused
+def test_saved_traces_read_back_exactly(tmp_path_factory, ticks, floats):
+    """load_spikes(save_spikes(x)) == x, bit for bit, for every x that save_spikes
+    accepts; it accepts every train of ticks below 2**51 ns, as tick / 1e9 seconds."""
+    trains = [SpikeTrain(nid, tuple(np.unique(np.array(ts, dtype=np.int64) / 1e9).tolist()))
+              for nid, ts in ticks.items()]
+    trains += [SpikeTrain(nid, tuple(sorted(set(ts)))) for nid, ts in floats.items() if nid not in ticks]
+    path = tmp_path_factory.mktemp("trace") / "spikes.csv"
+    try:
+        save_spikes(trains, path)
+    except ValidationError:
+        assert floats or max(t for ts in ticks.values() for t in ts) > 2**51
+        assert not path.exists()
+        return
+    saved = sorted((t for t in trains if t.times), key=lambda t: t.neuron)
+    assert _hex_trains(load_spikes(path)) == _hex_trains(saved)
+
+
+@pytest.mark.parametrize("t, problem", [
+    (1.5e-9, "is not a whole number of nanoseconds"),
+    (0.1 + 2**-50, "is not a whole number of nanoseconds"),
+    (2**63 / 1e9, "has more nanoseconds than an int64 holds"),
+    (1e300, "has more nanoseconds than an int64 holds"),
+])
+def test_save_spikes_refuses_times_off_the_nanosecond_grid(tmp_path, t, problem):
+    path = tmp_path / "spikes.csv"
+    with pytest.raises(ValidationError) as exc:
+        save_spikes([SpikeTrain(4, (0.5,)), SpikeTrain(9, (0.0, t)), SpikeTrain(12, (t,))], path)
+    assert str(exc.value) == f"neuron 9: spike time {t!r} s {problem}"
+    assert not path.exists()
 
 
 # Faults injected into a valid cluster: an index out of range, a huge index, a
@@ -435,10 +519,8 @@ def test_spike_csv_round_trip(tmp_path):
               SpikeTrain(neuron=7, times=(0.0001,))]
     path = tmp_path / "spikes.csv"
     save_spikes(trains, path)
-    loaded = load_spikes(path)
-    assert [t.neuron for t in loaded] == [3, 7]
-    for orig, back in zip(trains, loaded):
-        assert back.times == pytest.approx(orig.times, rel=1e-12)
+    assert path.read_text() == "neuron,time_ns\n3,1000000\n3,2500000\n3,4000000\n7,100000\n"
+    assert load_spikes(path) == trains
 
 
 def test_spike_csv_header_check(tmp_path):
@@ -468,8 +550,8 @@ def _with_underscore(text: str) -> str:
 
 
 _CELL_FORMS = st.sampled_from(["{}", " {} ", "\t{}", '"{}"', '" {}"', '"{}\n"', "_"])
-_GOOD_TIMES_US = st.floats(0, 1e6).map(repr) | st.sampled_from(["1e3", "+7", "1_0", "-0.0", "5e-324"])
-_BAD_TIMES_US = st.sampled_from(["-1.0", "nan", "-nan", "inf", "Infinity", "-inf", "1e400"])
+_GOOD_TIMES_NS = st.integers(0, 2**63 - 1).map(str) | st.sampled_from(["+7", "1_0", "-0", "00"])
+_BAD_TIMES_NS = st.sampled_from(["-1", "1.0", "1e3", "1.5", "nan", "inf", "-inf", "1e400"])
 _BLANK_ROWS = st.sampled_from(["", " ", "\t"])
 # Rows that are no spike to int() and float(), rows only Python reads (digits outside ASCII),
 # and rows that numpy's number parser reads differently (U+01FE as the digits 462, U+001C as
@@ -486,7 +568,7 @@ def spike_traces(draw) -> str:
     blank-looking lines, any of the three line ends, and odd rows at the start, the middle or
     the end. About half the traces hold only well-formed spikes and blank lines."""
     clean = draw(st.booleans())
-    times = _GOOD_TIMES_US if clean else _GOOD_TIMES_US | _BAD_TIMES_US
+    times = _GOOD_TIMES_NS if clean else _GOOD_TIMES_NS | _BAD_TIMES_NS
     rows = [(n, draw(times)) for n in draw(st.lists(st.sampled_from([0, 1, 2, 5, 17, 130, -3]), max_size=25))]
     if draw(st.booleans()):
         rows.sort(key=lambda row: (row[0], float(row[1].replace("_", ""))))
@@ -499,7 +581,7 @@ def spike_traces(draw) -> str:
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.sampled_from([0, len(lines) // 2, len(lines)])),
                      draw(st.just("") if clean else _BLANK_ROWS | _ODD_ROWS))
-    header = draw(st.sampled_from(["neuron,time_us", " neuron , time_us", '"neuron","time_us"']
+    header = draw(st.sampled_from(["neuron,time_ns", " neuron , time_ns", '"neuron","time_ns"']
                                   + ([] if clean else ["neuron,time"])))
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return end.join([header, *lines]) + draw(st.sampled_from([end, ""]))
@@ -507,9 +589,10 @@ def spike_traces(draw) -> str:
 
 @settings(max_examples=400, deadline=None)
 @given(text=spike_traces())
-@example(text="neuron,time_us\n5,3.0\n5,1.0\n2,-0.0\n2,2.0\n")
-@example(text="neuron,time_us\r\n1,1.0\r\n1,-0.0\r\n1,0\r\n")
-@example(text="neuron,time_us\r3,nan\r1,2\r1,1\r")
+@example(text="neuron,time_ns\n5,3\n5,1\n2,-0\n2,2\n")
+@example(text="neuron,time_ns\r\n1,1\r\n1,-0\r\n1,0\r\n")
+@example(text="neuron,time_ns\r3,nan\r1,2\r1,1\r")
+@example(text=f"neuron,time_ns\n1,{2**63 - 1}\n1,{2**63 - 2}\n")  # both read as the same float second
 def test_load_spikes_matches_reference_loader(tmp_path_factory, text):
     """Same trains, bit for bit, or the same exception and message, on any trace."""
     path = tmp_path_factory.mktemp("trace") / "spikes.csv"
@@ -517,7 +600,7 @@ def test_load_spikes_matches_reference_loader(tmp_path_factory, text):
     assert _spike_outcome(load_spikes, path) == _spike_outcome(load_spikes_reference, path)
 
 
-@pytest.mark.parametrize("text", ["neuron,time_us\n", "neuron,time_us", "neuron,time_us\r\n\r\n\n\r"])
+@pytest.mark.parametrize("text", ["neuron,time_ns\n", "neuron,time_ns", "neuron,time_ns\r\n\r\n\n\r"])
 def test_load_spikes_reads_a_trace_without_rows_as_empty(tmp_path, text):
     """numpy warns that such a file holds no data; the warning does not reach the caller."""
     path = tmp_path / "spikes.csv"
@@ -533,7 +616,7 @@ def test_load_spikes_names_the_line_of_a_neuron_cell_int_refuses(tmp_path, cell)
     """numpy < 2 reads 1.0 as a neuron id with only a DeprecationWarning, and reads U+01FE as
     462 and U+001C as white space; each is still the line's ParseError."""
     path = tmp_path / "spikes.csv"
-    path.write_text(f"neuron,time_us\n1,5.0\n{cell},7.0\n", encoding="utf-8")
+    path.write_text(f"neuron,time_ns\n1,5\n{cell},7\n", encoding="utf-8")
     with pytest.raises(ParseError, match=r"spikes\.csv:3: invalid literal for int\(\)"):
         load_spikes(path)
 
