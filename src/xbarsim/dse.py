@@ -1,11 +1,12 @@
 """Design-space exploration over partition points and region sizes.
 
-The P/Q sweep maps each workload once, re-selects every crossbar's
-configuration at each candidate partition, evaluates it under one seeded
-activity draw, and normalizes energy, mean path latency, and corner-extremes
-variation against the degenerate partition P = Q = N. The N_h/N_l sweep is
-pure geometry: how far the region rules pull the fastest and slowest
-achievable paths together.
+The P/Q sweep maps each workload once and builds its synapse table once
+(the cells, states and spike counts of every crossbar, under one seeded
+activity draw). At each candidate partition it re-selects every crossbar's
+configuration and re-evaluates only the terms that depend on it, then
+normalizes energy, mean path latency, and corner-extremes variation against
+the degenerate partition P = Q = N. The N_h/N_l sweep is pure geometry: how
+far the region rules pull the fastest and slowest achievable paths together.
 """
 
 from __future__ import annotations
@@ -18,7 +19,16 @@ import numpy as np
 from .crossbar import CONFIG_11, CrossbarSpec
 from .errors import InvalidGrid, NoFeasibleKnee, ValidationError
 from .mapper import Hardware, Placement, _cheapest_config, map_network
-from .simulate import Activity, _activity, corner_extremes, energy_report, latency_stats
+from .simulate import (
+    Activity,
+    _activity,
+    _crossbar_extremes,
+    _energy,
+    _overall_extremes,
+    _setups,
+    _SynapseTable,
+    corner_extremes,
+)
 from .techmodel import TechnologyParams
 from .workload import Network
 
@@ -46,13 +56,22 @@ def _seeded_activity(network: Network, spike_rate: float, duration: float, seed:
 
 
 def _evaluate(placement: Placement, spec: CrossbarSpec, tech: TechnologyParams, activity: Activity):
-    energy = float(energy_report(placement, activity, tech).total_j)
-    report = latency_stats(placement, tech)
+    """(energy, mean path latency, corner-extremes variation, expanded fraction) of a placement on `spec`."""
+    table = _SynapseTable(placement.crossbars, tech)
+    return _evaluate_setups(table, table.spike_counts(activity), spec, _setups(placement), activity)
+
+
+def _evaluate_setups(table: _SynapseTable, counts, spec: CrossbarSpec, setups, activity: Activity):
+    """_evaluate of the table's placement, crossbar i set up as setups[i] and
+    its synapses' spike counts in `counts`."""
+    latencies, access_j = table.evaluate(setups, counts)
+    energy = _energy(setups, access_j, activity, table.tech).total_j
+    variation = _overall_extremes(_crossbar_extremes(setups, table.tech)).ratio
     # A degenerate partition (P = Q = N) has no far region, so nothing is
     # genuinely expanded even though the reported configuration is '11'.
     partitioned = spec.p < spec.n or spec.q < spec.n
-    expanded = sum(1 for xb in placement.crossbars if xb.config == CONFIG_11 and partitioned)
-    return energy, report.aggregate.mean, report.extremes.ratio, expanded / len(placement.crossbars)
+    expanded = sum(1 for _, config in setups if config == CONFIG_11 and partitioned)
+    return float(energy), float(latencies.mean()), variation, expanded / len(setups)
 
 
 def sweep_pq(networks, base_spec: CrossbarSpec, tech: TechnologyParams, grid,
@@ -62,8 +81,12 @@ def sweep_pq(networks, base_spec: CrossbarSpec, tech: TechnologyParams, grid,
 
     Returns one SweepPoint list per network, in grid order. Each network is
     mapped once, at P = Q = N: the mapper's cell assignment reads only N,
-    N_h and N_l, so every grid point reuses it and only re-selects the
-    configurations. A network that cannot be mapped raises Infeasible.
+    N_h and N_l, so every grid point reuses it. Its synapse table (cells,
+    states and spike counts) is built once too; a grid point re-selects each
+    crossbar's configuration and re-evaluates only what depends on it: the
+    path latencies gathered from tap_delays, the far-cell multiplier, the
+    static weight and the corner extremes. A network that cannot be mapped
+    raises Infeasible.
     """
     grid = list(grid)
     if not grid:
@@ -81,14 +104,15 @@ def sweep_pq(networks, base_spec: CrossbarSpec, tech: TechnologyParams, grid,
         base = replace(base_spec, p=base_spec.n, q=base_spec.n)
         hardware = Hardware(crossbar_count=len(network.clusters), spec=base, tech=tech)
         mapped = map_network(network, hardware)
-        e0, l0, v0, _ = _evaluate(mapped, base, tech, activity)
+        table = _SynapseTable(mapped.crossbars, tech)
+        counts = table.spike_counts(activity)
+        e0, l0, v0, _ = _evaluate_setups(table, counts, base, _setups(mapped), activity)
         extents = [tuple(int(cell.max()) for cell in xb.cells()) for xb in mapped.crossbars]
         points = []
         for p, q in grid:
             spec = replace(base_spec, p=p, q=q)
-            crossbars = tuple(replace(xb, spec=spec, config=_cheapest_config(*extent, spec))
-                              for xb, extent in zip(mapped.crossbars, extents))
-            e, l, v, frac = _evaluate(replace(mapped, crossbars=crossbars), spec, tech, activity)
+            setups = [(spec, _cheapest_config(*extent, spec)) for extent in extents]
+            e, l, v, frac = _evaluate_setups(table, counts, spec, setups, activity)
             points.append(SweepPoint(network=name, p=p, q=q,
                                      norm_energy=e / e0, norm_latency=l / l0,
                                      norm_variation=v / v0, expanded_fraction=frac))

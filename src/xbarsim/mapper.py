@@ -567,7 +567,7 @@ def placement_from_json(doc: dict) -> Placement:
         )
         return Placement(crossbars=crossbars,
                          crossbar_count=json_ints([doc["crossbar_count"]], "crossbar_count")[0],
-                         routes=_routes_from_json(doc.get("routes", ())))
+                         routes=_routes_from_json(doc.get("routes", [])))
     except (AttributeError, IllegalConfig, KeyError, OverflowError, TypeError, ValueError, ValidationError) as exc:
         raise ValidationError(f"bad placement document: {exc}") from exc
 

@@ -161,16 +161,103 @@ def synapse_latency_totals(xb: CrossbarPlacement, tech: TechnologyParams) -> np.
     checks: the mapper emits only sound placements, and load_placement
     rejects any file that check_placement finds a problem in.
     """
-    return next(_placement_totals(Placement(crossbars=(xb,), crossbar_count=1), tech))[1]
+    return _SynapseTable((xb,), tech).evaluate(((xb.spec, xb.config),))[0]
 
 
-def _placement_totals(placement: Placement, tech: TechnologyParams):
-    """(crossbar, synapse_latency_totals) per crossbar."""
-    sense = np.array([sense_latency(s, tech) for s in tech.states])  # by state code
-    for xb in placement.crossbars:
-        row, col = tap_delays(xb.spec, xb.config, tech)
-        cell_row, cell_col = xb.cells()
-        yield xb, row[cell_row] + col[cell_col] + sense[xb.cluster.state]
+class _SynapseTable:
+    """The evaluation kernel: a placement's synapses as columns concatenated
+    across its crossbars, crossbar by crossbar and each in cluster synapse
+    order. Per synapse: `row` and `col` (its cell) and `sense` (its state's
+    sense latency); `pre` and `post`, built when first read, index its
+    neurons. Crossbar i holds sizes[i] synapses.
+
+    None of these depend on how a crossbar is set up, so one table serves
+    every (spec, config) its crossbars are evaluated under.
+    """
+
+    def __init__(self, crossbars, tech: TechnologyParams):
+        self.tech = tech
+        self.sizes = np.array([len(xb.cluster.state) for xb in crossbars], dtype=np.intp)
+        cells = [xb.cells() for xb in crossbars]
+        self.row = _joined([row for row, _ in cells])
+        self.col = _joined([col for _, col in cells])
+        sense = np.array([sense_latency(s, tech) for s in tech.states])  # by state code
+        self.clusters = [xb.cluster for xb in crossbars]
+        self.sense = sense[_joined([c.state for c in self.clusters])]
+
+    @cached_property
+    def pre(self) -> tuple[np.ndarray, np.ndarray]:
+        """(every crossbar's pre-neuron ids end to end, each synapse's index into them)."""
+        return _indexed([c.pre_neurons for c in self.clusters], [c.pre for c in self.clusters])
+
+    @cached_property
+    def post(self) -> tuple[np.ndarray, np.ndarray]:
+        """(every crossbar's post-neuron ids end to end, each synapse's index into them)."""
+        return _indexed([c.post_neurons for c in self.clusters], [c.post for c in self.clusters])
+
+    def spike_counts(self, activity: Activity) -> np.ndarray:
+        """The activity's spike count of each synapse's pre-neuron."""
+        ids, index = self.pre
+        return _synapse_spike_counts(activity, ids)[index]
+
+    def evaluate(self, setups, counts: np.ndarray | None = None) -> tuple[np.ndarray, float | None]:
+        """(path latency per synapse, access energy of counts[i] spikes at
+        synapse i, or None without counts), crossbar i set up as setups[i], a
+        (spec, config) pair.
+
+        A synapse's latency is row[r] + col[c] + its sense latency, out of its
+        setup's tap_delays. Each spike raises the synapse's wordline for that
+        long: 3x a plain raise at a far-region cell (row >= P or column >= Q)
+        under '11', 2x under a single-side expansion, 1x otherwise. Each
+        distinct setup's tap delays and raise factors are laid end to end in
+        one flat array per axis, which every synapse indexes once.
+        """
+        index = {}
+        at = np.array([index.setdefault(setup, len(index)) for setup in setups], dtype=np.intp)
+        taps = [tap_delays(spec, config, self.tech) for spec, config in index]
+        width = max((len(delay) for tap in taps for delay in tap), default=0)
+        r = np.repeat(at * width, self.sizes)
+        c = r + self.col
+        r += self.row
+        latencies = _laid([row for row, _ in taps], width).take(r)
+        latencies += _laid([col for _, col in taps], width).take(c)
+        latencies += self.sense
+        if counts is None:
+            return latencies, None
+        row_k, col_k = [], []
+        for (spec, config), (row, col) in zip(index, taps):
+            k = 3.0 if config == CONFIG_11 else 2.0
+            row_k.append(np.where(np.arange(len(row)) >= spec.p, k, 1.0))
+            col_k.append(np.where(np.arange(len(col)) >= spec.q, k, 1.0))
+        access = counts * self.tech.p_wordline_raise
+        access *= latencies
+        access *= np.maximum(_laid(row_k, width).take(r), _laid(col_k, width).take(c))
+        # A left fold in table order (cumsum is sequential), as np.sum is
+        # pairwise and sum() of floats is compensated from Python 3.12 on.
+        return latencies, float(np.cumsum(np.concatenate(([0.0], access[counts > 0])))[-1])
+
+
+def _joined(parts) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+
+
+def _indexed(neurons, index) -> tuple[np.ndarray, np.ndarray]:
+    """(the neuron id tuples end to end, each index column shifted to index that)."""
+    ids = np.array([nid for group in neurons for nid in group], dtype=np.intp)
+    starts = np.cumsum([0] + [len(group) for group in neurons])[:-1]
+    return ids, _joined(index) + np.repeat(starts, [len(column) for column in index])
+
+
+def _laid(arrays, width: int) -> np.ndarray:
+    """The arrays end to end in one flat array, each padded with NaN to `width`."""
+    out = np.full(len(arrays) * width, np.nan)
+    for i, arr in enumerate(arrays):
+        out[i * width:i * width + len(arr)] = arr
+    return out
+
+
+def _setups(placement: Placement) -> list:
+    return [(xb.spec, xb.config) for xb in placement.crossbars]
 
 
 def _spike_times(placement: Placement, trains) -> dict:
@@ -270,22 +357,27 @@ class LatencyReport:
 def latency_stats(placement: Placement, tech: TechnologyParams) -> LatencyReport:
     if not placement.crossbars:
         raise EmptyPlacement("placement maps no crossbars")
-    per = []
-    all_totals = []
-    extremes_of = {}  # corner extremes depend only on (spec, config)
-    for xb, totals in _placement_totals(placement, tech):
-        all_totals.append(totals)
-        key = (xb.spec, xb.config)
-        if key not in extremes_of:
-            extremes_of[key] = corner_extremes(xb.spec, tech, xb.config)
-        per.append(CrossbarLatencyReport(crossbar_id=xb.crossbar_id, cluster_id=xb.cluster_id,
-                                         placed=LatencyStats.from_values(totals),
-                                         extremes=extremes_of[key]))
-    extremes = LatencyStats.of(min(r.extremes.best for r in per), max(r.extremes.worst for r in per),
-                               float(np.mean([r.extremes.mean for r in per])))
-    return LatencyReport(per_crossbar=tuple(per),
-                         aggregate=LatencyStats.from_values(np.concatenate(all_totals)),
-                         extremes=extremes)
+    table = _SynapseTable(placement.crossbars, tech)
+    setups = _setups(placement)
+    totals, _ = table.evaluate(setups)
+    extremes = _crossbar_extremes(setups, tech)
+    placed = np.split(totals, np.cumsum(table.sizes)[:-1])  # per crossbar
+    per = tuple(CrossbarLatencyReport(crossbar_id=xb.crossbar_id, cluster_id=xb.cluster_id,
+                                      placed=LatencyStats.from_values(values), extremes=ext)
+                for xb, values, ext in zip(placement.crossbars, placed, extremes))
+    return LatencyReport(per_crossbar=per, aggregate=LatencyStats.from_values(totals),
+                         extremes=_overall_extremes(extremes))
+
+
+def _crossbar_extremes(setups, tech: TechnologyParams) -> list[LatencyStats]:
+    """corner_extremes of each crossbar's setup, called once per distinct setup."""
+    of = {(spec, config): corner_extremes(spec, tech, config) for spec, config in dict.fromkeys(setups)}
+    return [of[setup] for setup in setups]
+
+
+def _overall_extremes(extremes) -> LatencyStats:
+    return LatencyStats.of(min(e.best for e in extremes), max(e.worst for e in extremes),
+                           float(np.mean([e.mean for e in extremes])))
 
 
 def average_latency_delta(m: int, n: int, delta: float) -> float:
@@ -317,23 +409,25 @@ def neuron_isi_distortion(placement: Placement, trains, tech: TechnologyParams) 
     """
     by_neuron = _spike_times(placement, trains)
     posts = np.unique(np.array([nid for xb in placement.crossbars for nid in xb.cluster.post_neurons], np.intp))
-    k = np.zeros(len(posts))
+    table = _SynapseTable(placement.crossbars, tech)
+    delay, _ = table.evaluate(_setups(placement))
+    (pre_ids, of_pre), (post_ids, of_post) = table.pre, table.post
+    times = [by_neuron.get(nid, ()) for nid in pre_ids.tolist()]
+    spikes = np.array([len(t) for t in times], dtype=float)
+    live = spikes[of_pre] > 0
+    of_pre, delay = of_pre[live], delay[live]
+    at = np.searchsorted(posts, post_ids)[of_post[live]]
+    k = np.bincount(at, weights=spikes[of_pre], minlength=len(posts))
     first_in, first_out = np.full(len(posts), inf), np.full(len(posts), inf)
     last_in, last_out = np.full(len(posts), -inf), np.full(len(posts), -inf)
-    for xb, delay in _placement_totals(placement, tech):
-        c = xb.cluster
-        times = [by_neuron.get(nid, ()) for nid in c.pre_neurons]
-        spikes = np.array([len(t) for t in times], dtype=np.intp)[c.pre]
-        first = np.array([t[0] if t else 0.0 for t in times], dtype=float)[c.pre]
-        last = np.array([t[-1] if t else 0.0 for t in times], dtype=float)[c.pre]
-        live = spikes > 0
-        at = np.searchsorted(posts, c.post_neurons)[c.post[live]]
-        spikes, first, last, delay = spikes[live], first[live], last[live], delay[live]
-        k += np.bincount(at, weights=spikes, minlength=len(posts))
-        np.minimum.at(first_in, at, first)
-        np.maximum.at(last_in, at, last)
-        np.minimum.at(first_out, at, first + delay)
-        np.maximum.at(last_out, at, last + delay)
+    first = np.array([t[0] if t else 0.0 for t in times])[of_pre]
+    last = np.array([t[-1] if t else 0.0 for t in times])[of_pre]
+    np.minimum.at(first_in, at, first)
+    np.maximum.at(last_in, at, last)
+    first += delay
+    last += delay
+    np.minimum.at(first_out, at, first)
+    np.maximum.at(last_out, at, last)
     keep = k >= 2
     gaps = k[keep] - 1
     distortion = np.abs((last_out[keep] - first_out[keep]) / gaps - (last_in[keep] - first_in[keep]) / gaps)
@@ -354,20 +448,15 @@ def energy_report(placement: Placement, activity: Activity, tech: TechnologyPara
     transistor under '11' (3x a plain raise) and one under a single-side
     expansion (2x); collapsed-region accesses stay at 1x.
     """
-    static = sum(static_energy_weight(xb.config, xb.spec) for xb in placement.crossbars)
-    static_j = static * tech.leakage_per_cell * activity.duration
-    spike_j = activity.total_spikes * tech.e_spike
-    routing_j = activity.routed_spike_hops * tech.e_route_hop
-    terms = [np.zeros(1)]
-    for xb, totals in _placement_totals(placement, tech):
-        c = xb.cluster
-        counts = _synapse_spike_counts(activity, np.array(c.pre_neurons, dtype=np.intp))[c.pre]
-        far = (xb.rows >= xb.spec.p)[c.pre] | (xb.cols >= xb.spec.q)[c.post]
-        k = np.where(far, 3 if xb.config == CONFIG_11 else 2, 1)
-        access = counts * tech.p_wordline_raise * totals * k
-        terms.append(access[counts > 0])
-    # A left fold (cumsum is sequential), as np.sum is pairwise and sum() of
-    # floats is compensated from Python 3.12 on.
-    access_j = float(np.cumsum(np.concatenate(terms))[-1])
-    return EnergyReport(static_j=static_j, spike_j=spike_j, routing_j=routing_j,
+    table = _SynapseTable(placement.crossbars, tech)
+    setups = _setups(placement)
+    return _energy(setups, table.evaluate(setups, table.spike_counts(activity))[1], activity, tech)
+
+
+def _energy(setups, access_j: float, activity: Activity, tech: TechnologyParams) -> EnergyReport:
+    """The ledger of energy_report, crossbar i set up as setups[i], with access energy access_j."""
+    weight = {(spec, config): static_energy_weight(config, spec) for spec, config in dict.fromkeys(setups)}
+    return EnergyReport(static_j=sum(weight[setup] for setup in setups) * tech.leakage_per_cell * activity.duration,
+                        spike_j=activity.total_spikes * tech.e_spike,
+                        routing_j=activity.routed_spike_hops * tech.e_route_hop,
                         access_overhead_j=access_j)

@@ -236,9 +236,28 @@ def _routes_to_json(routes) -> list:
             for r in routes]
 
 
+def _object(doc, name: str, kind: str, keys=()) -> dict:
+    """doc, a JSON object that holds each of `keys`; a ValueError names `name` otherwise."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name}: expected a {kind} object, got {_brief(doc)}")
+    missing = next((key for key in keys if key not in doc), None)
+    if missing is not None:
+        raise ValueError(f"{name}: missing {missing!r}")
+    return doc
+
+
+def _objects(docs, name: str, kind: str, keys=()) -> list:
+    """docs, a list of _object entries, the first bad one named by its index."""
+    if not isinstance(docs, list):
+        raise ValueError(f"{name}: expected a list of {kind} objects, got {_brief(docs)}")
+    return [_object(doc, f"{name}[{i}]", kind, keys) for i, doc in enumerate(docs)]
+
+
 def _routes_from_json(docs) -> tuple[Route, ...]:
-    """Route records, each field through json_ints."""
-    return tuple(Route(*(json_ints([r[f.name]], f.name)[0] for f in fields(Route))) for r in docs)
+    """Route records from a list of route objects, each field through json_ints."""
+    names = [f.name for f in fields(Route)]
+    return tuple(Route(*(json_ints([r[name]], f"routes[{i}].{name}")[0] for name in names))
+                 for i, r in enumerate(_objects(docs, "routes", "route", names)))
 
 
 def _synapses_from_json(doc) -> dict:
@@ -286,9 +305,9 @@ def _cluster_to_json(c: Cluster) -> dict:
 
 def _cluster_from_json(doc, name: str) -> Cluster:
     """The one decoder of a cluster object, in either document; `name`, where
-    the document holds it, names a value that is not an object."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{name}: expected a cluster object, got {_brief(doc)}")
+    the document holds it, names a value that is not a cluster object or lacks
+    one of its keys."""
+    _object(doc, name, "cluster", ("id", "pre", "post", "synapses"))
     return Cluster.from_columns(*_ids([doc["id"]], "cluster id"), _ids(doc["pre"], "pre-neuron id"),
                                 _ids(doc["post"], "post-neuron id"), **_synapses_from_json(doc["synapses"]))
 
@@ -299,8 +318,10 @@ def network_to_json(network: Network) -> dict:
 
 def network_from_json(doc: dict) -> Network:
     try:
-        clusters = tuple(_cluster_from_json(c, f"clusters[{i}]") for i, c in enumerate(doc["clusters"]))
-        routes = _routes_from_json(doc.get("routes", ()))
+        _object(doc, "document", "network", ("clusters",))
+        clusters = tuple(_cluster_from_json(c, f"clusters[{i}]")
+                         for i, c in enumerate(_objects(doc["clusters"], "clusters", "cluster")))
+        routes = _routes_from_json(doc.get("routes", []))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad network document: {exc}") from exc
     return Network(clusters=clusters, routes=routes)
@@ -352,11 +373,13 @@ def load_spikes(path) -> list[SpikeTrain]:
 
 def save_spikes(trains, path) -> None:
     """Write a spike trace CSV with header `neuron,time_ns`: a row per spike,
-    each time t as its nearest whole nanosecond ns = rint(t * 1e9).
+    each time t as the whole number of nanoseconds ns with ns / 1e9 == t,
+    rint(t * 1e9) or, where that product rounded to a neighbouring tick, the
+    tick beside it.
 
-    A time that is not on that grid (ns / 1e9 != t) or whose ns no int64
-    holds is a ValidationError, raised before the file is opened, so that
-    load_spikes reads back exactly the trains saved.
+    A time that is on no tick of that grid or whose ns no int64 holds is a
+    ValidationError, raised before the file is opened, so that load_spikes
+    reads back exactly the trains saved.
     """
     trains = list(trains)
     ends = list(accumulate(len(train.times) for train in trains))
@@ -366,7 +389,14 @@ def save_spikes(trains, path) -> None:
         scaled = t * 1e9
     fits = scaled < 2.0**63
     ns = np.rint(np.where(fits, scaled, 0)).astype(np.int64)
-    bad = ~fits | (ns / 1e9 != t)
+    miss = np.flatnonzero(fits & (ns / 1e9 != t))
+    for step in (-1, 1):  # from 2**51 ns on, t * 1e9 can round to a neighbour of t's tick
+        near = ns[miss] + step
+        hit = near / 1e9 == t[miss]
+        ns[miss[hit]] = near[hit]
+        miss = miss[~hit]
+    bad = ~fits
+    bad[miss] = True
     if bad.any():
         i = int(np.argmax(bad))
         problem = "is not a whole number of nanoseconds" if fits[i] else "has more nanoseconds than an int64 holds"

@@ -233,6 +233,10 @@ BAD_NETWORKS = {
     **{name: _first_cluster(fault) for name, fault in SYNAPSE_FAULTS.items()},
     "id-inf": _first_cluster(lambda cluster: cluster.update(id=math.inf)),
     "cluster-not-an-object": lambda doc: doc["clusters"].__setitem__(0, 3),
+    "clusters-not-a-list": lambda doc: doc.update(clusters=3),
+    "cluster-pre-missing": _first_cluster(lambda cluster: cluster.pop("pre")),
+    "route-not-an-object": lambda doc: doc["routes"].__setitem__(0, 3),
+    "routes-not-a-list": lambda doc: doc.update(routes=3),
     "pre-neuron-huge": _first_cluster(lambda cluster: cluster["pre"].__setitem__(0, 2**70)),
     # no route names the last cluster, and int() would read 2.5 as a fresh id
     "last-cluster-id-fraction": lambda doc: doc["clusters"][-1].update(id=2.5),

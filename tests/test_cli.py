@@ -404,6 +404,10 @@ MALFORMED_ERRORS = {
     "spikes-time-fraction": "error: spk-fraction.csv:3: invalid literal for int() with base 10: '100.5'\n",
     "spikes-time-huge": "error: spk-huge.csv:3: time_ns 1180591620717411303424 does not fit int64\n",
     "network-cluster-not-an-object": "error: bad network document: clusters[0]: expected a cluster object, got 3\n",
+    "network-clusters-not-a-list": "error: bad network document: clusters: expected a list of cluster objects, got 3\n",
+    "network-cluster-pre-missing": "error: bad network document: clusters[0]: missing 'pre'\n",
+    "network-route-not-an-object": "error: bad network document: routes[0]: expected a route object, got 3\n",
+    "network-routes-not-a-list": "error: bad network document: routes: expected a list of route objects, got 3\n",
     "placement-cluster-not-an-object": "error: bad placement document: cluster: expected a cluster object, got [3]\n",
 }
 

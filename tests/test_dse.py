@@ -1,14 +1,24 @@
 import dataclasses
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import xbarsim.dse as dse_mod
 from xbarsim import (
+    CONFIG_11,
+    Cluster,
+    ControlMode,
     CrossbarSpec,
     GenParams,
     Hardware,
     SweepPoint,
+    Synapse,
     generate_synthetic,
+    Network,
+    energy_report,
+    latency_stats,
     map_network,
     preset,
     select_tradeoff,
@@ -17,6 +27,9 @@ from xbarsim import (
 )
 from xbarsim.errors import Infeasible, InvalidGrid, NoFeasibleKnee, ValidationError
 from xbarsim.fixtures import mapping_demo_network
+from xbarsim.mapper import _cheapest_config
+
+from conftest import planted_cluster
 
 TECH = preset("16nm")
 
@@ -137,6 +150,86 @@ def test_sweep_matches_mapping_at_each_point():
         e, l, v, frac = dse_mod._evaluate(placement, spec, TECH, activity)
         assert (pt.norm_energy, pt.norm_latency, pt.norm_variation, pt.expanded_fraction) \
             == (e / e0, l / l0, v / v0, frac)
+
+
+def sweep_pq_reference(networks, base_spec, tech, grid, *, spike_rate=30.0, duration=1.0, seed=0):
+    """sweep_pq as a loop over crossbars: at each grid point, replace every
+    crossbar's spec and configuration, then call energy_report and latency_stats."""
+    sweeps = []
+    for i, network in enumerate(networks):
+        activity = dse_mod._seeded_activity(network, spike_rate, duration, seed)
+        base = dataclasses.replace(base_spec, p=base_spec.n, q=base_spec.n)
+        mapped = map_network(network, Hardware(crossbar_count=len(network.clusters), spec=base, tech=tech))
+
+        def evaluate(placement, spec):
+            report = latency_stats(placement, tech)
+            partitioned = spec.p < spec.n or spec.q < spec.n
+            expanded = sum(1 for xb in placement.crossbars if xb.config == CONFIG_11 and partitioned)
+            return (float(energy_report(placement, activity, tech).total_j), report.aggregate.mean,
+                    report.extremes.ratio, expanded / len(placement.crossbars))
+
+        e0, l0, v0, _ = evaluate(mapped, base)
+        points = []
+        for p, q in grid:
+            spec = dataclasses.replace(base_spec, p=p, q=q)
+            crossbars = tuple(
+                dataclasses.replace(xb, spec=spec, config=_cheapest_config(*(int(c.max()) for c in xb.cells()), spec))
+                for xb in mapped.crossbars)
+            e, l, v, frac = evaluate(dataclasses.replace(mapped, crossbars=crossbars), spec)
+            points.append(SweepPoint(network=f"net{i}", p=p, q=q, norm_energy=e / e0, norm_latency=l / l0,
+                                     norm_variation=v / v0, expanded_fraction=frac))
+        sweeps.append(points)
+    return sweeps
+
+
+def with_idle_neurons(cluster, count):
+    """The cluster plus `count` pre-neurons that no synapse uses, ids past its others."""
+    top = max(cluster.pre_neurons + cluster.post_neurons) + 1
+    return Cluster.from_columns(cluster.id, cluster.pre_neurons + tuple(range(top, top + count)),
+                                cluster.post_neurons, cluster.pre, cluster.post, cluster.state)
+
+
+@st.composite
+def sweep_cases(draw):
+    """(networks, base spec, grid, activity seed): planted clusters on a spec
+    of N = 4..24 with any regions and control mode, each network's first
+    cluster padded with synapse-less pre-neurons; the grid always holds a
+    point with only P = N and one with only Q = N."""
+    n = draw(st.integers(4, 24))
+    n_h = draw(st.integers(0, n))
+    n_l = draw(st.integers(0, n - n_h))
+    control = draw(st.sampled_from(ControlMode))
+    spec = CrossbarSpec(n=n, n_h=n_h, n_l=n_l, control=control)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    networks = []
+    for _ in range(draw(st.integers(1, 2))):
+        clusters = [planted_cluster(rng, c, spec, size_hi=n - 1, id_base=1000 * c)
+                    for c in range(draw(st.integers(1, 4)))]
+        clusters[0] = with_idle_neurons(clusters[0], n - len(clusters[0].pre_neurons))
+        networks.append(Network(clusters=tuple(clusters)))
+    point = st.tuples(st.integers(1, n), st.integers(1, n))
+    grid = [(n, draw(st.integers(1, n - 1))), (draw(st.integers(1, n - 1)), n)] + draw(st.lists(point, max_size=4))
+    return networks, spec, grid, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_cases())
+@example((  # no regions, single control, with synapse-less neurons
+    [Network(clusters=(with_idle_neurons(
+        Cluster(0, (0, 1), (2, 3), [Synapse(0, 0, "HRS"), Synapse(1, 1, "LRS1")]), 3),))],
+    CrossbarSpec(n=8, control=ControlMode.SINGLE), [(8, 8), (8, 3), (3, 8), (2, 2)], 5))
+def test_sweep_matches_per_crossbar_reference(case):
+    """Every point of sweep_pq equals, bit for bit, the sweep that builds a
+    placement at every grid point and evaluates it with energy_report and
+    latency_stats."""
+    networks, spec, grid, seed = case
+    try:
+        expected = sweep_pq_reference(networks, spec, TECH, grid, seed=seed)
+    except Infeasible:  # the mapper's known false rejections; sweep_pq refuses alike
+        with pytest.raises(Infeasible):
+            sweep_pq(networks, spec, TECH, grid, seed=seed)
+        return
+    assert sweep_pq(networks, spec, TECH, grid, seed=seed) == expected
 
 
 def test_sweep_nhnl_baseline_and_monotonicity():

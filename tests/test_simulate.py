@@ -500,6 +500,15 @@ def test_synapse_latency_totals_match_path_latency(rng):
                 assert total == pytest.approx(scalar.total, rel=1e-12)
 
 
+def test_latency_stats_per_crossbar_equals_its_own_totals(rng):
+    # Each crossbar's placed stats come from its slice of the whole placement's
+    # latencies; they equal the stats of that crossbar evaluated on its own.
+    placement = mixed_placement(rng)
+    report = latency_stats(placement, TECH)
+    for xb, per in zip(placement.crossbars, report.per_crossbar):
+        assert per.placed == LatencyStats.from_values(synapse_latency_totals(xb, TECH))
+
+
 # ---------------------------------------------------------------------------
 # energy
 

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -302,6 +303,35 @@ def test_saved_traces_read_back_exactly(tmp_path_factory, ticks, floats):
         return
     saved = sorted((t for t in trains if t.times), key=lambda t: t.neuron)
     assert _hex_trains(load_spikes(path)) == _hex_trains(saved)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tick=st.integers(0, 2**52 - 1) | st.integers(2**51, 2**52 - 1))
+@example(tick=4357395723352757)  # rint(t * 1e9) of its t is the tick after it
+def test_every_tick_below_2_52_ns_saves_and_reads_back(tmp_path_factory, tick):
+    path = tmp_path_factory.mktemp("trace") / "spikes.csv"
+    train = SpikeTrain(3, (tick / 1e9,))
+    save_spikes([train], path)
+    assert path.read_text() == f"neuron,time_ns\n3,{tick}\n"
+    assert load_spikes(path) == [train]
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.floats(0, 2**52 / 1e9) | st.integers(0, 2**52).map(lambda tick: tick / 1e9))
+@example(t=4357395723352757 / 1e9)
+@example(t=np.nextafter(4357395723352757 / 1e9, 0))
+def test_save_spikes_accepts_exactly_the_times_on_a_tick(tmp_path_factory, t):
+    """Below 2**52 ns a time on the grid is the float second of the tick
+    nearest its exact value; any other time is refused."""
+    tick = round(Fraction(t) * 10**9)
+    path = tmp_path_factory.mktemp("trace") / "spikes.csv"
+    if tick / 1e9 == t:
+        save_spikes([SpikeTrain(0, (t,))], path)
+        assert path.read_text() == f"neuron,time_ns\n0,{tick}\n"
+    else:
+        with pytest.raises(ValidationError, match="is not a whole number of nanoseconds"):
+            save_spikes([SpikeTrain(0, (t,))], path)
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("t, problem", [
