@@ -18,7 +18,7 @@ import numpy as np
 
 from .crossbar import CONFIG_11, CrossbarSpec
 from .errors import InvalidGrid, NoFeasibleKnee, ValidationError
-from .mapper import Hardware, Placement, _cheapest_config, map_network
+from .mapper import Hardware, _cheapest_config, map_network
 from .simulate import (
     Activity,
     _activity,
@@ -46,24 +46,17 @@ class SweepPoint:
 
 
 def _seeded_activity(network: Network, spike_rate: float, duration: float, seed: int) -> Activity:
-    """One deterministic activity draw shared by every grid point."""
-    rng = np.random.default_rng(seed)
-    counts = {}
-    for cluster in network.clusters:
-        for nid in cluster.pre_neurons:
-            counts[nid] = int(rng.poisson(spike_rate * duration))
-    return _activity(counts, network.routes, duration)
-
-
-def _evaluate(placement: Placement, spec: CrossbarSpec, tech: TechnologyParams, activity: Activity):
-    """(energy, mean path latency, corner-extremes variation, expanded fraction) of a placement on `spec`."""
-    table = _SynapseTable(placement.crossbars, tech)
-    return _evaluate_setups(table, table.spike_counts(activity), spec, _setups(placement), activity)
+    """One deterministic activity draw shared by every grid point: a Poisson
+    count per pre-neuron, in cluster order, from one vector draw."""
+    pre = [nid for cluster in network.clusters for nid in cluster.pre_neurons]
+    counts = np.random.default_rng(seed).poisson(spike_rate * duration, size=len(pre))
+    return _activity(dict(zip(pre, counts.tolist())), network.routes, duration)
 
 
 def _evaluate_setups(table: _SynapseTable, counts, spec: CrossbarSpec, setups, activity: Activity):
-    """_evaluate of the table's placement, crossbar i set up as setups[i] and
-    its synapses' spike counts in `counts`."""
+    """(energy, mean path latency, corner-extremes variation, expanded
+    fraction) of the table's placement on `spec`, crossbar i set up as
+    setups[i] and its synapses' spike counts in `counts`."""
     latencies, access_j = table.evaluate(setups, counts)
     energy = _energy(setups, access_j, activity, table.tech).total_j
     variation = _overall_extremes(_crossbar_extremes(setups, table.tech)).ratio

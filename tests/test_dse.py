@@ -28,6 +28,7 @@ from xbarsim import (
 from xbarsim.errors import Infeasible, InvalidGrid, NoFeasibleKnee, ValidationError
 from xbarsim.fixtures import mapping_demo_network
 from xbarsim.mapper import _cheapest_config
+from xbarsim.simulate import _setups, _SynapseTable
 
 from conftest import planted_cluster
 
@@ -133,6 +134,24 @@ def test_sweep_maps_each_network_once(monkeypatch):
     assert [(pt.p, pt.q) for pt in points] == grid
 
 
+def _evaluate(placement, spec, tech, activity):
+    """(energy, mean path latency, corner-extremes variation, expanded fraction) of a placement on `spec`."""
+    table = _SynapseTable(placement.crossbars, tech)
+    return dse_mod._evaluate_setups(table, table.spike_counts(activity), spec, _setups(placement), activity)
+
+
+def test_seeded_activity_equals_per_neuron_scalar_draws():
+    # One vector draw gives each pre-neuron, in cluster order, the count a
+    # scalar draw per neuron from a fresh generator would.
+    net = fitting_network(seed=3)
+    for seed, rate, duration in ((0, 30.0, 1.0), (7, 5.0, 0.2), (11, 400.0, 2.5)):
+        rng = np.random.default_rng(seed)
+        expected = {nid: int(rng.poisson(rate * duration)) for c in net.clusters for nid in c.pre_neurons}
+        activity = dse_mod._seeded_activity(net, rate, duration, seed)
+        assert list(activity.spike_counts.items()) == list(expected.items())
+        assert {type(count) for count in activity.spike_counts.values()} == {int}
+
+
 def test_sweep_matches_mapping_at_each_point():
     # Re-selecting configurations on the one mapping gives what mapping the
     # network afresh at every grid point would.
@@ -142,12 +161,12 @@ def test_sweep_matches_mapping_at_each_point():
     (points,) = sweep_pq([net], base, TECH, grid, seed=2)
     activity = dse_mod._seeded_activity(net, 30.0, 1.0, 2)
     ref = dataclasses.replace(base, p=128, q=128)
-    e0, l0, v0, _ = dse_mod._evaluate(
+    e0, l0, v0, _ = _evaluate(
         map_network(net, Hardware(crossbar_count=6, spec=ref, tech=TECH)), ref, TECH, activity)
     for pt in points:
         spec = dataclasses.replace(base, p=pt.p, q=pt.q)
         placement = map_network(net, Hardware(crossbar_count=6, spec=spec, tech=TECH))
-        e, l, v, frac = dse_mod._evaluate(placement, spec, TECH, activity)
+        e, l, v, frac = _evaluate(placement, spec, TECH, activity)
         assert (pt.norm_energy, pt.norm_latency, pt.norm_variation, pt.expanded_fraction) \
             == (e / e0, l / l0, v / v0, frac)
 

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xbarsim import (
     CONFIG_00,
@@ -146,6 +148,76 @@ def test_swap_repair_matches_full_matrix_pass(rng, spec):
         assert occupants.tolist() == expected.tolist()
 
 
+def _band_matrix_delta(spec, occupants, cost_a, cost_b):
+    """delta[i, j - N_h]: the change in violations if slots i < N - N_l and
+    j >= N_h swap, scored on the whole (N - N_l) x (N - N_h) matrix."""
+    n, n_h, n_l = spec.n, spec.n_h, spec.n_l
+    slots = np.arange(n)
+    in_a = slots < n_h
+    in_b = slots >= n - n_l
+    lo, hi = slice(0, n - n_l), slice(n_h, n)
+    ca = np.where(occupants >= 0, cost_a[np.maximum(occupants, 0)], 0)
+    cb = np.where(occupants >= 0, cost_b[np.maximum(occupants, 0)], 0)
+    return ((ca[None, hi] - ca[lo, None]) * in_a[lo, None]
+            + (cb[lo, None] - cb[None, hi]) * in_b[None, hi])
+
+
+def _swap_repair_band_matrix(spec, occupants, cost_a, cost_b):
+    # Reference: every pass scores the whole band matrix, middle x middle
+    # block included, and stops on the pass that finds no improving pair.
+    while True:
+        delta = _band_matrix_delta(spec, occupants, cost_a, cost_b)
+        ii, jj = np.nonzero(delta < 0)
+        if ii.size == 0:
+            return
+        order = np.argsort(delta[ii, jj], kind="stable")
+        occ = occupants.tolist()
+        touched = bytearray(spec.n)
+        for i, j in zip(ii[order].tolist(), (jj[order] + spec.n_h).tolist()):
+            if touched[i] or touched[j]:
+                continue
+            occ[i], occ[j] = occ[j], occ[i]
+            touched[i] = touched[j] = 1
+        occupants[:] = occ
+
+
+@st.composite
+def swap_cases(draw):
+    """(spec, occupants, cost_a, cost_b): N = 1..16 with any N_h/N_l, so any of
+    the near, middle and far bands may be empty, and occupants with empty slots."""
+    n = draw(st.integers(1, 16))
+    n_h = draw(st.integers(0, n))
+    n_l = draw(st.integers(0, n - n_h))
+    k = draw(st.integers(1, n))
+    slots = draw(st.permutations(range(n)))
+    occupants = np.full(n, -1, dtype=int)
+    occupants[slots[:k]] = draw(st.permutations(range(k)))
+    costs = st.lists(st.integers(0, 5), min_size=k, max_size=k).map(lambda c: np.array(c, dtype=np.int64))
+    return CrossbarSpec(n=n, n_h=n_h, n_l=n_l), occupants, draw(costs), draw(costs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(swap_cases())
+@example((CrossbarSpec(n=6, n_h=2, n_l=2), np.array([0, 1, 2, 3, 4, 5]),
+          np.array([0, 0, 3, 3, 1, 0]), np.array([2, 2, 0, 0, 0, 1])))
+@example((CrossbarSpec(n=4, n_h=2, n_l=2), np.array([0, -1, 1, -1]), np.array([1, 0]), np.array([0, 1])))
+def test_swap_repair_matches_band_matrix_reference(case):
+    # The three-block pass leaves the occupants the whole-matrix pass does,
+    # and its closed-form stop test reads "some pair improves" exactly when
+    # the matrix holds a negative delta, before repair and after it.
+    spec, occupants, cost_a, cost_b = case
+    repaired, expected = occupants.copy(), occupants.copy()
+    _swap_repair(spec, repaired, cost_a, cost_b)
+    _swap_repair_band_matrix(spec, expected, cost_a, cost_b)
+    assert repaired.tolist() == expected.tolist()
+    for seated in (occupants, repaired):
+        placed = seated >= 0
+        ca = np.where(placed, cost_a[np.maximum(seated, 0)], 0)
+        cb = np.where(placed, cost_b[np.maximum(seated, 0)], 0)
+        improves = bool((_band_matrix_delta(spec, seated, cost_a, cost_b) < 0).any())
+        assert bool(mapper._improving_blocks(spec, ca, cb)) == improves
+
+
 # The benchmark's specs: planted clusters on the first, random ones on the second.
 PLANTED_SPEC = CrossbarSpec(n=128, n_h=64, n_l=64, p=96, q=96)
 RANDOM_SPEC = CrossbarSpec(n=128, n_h=32, n_l=32, p=96, q=96)
@@ -239,6 +311,9 @@ def test_map_network_cells_equal_assign_cluster_cells():
             continue
         xb, = map_network(Network(clusters=(cluster,)), Hardware(crossbar_count=1, spec=spec, tech=TECH)).crossbars
         assert xb.cluster is cluster
+        assert a.cluster is cluster
+        assert np.array_equal(a.rows, xb.rows) and np.array_equal(a.cols, xb.cols)
+        assert all(seats.dtype == np.intp and not seats.flags.writeable for seats in (a.rows, a.cols))
         assert dict(zip(cluster.pre_neurons, xb.rows.tolist())) == a.row_of_pre
         assert dict(zip(cluster.post_neurons, xb.cols.tolist())) == a.col_of_post
         assert tuple(zip(*(cell.tolist() for cell in xb.cells()))) == a.cells
@@ -279,9 +354,12 @@ def test_oversized_cluster_infeasible():
 
 
 def _assignment(cells):
-    rows = {i: r for i, (r, _) in enumerate(cells)}
-    cols = {i: c for i, (_, c) in enumerate(cells)}
-    return Assignment(row_of_pre=rows, col_of_post=cols, cells=tuple(cells))
+    # Synapse i joins pre-neuron i on row cells[i][0] to post-neuron i on column cells[i][1].
+    k = len(cells)
+    cluster = Cluster(id=0, pre_neurons=tuple(range(k)), post_neurons=tuple(range(k, 2 * k)),
+                      synapses=tuple(Synapse(i, i, "HRS") for i in range(k)))
+    rows, cols = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    return Assignment(cluster=cluster, rows=rows, cols=cols)
 
 
 def test_select_configuration_cases():
