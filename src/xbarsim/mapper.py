@@ -17,8 +17,9 @@ is two seat vectors: `rows` (a row per pre-neuron index) and `cols`.
    state (crossbar._barred): a best-improvement swap pass over rows, one over
    columns, then the band stage. A swap pass applies batches of disjoint
    improving swaps until the axis is stable. It scores only swaps between
-   bands, in three blocks (near x middle, near x far, middle x far), and an
-   O(N) test of each block's extremes ends it before it builds any pair. A
+   bands, in three blocks (near x middle, near x far, middle x far); an
+   O(N) test of each block's extremes ends it, and a batch merges the
+   blocks' rows and columns, each sorted by cost once (see _swap_repair). A
    cell violates only through its row/column bands, so feasibility is a
    small constraint problem per cluster; it is exact, but searched by one
    greedy trial propagation without backtracking, which can reject a
@@ -185,44 +186,59 @@ def _swap_repair(spec, occupants, cost_a, cost_b) -> None:
     < N_h) / far-region band (slots >= N - N_l). Empty slots cost nothing, so
     a "swap" with one covers moving a neuron to a free slot.
 
-    A swap inside one band changes no cost, so each pass scores only the
-    three band-pair blocks of _improving_blocks, and stops as soon as their
-    closed-form test finds no improving swap. The improving pairs are then
-    walked in ascending-delta order, ties in (lower slot, upper slot) order,
-    and a pair is applied unless one of its slots was already swapped in this
-    pass. That greedy batch is disjoint; a swap's improvement depends only on
-    its own two slots, so every applied swap keeps its exact pre-pass delta
-    and the pass strictly reduces the violation count.
+    A swap inside one band changes no cost, so a pass scores only the three
+    band-pair blocks of _improving_blocks, and the axis is done as soon as
+    their closed-form test finds no improving swap. Otherwise the pass
+    applies a greedy batch: walk every improving pair in (delta, lower slot,
+    upper slot) order and apply each pair neither of whose slots the pass
+    has already swapped. The batch is disjoint; a swap's improvement depends
+    only on its own two slots, so every applied swap keeps its exact
+    pre-pass delta and the pass strictly reduces the violation count.
 
-    On map-tight's 1,384 clusters at seed 0, a pass that finds an improving
-    swap lists 1,174 improving pairs and applies 19 on average, so the walk
-    runs on Python lists (`tolist()` pairs, a bytearray of touched slots, a
-    list copy of `occupants` written back once per pass): indexing numpy
-    arrays one scalar at a time costs several times as much.
+    The pass finds that batch without listing pairs. Swapped slots only
+    accumulate, so each swap the walk applies is the first pair in its order
+    with both slots unswapped. In a block, pairing row a with column b
+    changes the count by x[b] - y[a], so that pair joins the unswapped row of
+    largest y and the unswapped column of smallest x, the lower slot on
+    ties. Each block thus sorts its rows by descending y and its columns by
+    ascending x (stable sorts), and the pass applies the least delta among
+    the block heads, the earlier block on a tie, until none improves. On
+    pairs that share a slot the block order agrees with slot order, and the
+    greedy batch depends only on the order of such pairs.
     """
     n = spec.n
+    # An empty slot (-1) reads the appended zero cost.
+    cost_a, cost_b = np.append(cost_a, 0), np.append(cost_b, 0)
     while True:
-        placed = occupants >= 0
-        ca = np.where(placed, cost_a[np.maximum(occupants, 0)], 0)
-        cb = np.where(placed, cost_b[np.maximum(occupants, 0)], 0)
+        ca, cb = cost_a[occupants], cost_b[occupants]
         blocks = _improving_blocks(spec, ca, cb)
         if not blocks:
             return
-        found = []
+        # Per block: its row slots by descending y with their y, and its column
+        # slots by ascending x with their x. Each list ends in a sentinel on the
+        # never-swapped slot n, whose head delta is +inf and so never improves.
+        heads = []
         for i0, y, j0, x in blocks:
-            delta = x[None, :] - y[:, None]
-            ii, jj = np.nonzero(delta < 0)
-            found.append((delta[ii, jj], ii + i0, jj + j0))
-        delta, ii, jj = (np.concatenate(column) for column in zip(*found))
-        # Ties keep the blocks' order. Each block lists its pairs row-major,
-        # and two pairs of different blocks that share a slot come in (i, j)
-        # order too, so the walk applies the swaps a sort on (delta, i, j) would.
-        order = np.argsort(delta, kind="stable")
+            rows, cols = np.argsort(-y, kind="stable"), np.argsort(x, kind="stable")
+            heads.append([(rows + i0).tolist() + [n], y[rows].tolist() + [-np.inf],
+                          (cols + j0).tolist() + [n], x[cols].tolist() + [np.inf], 0, 0])
         occ = occupants.tolist()
-        touched = bytearray(n)
-        for i, j in zip(ii[order].tolist(), jj[order].tolist()):
-            if touched[i] or touched[j]:
-                continue
+        touched = bytearray(n + 1)
+        while True:
+            best = None
+            for head in heads:
+                lower, y, upper, x, a, b = head
+                while touched[lower[a]]:
+                    a += 1
+                while touched[upper[b]]:
+                    b += 1
+                head[4], head[5] = a, b
+                delta = x[b] - y[a]
+                if delta < 0 and (best is None or delta < best[0]):
+                    best = delta, lower[a], upper[b]
+            if best is None:
+                break
+            _, i, j = best
             occ[i], occ[j] = occ[j], occ[i]
             touched[i] = touched[j] = 1
         occupants[:] = occ
@@ -368,20 +384,6 @@ def _band_stage(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols)
         undo = []
         queue = [(var, band)]
         qi = 0
-
-        def remove(v, b):
-            if committed[v] == b:
-                return False
-            if committed[v] != -1 or not domain[v] & (1 << b):
-                return True
-            undo.append((v, domain[v]))
-            domain[v] &= ~(1 << b)
-            if domain[v] == 0:
-                return False
-            if domain[v] & (domain[v] - 1) == 0:  # singleton: forced
-                queue.append((v, domain[v].bit_length() - 1))
-            return True
-
         ok = True
         while ok and qi < len(queue):
             v, b = queue[qi]
@@ -395,12 +397,32 @@ def _band_stage(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols)
             undo.append((v, -1))  # commit marker
             committed[v] = b
             used[axis][b] += 1
-            if b == NEAR:
-                ok = all(remove(w, NEAR) for w in adj_near[v])
-            elif b == FAR:
-                ok = all(remove(w, FAR) for w in adj_far[v])
+            if b != MIDDLE:
+                # Cut band b from each partner's domain, logging the old domain.
+                # A partner committed to b, or left with no band, fails the
+                # trial; one left with a single band is forced. The cut is
+                # inlined, as a call per partner costs more than the cut.
+                bit = 1 << b
+                for w in (adj_near if b == NEAR else adj_far)[v]:
+                    if committed[w] != -1:
+                        if committed[w] == b:
+                            ok = False
+                            break
+                        continue
+                    held = domain[w]
+                    if not held & bit:
+                        continue
+                    undo.append((w, held))
+                    held ^= bit
+                    domain[w] = held
+                    if not held:
+                        ok = False
+                        break
+                    if not held & (held - 1):  # singleton: forced
+                        queue.append((w, held.bit_length() - 1))
             # A budget this commit just saturated bars its bands for every
-            # uncommitted neuron on the axis.
+            # uncommitted neuron on the axis: the same cut, neuron by neuron,
+            # band by band.
             barred = 0
             if b != FAR and used[axis][NEAR] + used[axis][MIDDLE] == budget_near:
                 barred |= 1 << NEAR | 1 << MIDDLE
@@ -409,8 +431,23 @@ def _band_stage(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols)
             if b == MIDDLE and used[axis][MIDDLE] == caps[MIDDLE]:
                 barred |= 1 << MIDDLE
             if ok and barred:
-                ok = all(remove(w, bb) for w in axis_vars[axis] if committed[w] == -1
-                         for bb in (NEAR, MIDDLE, FAR) if barred & (1 << bb))
+                for w in axis_vars[axis]:
+                    if committed[w] != -1:
+                        continue
+                    for bit in (1 << NEAR, 1 << MIDDLE, 1 << FAR):
+                        held = domain[w]
+                        if not barred & held & bit:
+                            continue
+                        undo.append((w, held))
+                        held ^= bit
+                        domain[w] = held
+                        if not held:
+                            ok = False
+                            break
+                        if not held & (held - 1):
+                            queue.append((w, held.bit_length() - 1))
+                    if not ok:
+                        break
         if not ok:
             rollback(undo)
         return ok
@@ -431,8 +468,8 @@ def _band_stage(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols)
             return
 
     def seat(bands, hrs_counts, seats):
-        # Everything packs as low as its band allows, maximizing the
-        # utilization of the collapsed region: near from slot 0 (overflow
+        # Everything packs as low as its band allows, with no regard to the
+        # P/Q partition: near from slot 0 (overflow
         # into middle slots is safe), the middle group next from
         # max(N_h, near count) (never past N-N_l by the budgets), then
         # far-committed neurons right after it, which may use middle slots

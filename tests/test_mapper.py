@@ -35,7 +35,7 @@ from xbarsim import (
     static_energy_weight,
     synapse_utilization,
 )
-from xbarsim.crossbar import STATE_LABELS, legal_configurations
+from xbarsim.crossbar import HRS, LRS1, STATE_LABELS, _STATE_CODE, legal_configurations
 from xbarsim.fixtures import mapping_demo_network
 from xbarsim import mapper
 from xbarsim.mapper import _swap_repair, _violations, load_placement
@@ -201,10 +201,18 @@ def swap_cases(draw):
 @example((CrossbarSpec(n=6, n_h=2, n_l=2), np.array([0, 1, 2, 3, 4, 5]),
           np.array([0, 0, 3, 3, 1, 0]), np.array([2, 2, 0, 0, 0, 1])))
 @example((CrossbarSpec(n=4, n_h=2, n_l=2), np.array([0, -1, 1, -1]), np.array([1, 0]), np.array([0, 1])))
+# Tie order of the head merge. Near x middle (0, 1) and near x far (0, 2)
+# both save 2 and share near slot 0: the earlier block's (0, 1) wins.
+@example((CrossbarSpec(n=3, n_h=1, n_l=1), np.array([0, 1, 2]), np.array([2, 0, 0]), np.array([0, 0, 0])))
+# Near x far (0, 2) and middle x far (1, 2) both save 2 and share far slot 2:
+# the earlier block's (0, 2) wins.
+@example((CrossbarSpec(n=3, n_h=1, n_l=1), np.array([0, 1, 2]), np.array([0, 0, 0]), np.array([0, 0, 2])))
+# Near slots 0 and 1 hold near x far's largest y: the lower slot, 0, wins.
+@example((CrossbarSpec(n=3, n_h=2, n_l=1), np.array([0, 1, 2]), np.array([1, 1, 0]), np.array([0, 0, 1])))
 def test_swap_repair_matches_band_matrix_reference(case):
-    # The three-block pass leaves the occupants the whole-matrix pass does,
-    # and its closed-form stop test reads "some pair improves" exactly when
-    # the matrix holds a negative delta, before repair and after it.
+    # The head merge leaves the occupants the whole-matrix pass does, and
+    # its closed-form stop test reads "some pair improves" exactly when the
+    # matrix holds a negative delta, before repair and after it.
     spec, occupants, cost_a, cost_b = case
     repaired, expected = occupants.copy(), occupants.copy()
     _swap_repair(spec, repaired, cost_a, cost_b)
@@ -216,6 +224,167 @@ def test_swap_repair_matches_band_matrix_reference(case):
         cb = np.where(placed, cost_b[np.maximum(seated, 0)], 0)
         improves = bool((_band_matrix_delta(spec, seated, cost_a, cost_b) < 0).any())
         assert bool(mapper._improving_blocks(spec, ca, cb)) == improves
+
+
+def _band_stage_reference(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols) -> None:
+    """Reference: mapper._band_stage as it ran with a per-partner `remove`
+    closure called through all(), and adjacency lists built by appends."""
+    n, n_h, n_l = spec.n, spec.n_h, spec.n_l
+    NEAR, MIDDLE, FAR = 0, 1, 2
+    caps = (n_h, n - n_h - n_l, n_l)
+    n_pre, n_vars = len(rows), len(rows) + len(cols)
+
+    def adjacency(barred):
+        adj = [[] for _ in range(n_vars)]
+        for u, v in zip(cluster.pre[barred].tolist(), (n_pre + cluster.post[barred]).tolist()):
+            adj[u].append(v)
+            adj[v].append(u)
+        return adj
+
+    adj_near = adjacency(not_hrs & (n_h > 0))
+    adj_far = adjacency(not_lrs1 & (n_l > 0))
+    budget_near = n_h + caps[MIDDLE]
+    budget_far = n_l + caps[MIDDLE]
+    domain = [sum(1 << band for band, budget in ((NEAR, budget_near), (MIDDLE, caps[MIDDLE]), (FAR, budget_far))
+                  if budget > 0)] * n_vars
+    committed = [-1] * n_vars
+    used = [[0, 0, 0], [0, 0, 0]]
+    axis_vars = (range(n_pre), range(n_pre, n_vars))
+
+    def rollback(undo):
+        for v, old in reversed(undo):
+            if old == -1:
+                used[int(v >= n_pre)][committed[v]] -= 1
+                committed[v] = -1
+            else:
+                domain[v] = old
+
+    def propagate(var, band):
+        undo = []
+        queue = [(var, band)]
+        qi = 0
+
+        def remove(v, b):
+            if committed[v] == b:
+                return False
+            if committed[v] != -1 or not domain[v] & (1 << b):
+                return True
+            undo.append((v, domain[v]))
+            domain[v] &= ~(1 << b)
+            if domain[v] == 0:
+                return False
+            if domain[v] & (domain[v] - 1) == 0:
+                queue.append((v, domain[v].bit_length() - 1))
+            return True
+
+        ok = True
+        while ok and qi < len(queue):
+            v, b = queue[qi]
+            qi += 1
+            if committed[v] == b:
+                continue
+            axis = int(v >= n_pre)
+            if committed[v] != -1 or not domain[v] & (1 << b):
+                ok = False
+                break
+            undo.append((v, -1))
+            committed[v] = b
+            used[axis][b] += 1
+            if b == NEAR:
+                ok = all(remove(w, NEAR) for w in adj_near[v])
+            elif b == FAR:
+                ok = all(remove(w, FAR) for w in adj_far[v])
+            barred = 0
+            if b != FAR and used[axis][NEAR] + used[axis][MIDDLE] == budget_near:
+                barred |= 1 << NEAR | 1 << MIDDLE
+            if b != NEAR and used[axis][FAR] + used[axis][MIDDLE] == budget_far:
+                barred |= 1 << FAR | 1 << MIDDLE
+            if b == MIDDLE and used[axis][MIDDLE] == caps[MIDDLE]:
+                barred |= 1 << MIDDLE
+            if ok and barred:
+                ok = all(remove(w, bb) for w in axis_vars[axis] if committed[w] == -1
+                         for bb in (NEAR, MIDDLE, FAR) if barred & (1 << bb))
+        if not ok:
+            rollback(undo)
+        return ok
+
+    for var in range(n_vars):
+        if committed[var] != -1:
+            continue
+        current = rows[var] if var < n_pre else cols[var - n_pre]
+        if current >= n - n_l:
+            preference = (FAR, MIDDLE, NEAR)
+        elif current >= n_h:
+            preference = (MIDDLE, NEAR, FAR)
+        else:
+            preference = (NEAR, MIDDLE, FAR)
+        if not any(propagate(var, band) for band in preference if domain[var] & (1 << band)):
+            return
+
+    def seat(bands, hrs_counts, seats):
+        bands = np.array(bands)
+        order = np.lexsort((-hrs_counts, bands))
+        n_near = np.count_nonzero(bands == NEAR)
+        pos = np.arange(len(order))
+        seats[order] = pos + (pos >= n_near) * max(n_h - n_near, 0)
+
+    seat(committed[:n_pre], hrs_pre, rows)
+    seat(committed[n_pre:], hrs_post, cols)
+
+
+@st.composite
+def band_cases(draw):
+    """(cluster, spec, rows, cols): N = 1..16 with any N_h/N_l, so any band
+    may be empty; 1..N neurons per axis on distinct seats; each pair of
+    neurons a synapse of any state, or none."""
+    n = draw(st.integers(1, 16))
+    n_h = draw(st.integers(0, n))
+    n_l = draw(st.integers(0, n - n_h))
+    n_pre, n_post = draw(st.integers(1, n)), draw(st.integers(1, n))
+    cells = draw(st.lists(st.sampled_from((None, *range(len(STATE_LABELS)))), min_size=n_pre * n_post,
+                          max_size=n_pre * n_post).filter(lambda cells: any(c is not None for c in cells)))
+    synapses = [(k // n_post, k % n_post, state) for k, state in enumerate(cells) if state is not None]
+    cluster = Cluster.from_columns(0, range(n_pre), range(n_pre, n_pre + n_post), *zip(*synapses))
+    rows = np.array(draw(st.permutations(range(n)))[:n_pre], dtype=np.intp)
+    cols = np.array(draw(st.permutations(range(n)))[:n_post], dtype=np.intp)
+    return cluster, CrossbarSpec(n=n, n_h=n_h, n_l=n_l), rows, cols
+
+
+def _band_stage_args(cluster, spec):
+    """_band_stage's arguments before the seats, derived as _seats derives them."""
+    is_hrs = cluster.state == _STATE_CODE[HRS]
+    return (cluster, ~is_hrs, cluster.state != _STATE_CODE[LRS1], spec,
+            np.bincount(cluster.pre[is_hrs], minlength=len(cluster.pre_neurons)),
+            np.bincount(cluster.post[is_hrs], minlength=len(cluster.post_neurons)))
+
+
+# Every neuron pair is an LRS2 synapse and the bands are near and far only, so
+# the first near commit forbids near to every post-neuron, and the far budget
+# of one seat cannot take them all: the stage gives up and leaves the seats.
+GIVE_UP_CASE = (Cluster.from_columns(0, range(2), range(2, 4), [0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 1, 1]),
+                CrossbarSpec(n=2, n_h=1, n_l=1), np.array([0, 1], dtype=np.intp), np.array([1, 0], dtype=np.intp))
+
+
+@settings(max_examples=300, deadline=None)
+@given(band_cases())
+@example(GIVE_UP_CASE)
+def test_band_stage_matches_reference(case):
+    # The flat propagation loops leave the seats the closure form does, on
+    # success and when the stage gives up and leaves every seat as it was.
+    cluster, spec, rows, cols = case
+    args = _band_stage_args(cluster, spec)
+    got, expected = (rows.copy(), cols.copy()), (rows.copy(), cols.copy())
+    mapper._band_stage(*args, *got)
+    _band_stage_reference(*args, *expected)
+    assert [seats.tolist() for seats in got] == [seats.tolist() for seats in expected]
+
+
+def test_band_stage_gives_up_on_give_up_case():
+    # No band assignment exists, so the stage must leave the seats as they are.
+    cluster, spec, rows, cols = GIVE_UP_CASE
+    seats = rows.copy(), cols.copy()
+    mapper._band_stage(*_band_stage_args(cluster, spec), *seats)
+    assert [s.tolist() for s in seats] == [rows.tolist(), cols.tolist()]
 
 
 # The benchmark's specs: planted clusters on the first, random ones on the second.
