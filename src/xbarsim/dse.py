@@ -1,12 +1,13 @@
 """Design-space exploration over partition points and region sizes.
 
 The P/Q sweep maps each workload once and builds its synapse table once
-(the cells, states and spike counts of every crossbar, under one seeded
-activity draw). At each candidate partition it re-selects every crossbar's
-configuration and re-evaluates only the terms that depend on it, then
-normalizes energy, mean path latency, and corner-extremes variation against
-the degenerate partition P = Q = N. The N_h/N_l sweep is pure geometry: how
-far the region rules pull the fastest and slowest achievable paths together.
+(the cells and states of every crossbar, and their wordline charge under
+one seeded activity draw). At each candidate partition it picks the
+configurations once per extent class and re-evaluates, once per distinct
+configuration, only the terms that depend on it, then normalizes energy,
+mean path latency, and corner-extremes variation against the degenerate
+partition P = Q = N. The N_h/N_l sweep is pure geometry: how far the region
+rules pull the fastest and slowest achievable paths together.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .mapper import Hardware, _cheapest_config, map_network
 from .simulate import (
     Activity,
     _activity,
-    _crossbar_extremes,
     _energy,
     _overall_extremes,
     _setups,
@@ -53,18 +53,38 @@ def _seeded_activity(network: Network, spike_rate: float, duration: float, seed:
     return _activity(dict(zip(pre, counts.tolist())), network.routes, duration)
 
 
-def _evaluate_setups(table: _SynapseTable, counts, spec: CrossbarSpec, setups, activity: Activity):
+def _evaluate_setups(table: _SynapseTable, charge, spec: CrossbarSpec, setups, at, activity: Activity):
     """(energy, mean path latency, corner-extremes variation, expanded
     fraction) of the table's placement on `spec`, crossbar i set up as
-    setups[i] and its synapses' spike counts in `counts`."""
-    latencies, access_j = table.evaluate(setups, counts)
-    energy = _energy(setups, access_j, activity, table.tech).total_j
-    variation = _overall_extremes(_crossbar_extremes(setups, table.tech)).ratio
+    setups[at[i]] (distinct setups) and its synapses' charge from
+    table.charge(activity)."""
+    latencies, access_j = table.evaluate(setups, at, charge)
+    energy = _energy(setups, at, access_j, activity, table.tech).total_j
+    extremes = [corner_extremes(spec, table.tech, config) for spec, config in setups]
+    variation = _overall_extremes(extremes, at).ratio
     # A degenerate partition (P = Q = N) has no far region, so nothing is
     # genuinely expanded even though the reported configuration is '11'.
-    partitioned = spec.p < spec.n or spec.q < spec.n
-    expanded = sum(1 for _, config in setups if config == CONFIG_11 and partitioned)
-    return float(energy), float(latencies.mean()), variation, expanded / len(setups)
+    expanded = 0
+    if spec.p < spec.n or spec.q < spec.n:
+        expanded = int(np.count_nonzero(np.array([config == CONFIG_11 for _, config in setups])[at]))
+    return float(energy), float(latencies.mean()), variation, expanded / len(at)
+
+
+def _point_setups(spec: CrossbarSpec, extents) -> tuple[list, np.ndarray]:
+    """(the distinct (spec, config) setups, each crossbar's index into them)
+    of crossbars with the given (max row, max column) extents on `spec`.
+
+    Every configuration spans P or N rows and Q or N columns, and every cell
+    lies below N, so a crossbar's cheapest configuration depends only on its
+    extent class (max row >= P, max column >= Q). It is picked once per
+    class, from the class's first crossbar.
+    """
+    classes = [(row >= spec.p, col >= spec.q) for row, col in extents]
+    index, of_class = {}, {}
+    for cls, extent in zip(classes, extents):
+        if cls not in of_class:
+            of_class[cls] = index.setdefault(_cheapest_config(*extent, spec), len(index))
+    return [(spec, config) for config in index], np.array([of_class[cls] for cls in classes], dtype=np.intp)
 
 
 def sweep_pq(networks, base_spec: CrossbarSpec, tech: TechnologyParams, grid,
@@ -75,11 +95,12 @@ def sweep_pq(networks, base_spec: CrossbarSpec, tech: TechnologyParams, grid,
     Returns one SweepPoint list per network, in grid order. Each network is
     mapped once, at P = Q = N: the mapper's cell assignment reads only N,
     N_h and N_l, so every grid point reuses it. Its synapse table (cells,
-    states and spike counts) is built once too; a grid point re-selects each
-    crossbar's configuration and re-evaluates only what depends on it: the
-    path latencies gathered from tap_delays, the far-cell multiplier, the
-    static weight and the corner extremes. A network that cannot be mapped
-    raises Infeasible.
+    states and wordline charge) and its crossbars' extents are built once
+    too. A grid point picks configurations once per extent class (see
+    _point_setups) and re-evaluates only what depends on them: the path
+    latencies gathered from tap_delays, the far-cell multiplier, the static
+    weight and the corner extremes, each looked up once per distinct
+    configuration. A network that cannot be mapped raises Infeasible.
     """
     grid = list(grid)
     if not grid:
@@ -98,14 +119,14 @@ def sweep_pq(networks, base_spec: CrossbarSpec, tech: TechnologyParams, grid,
         hardware = Hardware(crossbar_count=len(network.clusters), spec=base, tech=tech)
         mapped = map_network(network, hardware)
         table = _SynapseTable(mapped.crossbars, tech)
-        counts = table.spike_counts(activity)
-        e0, l0, v0, _ = _evaluate_setups(table, counts, base, _setups(mapped), activity)
-        extents = [tuple(int(cell.max()) for cell in xb.cells()) for xb in mapped.crossbars]
+        charge = table.charge(activity)
+        e0, l0, v0, _ = _evaluate_setups(table, charge, base, *_setups(mapped), activity)
+        extents = [(int(xb.rows[xb.cluster.pre].max()), int(xb.cols[xb.cluster.post].max()))
+                   for xb in mapped.crossbars]
         points = []
         for p, q in grid:
             spec = replace(base_spec, p=p, q=q)
-            setups = [(spec, _cheapest_config(*extent, spec)) for extent in extents]
-            e, l, v, frac = _evaluate_setups(table, counts, spec, setups, activity)
+            e, l, v, frac = _evaluate_setups(table, charge, spec, *_point_setups(spec, extents), activity)
             points.append(SweepPoint(network=name, p=p, q=q,
                                      norm_energy=e / e0, norm_latency=l / l0,
                                      norm_variation=v / v0, expanded_fraction=frac))

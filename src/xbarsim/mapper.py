@@ -398,16 +398,15 @@ def _band_stage(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols)
             committed[v] = b
             used[axis][b] += 1
             if b != MIDDLE:
-                # Cut band b from each partner's domain, logging the old domain.
-                # A partner committed to b, or left with no band, fails the
-                # trial; one left with a single band is forced. The cut is
-                # inlined, as a call per partner costs more than the cut.
+                # Cut band b from each uncommitted partner's domain, logging
+                # the old domain. A partner left with no band fails the trial;
+                # one left with a single band is forced. No committed partner
+                # holds b: adjacency is symmetric, so its own commit cut b from
+                # v, and v's commit check fails first. The cut is inlined, as a
+                # call per partner costs more than the cut.
                 bit = 1 << b
                 for w in (adj_near if b == NEAR else adj_far)[v]:
                     if committed[w] != -1:
-                        if committed[w] == b:
-                            ok = False
-                            break
                         continue
                     held = domain[w]
                     if not held & bit:

@@ -161,7 +161,7 @@ def synapse_latency_totals(xb: CrossbarPlacement, tech: TechnologyParams) -> np.
     checks: the mapper emits only sound placements, and load_placement
     rejects any file that check_placement finds a problem in.
     """
-    return _SynapseTable((xb,), tech).evaluate(((xb.spec, xb.config),))[0]
+    return _SynapseTable((xb,), tech).evaluate([(xb.spec, xb.config)], np.zeros(1, dtype=np.intp))[0]
 
 
 class _SynapseTable:
@@ -172,7 +172,10 @@ class _SynapseTable:
     neurons. Crossbar i holds sizes[i] synapses.
 
     None of these depend on how a crossbar is set up, so one table serves
-    every (spec, config) its crossbars are evaluated under.
+    every (spec, config) its crossbars are evaluated under, and one charge
+    serves every evaluation under the same activity. Callers pass the
+    distinct setups plus each crossbar's index into them, so the per-setup
+    work runs once per setup, not once per crossbar.
     """
 
     def __init__(self, crossbars, tech: TechnologyParams):
@@ -195,26 +198,27 @@ class _SynapseTable:
         """(every crossbar's post-neuron ids end to end, each synapse's index into them)."""
         return _indexed([c.post_neurons for c in self.clusters], [c.post for c in self.clusters])
 
-    def spike_counts(self, activity: Activity) -> np.ndarray:
-        """The activity's spike count of each synapse's pre-neuron."""
+    def charge(self, activity: Activity) -> tuple[np.ndarray, np.ndarray]:
+        """(a mask of the synapses whose pre-neuron spikes in the activity,
+        each synapse's spike count times p_wordline_raise): the charge that
+        evaluate turns into access energy."""
         ids, index = self.pre
-        return _synapse_spike_counts(activity, ids)[index]
+        counts = _synapse_spike_counts(activity, ids)[index]
+        return counts > 0, counts * self.tech.p_wordline_raise
 
-    def evaluate(self, setups, counts: np.ndarray | None = None) -> tuple[np.ndarray, float | None]:
-        """(path latency per synapse, access energy of counts[i] spikes at
-        synapse i, or None without counts), crossbar i set up as setups[i], a
-        (spec, config) pair.
+    def evaluate(self, setups, at: np.ndarray, charge=None) -> tuple[np.ndarray, float | None]:
+        """(path latency per synapse, access energy of the charge, or None
+        without one), crossbar i set up as setups[at[i]]; setups holds
+        distinct (spec, config) pairs.
 
         A synapse's latency is row[r] + col[c] + its sense latency, out of its
-        setup's tap_delays. Each spike raises the synapse's wordline for that
-        long: 3x a plain raise at a far-region cell (row >= P or column >= Q)
-        under '11', 2x under a single-side expansion, 1x otherwise. Each
-        distinct setup's tap delays and raise factors are laid end to end in
-        one flat array per axis, which every synapse indexes once.
+        setup's tap_delays. Each setup's tap delays are laid end to end in one
+        flat array per axis, which every synapse indexes once. Each spike
+        raises the synapse's wordline for that long: 3x a plain raise at a
+        far-region cell (row >= P or column >= Q) under '11', 2x under a
+        single-side expansion, 1x otherwise.
         """
-        index = {}
-        at = np.array([index.setdefault(setup, len(index)) for setup in setups], dtype=np.intp)
-        taps = [tap_delays(spec, config, self.tech) for spec, config in index]
+        taps = [tap_delays(spec, config, self.tech) for spec, config in setups]
         width = max((len(delay) for tap in taps for delay in tap), default=0)
         r = np.repeat(at * width, self.sizes)
         c = r + self.col
@@ -222,19 +226,18 @@ class _SynapseTable:
         latencies = _laid([row for row, _ in taps], width).take(r)
         latencies += _laid([col for _, col in taps], width).take(c)
         latencies += self.sense
-        if counts is None:
+        if charge is None:
             return latencies, None
-        row_k, col_k = [], []
-        for (spec, config), (row, col) in zip(index, taps):
-            k = 3.0 if config == CONFIG_11 else 2.0
-            row_k.append(np.where(np.arange(len(row)) >= spec.p, k, 1.0))
-            col_k.append(np.where(np.arange(len(col)) >= spec.q, k, 1.0))
-        access = counts * self.tech.p_wordline_raise
-        access *= latencies
-        access *= np.maximum(_laid(row_k, width).take(r), _laid(col_k, width).take(c))
+        spiking, access = charge
+        p = np.array([spec.p for spec, _ in setups], dtype=np.intp)[at]
+        q = np.array([spec.q for spec, _ in setups], dtype=np.intp)[at]
+        k = np.array([3.0 if config == CONFIG_11 else 2.0 for _, config in setups])[at]
+        far = (self.row >= np.repeat(p, self.sizes)) | (self.col >= np.repeat(q, self.sizes))
+        access = access * latencies
+        access *= np.where(far, np.repeat(k, self.sizes), 1.0)
         # A left fold in table order (cumsum is sequential), as np.sum is
         # pairwise and sum() of floats is compensated from Python 3.12 on.
-        return latencies, float(np.cumsum(np.concatenate(([0.0], access[counts > 0])))[-1])
+        return latencies, float(np.cumsum(np.concatenate(([0.0], access[spiking])))[-1])
 
 
 def _joined(parts) -> np.ndarray:
@@ -256,8 +259,12 @@ def _laid(arrays, width: int) -> np.ndarray:
     return out
 
 
-def _setups(placement: Placement) -> list:
-    return [(xb.spec, xb.config) for xb in placement.crossbars]
+def _setups(placement: Placement) -> tuple[list, np.ndarray]:
+    """(the distinct (spec, config) setups of the placement's crossbars in
+    first-use order, each crossbar's index into them)."""
+    index = {}
+    at = [index.setdefault((xb.spec, xb.config), len(index)) for xb in placement.crossbars]
+    return list(index), np.array(at, dtype=np.intp)
 
 
 def _spike_times(placement: Placement, trains) -> dict:
@@ -358,26 +365,23 @@ def latency_stats(placement: Placement, tech: TechnologyParams) -> LatencyReport
     if not placement.crossbars:
         raise EmptyPlacement("placement maps no crossbars")
     table = _SynapseTable(placement.crossbars, tech)
-    setups = _setups(placement)
-    totals, _ = table.evaluate(setups)
-    extremes = _crossbar_extremes(setups, tech)
+    setups, at = _setups(placement)
+    totals, _ = table.evaluate(setups, at)
+    extremes = [corner_extremes(spec, tech, config) for spec, config in setups]
     placed = np.split(totals, np.cumsum(table.sizes)[:-1])  # per crossbar
     per = tuple(CrossbarLatencyReport(crossbar_id=xb.crossbar_id, cluster_id=xb.cluster_id,
-                                      placed=LatencyStats.from_values(values), extremes=ext)
-                for xb, values, ext in zip(placement.crossbars, placed, extremes))
+                                      placed=LatencyStats.from_values(values), extremes=extremes[i])
+                for xb, values, i in zip(placement.crossbars, placed, at.tolist()))
     return LatencyReport(per_crossbar=per, aggregate=LatencyStats.from_values(totals),
-                         extremes=_overall_extremes(extremes))
+                         extremes=_overall_extremes(extremes, at))
 
 
-def _crossbar_extremes(setups, tech: TechnologyParams) -> list[LatencyStats]:
-    """corner_extremes of each crossbar's setup, called once per distinct setup."""
-    of = {(spec, config): corner_extremes(spec, tech, config) for spec, config in dict.fromkeys(setups)}
-    return [of[setup] for setup in setups]
-
-
-def _overall_extremes(extremes) -> LatencyStats:
+def _overall_extremes(extremes, at: np.ndarray) -> LatencyStats:
+    """Extremes over crossbars, crossbar i's being extremes[at[i]]; every
+    entry of extremes belongs to some crossbar. The mean is taken over the
+    per-crossbar means, in crossbar order."""
     return LatencyStats.of(min(e.best for e in extremes), max(e.worst for e in extremes),
-                           float(np.mean([e.mean for e in extremes])))
+                           float(np.mean(np.array([e.mean for e in extremes])[at])))
 
 
 def average_latency_delta(m: int, n: int, delta: float) -> float:
@@ -410,7 +414,7 @@ def neuron_isi_distortion(placement: Placement, trains, tech: TechnologyParams) 
     by_neuron = _spike_times(placement, trains)
     posts = np.unique(np.array([nid for xb in placement.crossbars for nid in xb.cluster.post_neurons], np.intp))
     table = _SynapseTable(placement.crossbars, tech)
-    delay, _ = table.evaluate(_setups(placement))
+    delay, _ = table.evaluate(*_setups(placement))
     (pre_ids, of_pre), (post_ids, of_post) = table.pre, table.post
     times = [by_neuron.get(nid, ()) for nid in pre_ids.tolist()]
     spikes = np.array([len(t) for t in times], dtype=float)
@@ -449,14 +453,14 @@ def energy_report(placement: Placement, activity: Activity, tech: TechnologyPara
     expansion (2x); collapsed-region accesses stay at 1x.
     """
     table = _SynapseTable(placement.crossbars, tech)
-    setups = _setups(placement)
-    return _energy(setups, table.evaluate(setups, table.spike_counts(activity))[1], activity, tech)
+    setups, at = _setups(placement)
+    return _energy(setups, at, table.evaluate(setups, at, table.charge(activity))[1], activity, tech)
 
 
-def _energy(setups, access_j: float, activity: Activity, tech: TechnologyParams) -> EnergyReport:
-    """The ledger of energy_report, crossbar i set up as setups[i], with access energy access_j."""
-    weight = {(spec, config): static_energy_weight(config, spec) for spec, config in dict.fromkeys(setups)}
-    return EnergyReport(static_j=sum(weight[setup] for setup in setups) * tech.leakage_per_cell * activity.duration,
+def _energy(setups, at: np.ndarray, access_j: float, activity: Activity, tech: TechnologyParams) -> EnergyReport:
+    """The ledger of energy_report, crossbar i set up as setups[at[i]], with access energy access_j."""
+    weight = [static_energy_weight(config, spec) for spec, config in setups]
+    return EnergyReport(static_j=sum([weight[i] for i in at.tolist()]) * tech.leakage_per_cell * activity.duration,
                         spike_j=activity.total_spikes * tech.e_spike,
                         routing_j=activity.routed_spike_hops * tech.e_route_hop,
                         access_overhead_j=access_j)

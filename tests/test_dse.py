@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xbarsim.dse as dse_mod
+import xbarsim.simulate as simulate_mod
 from xbarsim import (
     CONFIG_11,
     Cluster,
@@ -134,10 +135,61 @@ def test_sweep_maps_each_network_once(monkeypatch):
     assert [(pt.p, pt.q) for pt in points] == grid
 
 
+def test_sweep_work_per_point_scales_with_configurations(monkeypatch):
+    # Per network and grid point, sweep_pq picks configurations at most once
+    # per extent class, and gathers tap delays and corner extremes once per
+    # distinct configuration, however many crossbars share it.
+    nets = [fitting_network(seed=5, hi=100), fitting_network(seed=6, hi=120)]
+    base = CrossbarSpec(n=128, n_h=16, n_l=16)
+    grid = [(128, 128), (64, 64), (96, 80), (64, 128), (128, 72), (100, 100)]
+    sweep_pq(nets, base, TECH, grid, seed=0)  # warms corner_extremes, whose cache misses call tap_delays
+    log = []
+
+    def logged(name, fn):
+        def wrapper(*args):
+            log.append((name, args))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(dse_mod, "_cheapest_config", logged("cheapest", _cheapest_config))
+    monkeypatch.setattr(simulate_mod, "tap_delays", logged("taps", simulate_mod.tap_delays))
+    monkeypatch.setattr(dse_mod, "corner_extremes", logged("extremes", dse_mod.corner_extremes))
+    real_evaluate = dse_mod._evaluate_setups
+
+    def evaluate(table, charge, spec, *rest):
+        out = real_evaluate(table, charge, spec, *rest)
+        log.append(("point", spec))
+        return out
+
+    monkeypatch.setattr(dse_mod, "_evaluate_setups", evaluate)
+    sweep_pq(nets, base, TECH, grid, seed=0)
+
+    points, events = [], []
+    for name, args in log:
+        if name == "point":
+            points.append((args, events))
+            events = []
+        else:
+            events.append((name, args))
+    specs = [dataclasses.replace(base, p=p, q=q) for p, q in [(128, 128)] + grid]
+    assert [spec for spec, _ in points] == specs * len(nets)
+    most = 0
+    for net, at_net in zip(nets, (points[:len(specs)], points[len(specs):])):
+        mapped = map_network(net, Hardware(crossbar_count=len(net.clusters), spec=specs[0], tech=TECH))
+        for spec, events in at_net:
+            configs = sorted({_cheapest_config(*(int(c.max()) for c in xb.cells()), spec).name
+                              for xb in mapped.crossbars})
+            most = max(most, len(configs))
+            assert sum(name == "cheapest" for name, _ in events) <= 4
+            assert sorted(args[1].name for name, args in events if name == "taps") == configs
+            assert sorted(args[2].name for name, args in events if name == "extremes") == configs
+    assert most == 4  # some point mixes all four configurations
+
+
 def _evaluate(placement, spec, tech, activity):
     """(energy, mean path latency, corner-extremes variation, expanded fraction) of a placement on `spec`."""
     table = _SynapseTable(placement.crossbars, tech)
-    return dse_mod._evaluate_setups(table, table.spike_counts(activity), spec, _setups(placement), activity)
+    return dse_mod._evaluate_setups(table, table.charge(activity), spec, *_setups(placement), activity)
 
 
 def test_seeded_activity_equals_per_neuron_scalar_draws():

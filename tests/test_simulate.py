@@ -13,6 +13,7 @@ from xbarsim import (
     CONFIG_11,
     CONFIGURATIONS,
     Activity,
+    Cluster,
     CrossbarPlacement,
     CrossbarSpec,
     GenParams,
@@ -38,11 +39,14 @@ from xbarsim import (
     preset,
     neuron_isi_distortion,
     region_of,
+    sense_latency,
     sweep_pq,
+    tap_delays,
 )
 from xbarsim import ControlMode
 from xbarsim.fixtures import isi_demo, mapping_demo_network
 from xbarsim import simulate, techmodel
+from xbarsim.crossbar import legal_configurations
 from xbarsim.simulate import LatencyStats, _synapse_spike_counts, synapse_latency_totals
 from xbarsim.techmodel import PRESETS, TechnologyParams
 from xbarsim.errors import (
@@ -560,12 +564,19 @@ def test_energy_access_multipliers():
     assert r00.access_overhead_j == pytest.approx(1 * TECH.p_wordline_raise * t00)
 
 
+def latencies_by_cell(xb, tech):
+    """Path latency of each of the crossbar's synapses, gathered out of its
+    tap_delays one cell at a time: row[r] + col[c] + sense latency."""
+    row, col = tap_delays(xb.spec, xb.config, tech)
+    return [float(row[s.row]) + float(col[s.col]) + sense_latency(tech.state(s.state), tech) for s in xb.synapses]
+
+
 def access_overhead_by_synapse(placement, activity, tech):
     # Reference: the ledger's access term summed synapse by synapse, in
     # placement order, with the far-region multiplier decided per cell.
     access_j = 0.0
     for xb in placement.crossbars:
-        for s, t_access in zip(xb.synapses, synapse_latency_totals(xb, tech)):
+        for s, t_access in zip(xb.synapses, latencies_by_cell(xb, tech)):
             count = activity.spike_counts.get(s.pre, 0)
             if not count:
                 continue
@@ -585,6 +596,56 @@ def test_energy_access_overhead_matches_per_synapse_sum(rng):
     for tech in (TECH, preset("45nm")):
         got = energy_report(placement, activity, tech).access_overhead_j
         assert got == access_overhead_by_synapse(placement, activity, tech)
+
+
+@st.composite
+def evaluation_cases(draw):
+    """(placement, activity): 1..4 crossbars, each on a spec of N = 1..12 with
+    any P and Q (often P = N or Q = N) and either control mode, some sharing
+    an earlier crossbar's spec, under any legal configuration; 1..N neurons
+    per axis seated inside that configuration's active array, and synapses
+    of any state. Each pre-neuron's spike count may be zero or absent."""
+    crossbars, specs, counts = [], [], {}
+    for i in range(draw(st.integers(1, 4))):
+        if specs and draw(st.booleans()):
+            spec = draw(st.sampled_from(specs))
+        else:
+            n = draw(st.integers(1, 12))
+            spec = CrossbarSpec(n=n, p=draw(st.one_of(st.just(n), st.integers(1, n))),
+                                q=draw(st.one_of(st.just(n), st.integers(1, n))),
+                                control=draw(st.sampled_from(ControlMode)))
+            specs.append(spec)
+        config = draw(st.sampled_from(legal_configurations(spec)))
+        height, width = config_dimensions(config, spec)
+        rows = draw(st.lists(st.integers(0, height - 1), min_size=1, unique=True))
+        cols = draw(st.lists(st.integers(0, width - 1), min_size=1, unique=True))
+        pairs = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.integers(0, len(cols) - 1)),
+                              min_size=1, unique=True))
+        states = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+        pre = range(100 * i, 100 * i + len(rows))
+        cluster = Cluster.from_columns(i, pre, range(100 * i + 50, 100 * i + 50 + len(cols)),
+                                       [a for a, _ in pairs], [b for _, b in pairs], states)
+        crossbars.append(CrossbarPlacement(i, cluster, spec, config, rows, cols))
+        for nid in pre:
+            count = draw(st.one_of(st.none(), st.integers(0, 4)))
+            if count is not None:
+                counts[nid] = count
+    placement = Placement(crossbars=tuple(crossbars), crossbar_count=len(crossbars))
+    return placement, Activity(spike_counts=counts, routed_spike_hops=0.0, duration=1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(evaluation_cases(), st.sampled_from([TECH, preset("45nm")]))
+def test_kernel_matches_cell_by_cell_oracle(case, tech):
+    """The evaluation kernel's latencies equal tap_delays gathered cell by
+    cell, and its access energy the per-synapse sum, bit for bit."""
+    placement, activity = case
+    table = simulate._SynapseTable(placement.crossbars, tech)
+    latencies, access_j = table.evaluate(*simulate._setups(placement), table.charge(activity))
+    expected = [t for xb in placement.crossbars for t in latencies_by_cell(xb, tech)]
+    assert np.array_equal(latencies, expected)
+    assert access_j == access_overhead_by_synapse(placement, activity, tech)
+    assert energy_report(placement, activity, tech).access_overhead_j == access_j
 
 
 _INT64 = st.integers(-(2**63), 2**63 - 1)
