@@ -89,8 +89,6 @@ from .workload import (
     generate_synthetic,
     load_network,
     load_spikes,
-    partition_simple,
-    quantize_weights,
     save_network,
     save_spikes,
 )

@@ -37,10 +37,6 @@ class CountExceedsCapacity(XbarError):
     """Cell count larger than the crossbar capacity."""
 
 
-class NonPositiveWeight(XbarError):
-    """Synaptic weight (conductance) must be positive."""
-
-
 class InvalidParams(XbarError):
     """Synthetic-workload generation parameters out of range."""
 

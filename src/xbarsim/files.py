@@ -1,14 +1,13 @@
 """The file boundary: every JSON document and CSV table is read and written here.
 
-JSON is written with exactly the bytes of `json.dumps(doc, indent=2,
-sort_keys=True) + "\\n"`, streamed container by container. Each container
-whose values are all scalars, such as a column of synapse indices, goes
-through the C encoder in one call. JSON is read by the C scanner, which
-refuses the NaN and Infinity tokens. CSV is written in the csv module's
-default dialect (CRLF line ends). A numeric table is parsed whole by numpy's
-C text reader, and read again by the checked reader if numpy refuses anything
-in it, so that it gives the checked reader's values and errors. The checked
-reader, read_table, reads any table row by row.
+JSON is written as `json.dumps(doc, sort_keys=True, separators=(",", ":"))`
+and a newline: compact, on one line, encoded by json's C encoder before the
+file is opened. `python -m json.tool` lays such a file out for reading. JSON
+is read by the C scanner, which refuses the NaN and Infinity tokens. CSV is
+written in the csv module's default dialect (CRLF line ends). A numeric table
+is parsed whole by numpy's C text reader, and read again by the checked reader
+if numpy refuses anything in it, so that it gives the checked reader's values
+and errors. The checked reader, read_table, reads any table row by row.
 
 Undecodable input (bad JSON or CSV, non-UTF-8 bytes, an integer literal
 beyond Python's digit limit, a wrong header or row width, a bad value) raises
@@ -23,19 +22,12 @@ import io
 import json
 import sys
 import warnings
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
 
 _FLOAT_MAX = sys.float_info.max
-
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-# The C encoder, sorting keys, with "\0" as the item separator: ensure_ascii
-# escapes a NUL inside a string, so every raw "\0" in its output is a separator.
-_encode = json.JSONEncoder(sort_keys=True, separators=("\0", ": ")).encode
 
 
 def _refuse_constant(token: str):
@@ -58,9 +50,11 @@ def read_json(path):
 
 
 def write_json(doc, path) -> None:
+    """`doc` as compact JSON with sorted keys, on one line. The text is encoded
+    before `path` is opened, so a document json refuses leaves the file as it was."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        _write_value(fh.write, doc, "\n")
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _brief(value) -> str:
@@ -93,53 +87,6 @@ def json_floats(values, name: str) -> list[float]:
     if bad:
         raise ValueError(f"{name}: expected a finite number, got {_brief(bad[0])}")
     return list(map(float, values))
-
-
-def _key_text(key) -> str:
-    """A dict key as json writes it: strings as they are, numbers, bools and None as their JSON text."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (int, float)) or key is None:
-        return _encode(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _write_value(write, value, newline) -> None:
-    """Write `value` as json.dumps(indent=2, sort_keys=True) lays it out at the
-    indent that `newline` ("\\n" and the indent) carries."""
-    if isinstance(value, dict):
-        if _SCALARS.issuperset(map(type, value.values())):
-            _write_spread(write, _encode(value), newline)
-            return
-        inner = newline + "  "
-        write("{")
-        for i, (key, item) in enumerate(sorted(value.items())):
-            write(("," if i else "") + inner + encode_basestring_ascii(_key_text(key)) + ": ")
-            _write_value(write, item, inner)
-        write(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if _SCALARS.issuperset(map(type, value)):
-            _write_spread(write, _encode(value), newline)
-        else:
-            inner = newline + "  "
-            write("[")
-            for i, item in enumerate(value):
-                write(("," if i else "") + inner)
-                _write_value(write, item, inner)
-            write(newline + "]")
-    else:
-        write(_encode(value))
-
-
-def _write_spread(write, text: str, newline: str) -> None:
-    """Write the compact encoding of a container of scalars one value per line."""
-    if len(text) == 2:  # [] or {}
-        write(text)
-        return
-    inner = newline + "  "
-    write(text[0] + inner)
-    write(text[1:-1].replace("\0", "," + inner))
-    write(newline + text[-1])
 
 
 def _header_matches(row, names) -> bool:

@@ -1,4 +1,4 @@
-"""SNN workload handling: clusters, spike traces, synthesis, quantization.
+"""SNN workload handling: clusters, routes, spike traces and their files, synthesis.
 
 A network arrives pre-partitioned into clusters, each small enough for one
 crossbar: pre-synaptic neurons drive rows, post-synaptic neurons sink on
@@ -8,9 +8,9 @@ triple. Inter-cluster traffic is summarized as routes with a fixed hop count.
 Only a Cluster holds synapses, as read-only numpy columns (the state an index
 into STATE_LABELS); a mapper.CrossbarPlacement holds its cluster. Both
 documents store a cluster as one object, read by _cluster_from_json, whose
-"synapses" (as in partition_simple's layers) holds one list per column.
-Synapse, PlacedSynapse and `.synapses` are read-only compatibility views that
-the benchmark harness and the tests read.
+"synapses" holds one list per column. Synapse, PlacedSynapse and `.synapses`
+are read-only compatibility views that the benchmark harness and the tests
+read.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from operator import gt, lt
 import numpy as np
 
 from .crossbar import HRS, LRS1, LRS2, LRS3, STATE_LABELS, _STATE_CODE
-from .errors import InvalidParams, NonPositiveWeight, ValidationError
+from .errors import InvalidParams, ValidationError
 from .files import _brief, json_ints, read_json, read_numeric_columns, write_grouped_table, write_json
-from .techmodel import DEFAULT_STATES
 
 
 @dataclass(frozen=True)
@@ -406,26 +405,6 @@ def save_spikes(trains, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# quantization
-
-
-def quantize_weights(weights, states=DEFAULT_STATES) -> list[str]:
-    """Map positive conductances to the nearest-state labels.
-
-    Distance is measured in conductance; exact ties go to the lower-resistance
-    (higher-conductance) state.
-    """
-    ordered = sorted(states, key=lambda s: s.resistance)
-    labels = []
-    for w in weights:
-        if w <= 0:
-            raise NonPositiveWeight(f"conductance must be positive, got {w}")
-        best = min(ordered, key=lambda s: abs(w - s.conductance))  # min is stable: first = lowest resistance
-        labels.append(best.label)
-    return labels
-
-
-# ---------------------------------------------------------------------------
 # synthetic workloads
 
 
@@ -539,33 +518,3 @@ def _poisson_trains(rng, neurons, rate: float, duration: float) -> list[SpikeTra
     times = (ticks / 1e9).tolist()
     return [SpikeTrain._prechecked(nid, tuple(times[start:end]))
             for nid, start, end in zip(owners, bounds, bounds[1:])]
-
-
-def partition_simple(layer: dict, n: int) -> list[Cluster]:
-    """Greedy tiling of one monolithic layer into crossbar-sized clusters.
-
-    The layer is {pre_count, post_count, synapses: {pre, post, state}}, its
-    synapses column lists as in a network document, with indices in
-    [0, pre_count) x [0, post_count). Pre and post index ranges are cut into
-    chunks of n; each chunk pair holding at least one synapse becomes a
-    cluster. The union of cluster synapses is the input set.
-    """
-    if n < 1:
-        raise ValidationError(f"crossbar dimension must be >= 1, got {n}")
-    synapses = _synapses_from_json(layer["synapses"])
-    if not synapses["pre"]:
-        raise ValidationError("layer has no synapses")
-    pre_count, post_count = int(layer["pre_count"]), int(layer["post_count"])
-    tiles: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for pre, post, state in zip(*synapses.values()):
-        if not (0 <= pre < pre_count and 0 <= post < post_count):
-            raise ValidationError(f"synapse ({pre},{post}) outside layer bounds")
-        tiles.setdefault((pre // n, post // n), []).append((pre, post, state))
-
-    clusters = []
-    for cid, key in enumerate(sorted(tiles)):
-        pre, post, state = zip(*sorted(tiles[key]))
-        pre_ids, post_ids = tuple(sorted(set(pre))), tuple(sorted(set(post)))
-        clusters.append(Cluster.from_columns(cid, pre_ids, post_ids, np.searchsorted(pre_ids, pre),
-                                             np.searchsorted(post_ids, post), state))
-    return clusters

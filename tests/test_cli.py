@@ -243,13 +243,13 @@ def _output_digests(tmp_path):
 
 
 GOLDEN_DIGESTS = {
-    "net.json": "e545f3d9a4b34bb5420d382f5fa8c7204e5a62471f079e3e6380923f116cc2e2",
-    "placement.json": "ba8d0a4f7860612d56d4cd2b7346b859219324ede49ca46b2ed3d92cfee7ee3e",
+    "net.json": "35b3ce1ca85151d4ae2d8e2d7d9e6c24effedab4643282e9544520766a334b2a",
+    "placement.json": "e508e08864b9c34c04f895a78608211f64ca49b7453142840a44e50613521fdc",
     "reports/energy.csv": "d127cec1c2f37e7870eb2940340c235015600f83fb5497eda5aa71d1f61d6fbb",
     "reports/isi.csv": "d281f741c082c96e94e4aea8dc8474daba32ceca6feac9baa8f238efd65bc182",
     "reports/latency.csv": "7e696fa0f911d71ea57f0d65d58bc5098c20c64ef8aee87ec98fb5fe68e0fca6",
-    "reports/report.json": "efa38e61be4c4b89abaaa2160e86114951b17e409334f9fa9f9409f688adab77",
-    "spec.json": "f1e7d4c2eafe96c9a1e2b3845453bef0cf02536b3c961dfa2d354a851246adac",
+    "reports/report.json": "f236d4fe8dcdfae09129a94dcaf2a8aae5c003258913e485992b93229499323f",
+    "spec.json": "122b4733648128d16ae6a1d4360e0d82feb36a20bdfbd6cbb28a0f971214077c",
     "spk.csv": "d50d9640618281a2e511a23e6ab74624b878cafa8028dae118752dd65baa991d",
     "sweep.csv": "0f28c68690a588078d1f81785d723dca6a8276ddcc6fe7bfd7fcdd44d327873b",
 }

@@ -1,5 +1,6 @@
 """The file boundary: every loader turns a malformed file into ParseError or ValidationError,
-write_json writes json.dumps's bytes, and read_table names every bad row's line."""
+write_json writes compact json.dumps's bytes or leaves the file alone, and read_table names
+every bad row's line."""
 
 import csv
 import inspect
@@ -140,7 +141,7 @@ _SPECS = st.builds(CrossbarSpec, n=st.just(8), n_h=st.integers(0, 1), n_l=st.int
 
 
 def _dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 _IDLE_NEURONS = Network([Cluster(5, (1, 2, 3), (4, 5), [Synapse(1, 0, "HRS")])])
@@ -307,9 +308,9 @@ def test_read_table_rejects_malformed_tables(tmp_path, text, message):
         list(read_table(path, {"a": int, "b": int}, "test"))
 
 
-# --- write_json: the bytes of json.dumps(doc, indent=2, sort_keys=True) + "\n"
+# --- write_json: the bytes of json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
-# strings built from the pieces the writer splices compact output at
+# strings built from JSON's structural characters, escapes and non-ASCII text
 _TRICKY_TEXT = st.lists(st.sampled_from(["\0", "}", "{", ",", ": ", "}\0{", '"', "\\", "\n", "a", "\u00e9",
                                          "\u2028", "\U0001f600", "%", "%s", "%%"])).map("".join)
 _SCALARS = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True, allow_infinity=True)
@@ -324,7 +325,7 @@ def _containers(children):
 
 
 def _expected(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _assert_written(path, doc):
@@ -356,16 +357,33 @@ def test_write_json_matches_json_dumps_on_readme_size_documents(tmp_path):
         _assert_written(tmp_path / "doc.json", doc)
 
 
-@pytest.mark.parametrize("doc", [
+_REFUSED = pytest.mark.parametrize("doc", [
     [np.int64(1)], {"a": [1, np.float32(2.0)]}, [{"a": np.int64(1)}], np.int64(1),
     {(1, 2): 3}, {"a": [1], (1, 2): [2]}, {1: "a", "b": 2}, {"a": [1], 2: [2]},
 ], ids=repr)
+
+
+@_REFUSED
 def test_write_json_rejects_what_json_rejects(tmp_path, doc):
     with pytest.raises(TypeError) as ours:
         write_json(doc, tmp_path / "doc.json")
     with pytest.raises(TypeError) as theirs:
-        json.dumps(doc, indent=2, sort_keys=True)
+        json.dumps(doc, sort_keys=True, separators=(",", ":"))
     assert str(ours.value) == str(theirs.value)
+
+
+@_REFUSED
+def test_refused_write_leaves_the_earlier_file(tmp_path, doc):
+    """A document json refuses raises json's TypeError and leaves the file's earlier bytes in place."""
+    path = tmp_path / "doc.json"
+    write_json({"kept": [1, 2, 3]}, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError) as ours:
+        write_json(doc, path)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert str(ours.value) == str(theirs.value)
+    assert path.read_bytes() == before
 
 
 # --- read_table: every row and message as an independent row-by-row reader gives them

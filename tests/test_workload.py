@@ -25,9 +25,7 @@ from xbarsim import (
     load_spikes,
     map_network,
     map_network_control,
-    partition_simple,
     preset,
-    quantize_weights,
     save_network,
     save_spikes,
     sweep_pq,
@@ -35,7 +33,7 @@ from xbarsim import (
 )
 from xbarsim.crossbar import STATE_LABELS
 from xbarsim.fixtures import mapping_demo_network
-from xbarsim.errors import Infeasible, InvalidParams, NonPositiveWeight, ParseError, ValidationError
+from xbarsim.errors import Infeasible, InvalidParams, ParseError, ValidationError
 from xbarsim import files
 from xbarsim.files import read_table
 from xbarsim.workload import network_from_json, network_to_json
@@ -175,37 +173,6 @@ def test_load_spikes_groups_by_neuron_and_sorts(tmp_path):
     for n, t in rows:
         per_neuron.setdefault(n, []).append(t / 1e9)
     assert load_spikes(path) == [SpikeTrain(n, tuple(sorted(ts))) for n, ts in sorted(per_neuron.items())]
-
-
-def test_quantize_exact_and_ties():
-    labels = quantize_weights([1 / 73000, 1 / 1500])
-    assert labels == ["HRS", "LRS1"]
-    # Power-of-two conductances make the midpoint an exact float tie; the
-    # rule sends it to the lower-resistance state.
-    from xbarsim import ResistanceState
-    states = (ResistanceState("LRS1", 2.0), ResistanceState("LRS2", 4.0),
-              ResistanceState("LRS3", 8.0), ResistanceState("HRS", 16.0))
-    midpoint = (0.25 + 0.125) / 2
-    assert abs(midpoint - 0.25) == abs(midpoint - 0.125)
-    assert quantize_weights([midpoint], states) == ["LRS2"]
-    # The default-state midpoint is not an exact float tie; nearest wins.
-    near_lrs2 = 1 / 5780 - 1e-9
-    assert quantize_weights([near_lrs2]) == ["LRS2"]
-
-
-def test_quantize_idempotent():
-    conductances = [1 / 1500, 1 / 5780, 1 / 13600, 1 / 73000]
-    once = quantize_weights(conductances)
-    again = quantize_weights([{"LRS1": 1 / 1500, "LRS2": 1 / 5780,
-                               "LRS3": 1 / 13600, "HRS": 1 / 73000}[lab] for lab in once])
-    assert once == again == ["LRS1", "LRS2", "LRS3", "HRS"]
-
-
-def test_quantize_rejects_nonpositive():
-    with pytest.raises(NonPositiveWeight):
-        quantize_weights([0.0])
-    with pytest.raises(NonPositiveWeight):
-        quantize_weights([-1e-4])
 
 
 def test_generate_deterministic():
@@ -498,50 +465,6 @@ def test_generate_spike_trains_poisson_like():
     for train in trains:
         assert all(b > a for a, b in zip(train.times, train.times[1:]))
         assert all(0 <= t < 2.0 for t in train.times)
-
-
-def test_partition_single_neuron():
-    layer = {"pre_count": 4, "post_count": 1,
-             "synapses": {"pre": list(range(4)), "post": [0] * 4, "state": ["HRS"] * 4}}
-    clusters = partition_simple(layer, 4)
-    assert len(clusters) == 1
-    assert len(clusters[0].synapses) == 4
-
-
-def test_partition_wide_neuron():
-    layer = {"pre_count": 130, "post_count": 1,
-             "synapses": {"pre": list(range(130)), "post": [0] * 130, "state": ["LRS1"] * 130}}
-    clusters = partition_simple(layer, 128)
-    assert len(clusters) == 2
-    assert sum(len(c.pre_neurons) for c in clusters) >= 130
-    for c in clusters:
-        assert len(c.pre_neurons) <= 128
-        assert len(c.post_neurons) <= 128
-
-
-def test_partition_conserves_synapses(rng):
-    pre_count, post_count = 40, 30
-    synapses = []
-    for _ in range(200):
-        synapses.append({"pre": int(rng.integers(pre_count)),
-                         "post": int(rng.integers(post_count)),
-                         "state": "LRS2"})
-    seen = {(s["pre"], s["post"]): s["state"] for s in synapses}
-    pairs = list(seen)
-    layer = {"pre_count": pre_count, "post_count": post_count,
-             "synapses": {"pre": [p for p, _ in pairs], "post": [q for _, q in pairs],
-                          "state": [seen[pair] for pair in pairs]}}
-    clusters = partition_simple(layer, 16)
-    out = set()
-    for c in clusters:
-        for s in c.synapses:
-            out.add((c.pre_neurons[s.pre], c.post_neurons[s.post], s.state))
-    assert out == {(p, q, st) for (p, q), st in seen.items()}
-
-
-def test_partition_empty_rejected():
-    with pytest.raises(ValidationError):
-        partition_simple({"pre_count": 4, "post_count": 4, "synapses": {"pre": [], "post": [], "state": []}}, 4)
 
 
 def test_spike_csv_round_trip(tmp_path):
