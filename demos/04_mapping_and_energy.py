@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Region-aware placement versus a state-blind control mapper.
 
-The optimized mapper packs synapses into the collapsed region and keeps
-HRS on short paths; the control mapper scatters neurons at random. The
-difference shows up as expanded-mode crossbars and energy.
+The optimized mapper seats HRS-heavy neurons on short paths and keeps
+every synapse in a region that permits its state, then picks the cheapest
+configuration that holds the used cells; seating itself ignores the P/Q
+partition. The control mapper scatters neurons at random. The difference
+shows up as expanded-mode crossbars and energy.
 """
 
 from xbarsim import (
@@ -26,11 +28,11 @@ params = GenParams(clusters=8, pre_range=(8, 90), post_range=(8, 90), density=0.
 network, trains = generate_synthetic(params)
 activity = activity_from_trains(trains, network.routes, duration=1.0)
 print(f"workload: {len(network.clusters)} clusters, "
-      f"{sum(len(c.synapses) for c in network.clusters)} synapses, "
+      f"{sum(len(c.state) for c in network.clusters)} synapses, "
       f"{activity.total_spikes} spikes over 1.0 time units")
 
 spec = CrossbarSpec(n=128, p=96, q=96)
-hardware = Hardware(crossbar_count=8, spec=spec, tech=tech)
+hardware = Hardware(crossbar_count=8, spec=spec)
 
 optimized = map_network(network, hardware)
 control = map_network_control(network, hardware, seed=7)
@@ -39,7 +41,7 @@ print()
 print("  crossbar  cluster  util%   optimized  control")
 ctl_by_cluster = {xb.cluster_id: xb for xb in control.crossbars}
 for xb in optimized.crossbars:
-    util = 100 * synapse_utilization(len(xb.synapses), spec.n)
+    util = 100 * synapse_utilization(len(xb.cluster.state), spec.n)
     print(f"  {xb.crossbar_id:8d}  {xb.cluster_id:7d}  {util:5.2f}   "
           f"'{xb.config.name}'        '{ctl_by_cluster[xb.cluster_id].config.name}'")
 

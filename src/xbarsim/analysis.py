@@ -11,21 +11,16 @@ from .errors import ValidationError
 class AreaModel:
     """Relative component geometry of a crossbar PE.
 
-    The neuron circuit is 20 transistors plus a capacitor; each cell is a
-    1T-1R stack. Sense amplifier and isolation transistor heights are in
-    multiples of one RRAM cell height, the isolation width in cell widths.
+    Sense amplifier and isolation transistor heights are in multiples of
+    one RRAM cell height, the isolation width in cell widths.
     """
 
-    transistors_per_neuron: int = 20
-    capacitors_per_neuron: int = 1
     sense_amp_height_ratio: float = 384.0
     iso_height_ratio: float = 9.6
     iso_width_ratio: float = 1.3
-    bits_per_cell: int = 2
 
     def __post_init__(self):
-        for name in ("transistors_per_neuron", "capacitors_per_neuron", "sense_amp_height_ratio",
-                     "iso_height_ratio", "iso_width_ratio", "bits_per_cell"):
+        for name in ("sense_amp_height_ratio", "iso_height_ratio", "iso_width_ratio"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
 

@@ -158,7 +158,7 @@ def cmd_map(args) -> int:
     if args.control:
         spec = dataclasses.replace(spec, control=ControlMode(args.control))
     count = args.crossbars or len(network.clusters)
-    hardware = Hardware(crossbar_count=count, spec=spec, tech=resolve_tech(args.node))
+    hardware = Hardware(crossbar_count=count, spec=spec)
     placement = map_network(network, hardware)
     save_placement(placement, args.out)
 
@@ -251,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="crossbar spec JSON")
     p.add_argument("--control", choices=["double", "single"], help="override control mode")
     p.add_argument("--crossbars", type=_positive_int, help="crossbar count (default: one per cluster)")
-    p.add_argument("--node", default="16nm")
     p.add_argument("--out", required=True, help="placement JSON output")
     p.set_defaults(func=cmd_map)
 

@@ -80,10 +80,6 @@ class CrossbarSpec:
         if not isinstance(self.control, ControlMode):
             object.__setattr__(self, "control", ControlMode(self.control))
 
-    @property
-    def is_baseline(self) -> bool:
-        return self.n_h == 0 and self.n_l == 0 and self.p == self.n and self.q == self.n
-
     def to_json(self) -> dict:
         return {"n": self.n, "n_h": self.n_h, "n_l": self.n_l,
                 "p": self.p, "q": self.q, "control": self.control.value}

@@ -116,7 +116,7 @@ def sweep_pq(networks, base_spec: CrossbarSpec, tech: TechnologyParams, grid,
     for name, network in zip(names, networks):
         activity = _seeded_activity(network, spike_rate, duration, seed)
         base = replace(base_spec, p=base_spec.n, q=base_spec.n)
-        hardware = Hardware(crossbar_count=len(network.clusters), spec=base, tech=tech)
+        hardware = Hardware(crossbar_count=len(network.clusters), spec=base)
         mapped = map_network(network, hardware)
         table = _SynapseTable(mapped.crossbars, tech)
         charge = table.charge(activity)

@@ -50,7 +50,6 @@ from .crossbar import (
 )
 from .errors import CapacityExceeded, IllegalConfig, Infeasible, ValidationError
 from .files import _brief, json_ints, read_json, write_json
-from .techmodel import TechnologyParams
 from .workload import Cluster, Network, Route, _cluster_from_json, _cluster_to_json, _route_problems
 from .workload import _routes_from_json, _routes_to_json
 
@@ -59,7 +58,6 @@ from .workload import _routes_from_json, _routes_to_json
 class Hardware:
     crossbar_count: int
     spec: CrossbarSpec
-    tech: TechnologyParams
 
     def __post_init__(self):
         if self.crossbar_count < 1:

@@ -99,28 +99,6 @@ class Activity:
     def total_spikes(self) -> int:
         return int(sum(self.spike_counts.values()))
 
-    @cached_property
-    def _count_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ids, counts): spike_counts sorted by id, plus one trailing (0, 0) entry for absent ids.
-
-        Built once per Activity, so spike_counts must not change after an
-        evaluation. An id no intp column can hold is never a placed neuron
-        and is left out, so a huge id in a spike file cannot overflow here.
-        """
-        lo, hi = np.iinfo(np.intp).min, np.iinfo(np.intp).max
-        items = sorted((nid, count) for nid, count in self.spike_counts.items() if lo <= nid <= hi)
-        ids = np.array([nid for nid, _ in items] + [0], dtype=np.intp)
-        counts = np.array([count for _, count in items] + [0], dtype=float)
-        return ids, counts
-
-
-def _synapse_spike_counts(activity: Activity, pre: np.ndarray) -> np.ndarray:
-    """activity.spike_counts.get(nid, 0) per entry of pre, as floats, by binary search."""
-    ids, counts = activity._count_table
-    absent = len(ids) - 1
-    at = np.searchsorted(ids[:absent], pre)
-    return counts[np.where(ids[at] == pre, at, absent)]
-
 
 def _activity(counts: dict, routes, duration: float) -> Activity:
     """Activity of per-neuron spike counts; each route carries its source's spikes."""
@@ -203,7 +181,7 @@ class _SynapseTable:
         each synapse's spike count times p_wordline_raise): the charge that
         evaluate turns into access energy."""
         ids, index = self.pre
-        counts = _synapse_spike_counts(activity, ids)[index]
+        counts = np.array([activity.spike_counts.get(nid, 0) for nid in ids.tolist()], dtype=float)[index]
         return counts > 0, counts * self.tech.p_wordline_raise
 
     def evaluate(self, setups, at: np.ndarray, charge=None) -> tuple[np.ndarray, float | None]:

@@ -56,10 +56,6 @@ class ResistanceState:
         if not 0 < self.resistance < inf:
             raise ValidationError(f"resistance must be positive and finite, got {self.resistance}")
 
-    @property
-    def conductance(self) -> float:
-        return 1.0 / self.resistance
-
 
 # OxRRAM multilevel cell: four programmable levels, 2 bits per synapse.
 DEFAULT_STATES = (

@@ -192,12 +192,6 @@ class Network:
         if problem:
             raise ValidationError(problem)
 
-    def cluster(self, cid: int) -> Cluster:
-        for c in self.clusters:
-            if c.id == cid:
-                return c
-        raise ValidationError(f"no cluster with id {cid}")
-
 
 @dataclass(frozen=True)
 class SpikeTrain:

@@ -271,7 +271,7 @@ def write_boundary_files(directory):
     save_spec(spec, directory / "spec.json")
     pre = [nid for c in network.clusters for nid in c.pre_neurons]
     save_spikes([SpikeTrain(neuron=nid, times=(0.1, (20 + nid) / 100)) for nid in pre], directory / "spk.csv")
-    placement = map_network(network, Hardware(crossbar_count=3, spec=spec, tech=preset("16nm")))
+    placement = map_network(network, Hardware(crossbar_count=3, spec=spec))
     save_placement(placement, directory / "placement.json")
     (directory / "bad.json").write_text("{not json")
     (directory / "bad.bin").write_bytes(b"\xff\xfe\x00\x81neuron,time_ns\r\n")

@@ -190,12 +190,11 @@ def test_criterion_05_mapper_soundness():
 
 def test_criterion_06_expanded_config_minimization():
     spec = CrossbarSpec(n=128, p=96, q=96)
-    tech = preset("16nm")
     for seed in range(100):
         params = GenParams(clusters=5, pre_range=(8, 110), post_range=(8, 110),
                            density=0.08, seed=seed)
         net, _ = generate_synthetic(params)
-        hw = Hardware(crossbar_count=5, spec=spec, tech=tech)
+        hw = Hardware(crossbar_count=5, spec=spec)
         n_opt = sum(1 for xb in map_network(net, hw).crossbars if xb.config is CONFIG_11)
         n_ctl = sum(1 for xb in map_network_control(net, hw, seed=seed).crossbars
                     if xb.config is CONFIG_11)
@@ -230,9 +229,9 @@ def test_criterion_07_energy_ordering():
         double = CrossbarSpec(n=128, p=96, q=96)
         single = CrossbarSpec(n=128, p=96, q=96, control=ControlMode.SINGLE)
         e_double = energy_report(
-            map_network(net, Hardware(5, double, tech)), act, tech).total_j
+            map_network(net, Hardware(5, double)), act, tech).total_j
         e_single = energy_report(
-            map_network(net, Hardware(5, single, tech)), act, tech).total_j
+            map_network(net, Hardware(5, single)), act, tech).total_j
         assert e_double <= e_single
     _ok(7, "energy ordering and double vs single control")
 

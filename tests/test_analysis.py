@@ -46,12 +46,9 @@ def test_die_area_overhead_scaling():
 
 def test_area_model_defaults():
     model = AreaModel()
-    assert model.transistors_per_neuron == 20
-    assert model.capacitors_per_neuron == 1
     assert model.sense_amp_height_ratio == 384.0
     assert model.iso_height_ratio == 9.6
     assert model.iso_width_ratio == 1.3
-    assert model.bits_per_cell == 2
 
 
 def test_validation():

@@ -333,8 +333,8 @@ def _dse(*extra, spec="spec.json"):
 # files as written by conftest.write_boundary_files
 MALFORMED_INPUTS = {
     "spec-invalid-json": _map(spec="bad.json"),
-    "node-invalid-json": _map("--node", "bad.json"),
-    "node-energy-huge": _map("--node", "tech-huge.json"),
+    "node-invalid-json": _simulate("--node", "bad.json"),
+    "node-energy-huge": _simulate("--node", "tech-huge.json"),
     "node-energy-inf": _simulate("--node", "tech-inf.json"),
     "node-energy-nan": _simulate("--node", "tech-nan.json"),
     "node-energy-bool": _simulate("--node", "tech-bool.json"),
@@ -372,6 +372,7 @@ MALFORMED_INPUTS = {
     "dse-rate-negative": _dse("--rate", "-1"),
     "dse-rate-nan": _dse("--rate", "nan"),
     "map-crossbars-0": _map("--crossbars", "0"),
+    "map-node-retired": _map("--node", "16nm"),
     "gen-rate-nan": ["gen", "--clusters", "2", "--rate", "nan", "--out-network", "out", "--out-spikes", "out"],
     "gen-seed-negative": ["gen", "--clusters", "2", "--seed", "-1", "--out-network", "out", "--out-spikes", "out"],
     "dse-seed-negative": _dse("--seed", "-1"),

@@ -134,7 +134,6 @@ def test_permits():
 
 def test_baseline_degeneracy():
     spec = CrossbarSpec(n=16)
-    assert spec.is_baseline
     for r in (0, 7, 15):
         for c in (0, 7, 15):
             assert region_of(r, c, spec).kind == "C"

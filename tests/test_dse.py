@@ -175,7 +175,7 @@ def test_sweep_work_per_point_scales_with_configurations(monkeypatch):
     assert [spec for spec, _ in points] == specs * len(nets)
     most = 0
     for net, at_net in zip(nets, (points[:len(specs)], points[len(specs):])):
-        mapped = map_network(net, Hardware(crossbar_count=len(net.clusters), spec=specs[0], tech=TECH))
+        mapped = map_network(net, Hardware(crossbar_count=len(net.clusters), spec=specs[0]))
         for spec, events in at_net:
             configs = sorted({_cheapest_config(*(int(c.max()) for c in xb.cells()), spec).name
                               for xb in mapped.crossbars})
@@ -214,10 +214,10 @@ def test_sweep_matches_mapping_at_each_point():
     activity = dse_mod._seeded_activity(net, 30.0, 1.0, 2)
     ref = dataclasses.replace(base, p=128, q=128)
     e0, l0, v0, _ = _evaluate(
-        map_network(net, Hardware(crossbar_count=6, spec=ref, tech=TECH)), ref, TECH, activity)
+        map_network(net, Hardware(crossbar_count=6, spec=ref)), ref, TECH, activity)
     for pt in points:
         spec = dataclasses.replace(base, p=pt.p, q=pt.q)
-        placement = map_network(net, Hardware(crossbar_count=6, spec=spec, tech=TECH))
+        placement = map_network(net, Hardware(crossbar_count=6, spec=spec))
         e, l, v, frac = _evaluate(placement, spec, TECH, activity)
         assert (pt.norm_energy, pt.norm_latency, pt.norm_variation, pt.expanded_fraction) \
             == (e / e0, l / l0, v / v0, frac)
@@ -230,7 +230,7 @@ def sweep_pq_reference(networks, base_spec, tech, grid, *, spike_rate=30.0, dura
     for i, network in enumerate(networks):
         activity = dse_mod._seeded_activity(network, spike_rate, duration, seed)
         base = dataclasses.replace(base_spec, p=base_spec.n, q=base_spec.n)
-        mapped = map_network(network, Hardware(crossbar_count=len(network.clusters), spec=base, tech=tech))
+        mapped = map_network(network, Hardware(crossbar_count=len(network.clusters), spec=base))
 
         def evaluate(placement, spec):
             report = latency_stats(placement, tech)

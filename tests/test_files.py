@@ -105,7 +105,7 @@ def test_every_json_document_written_reads_back_equal(tmp_path, node):
     tech, spec = preset(node), CrossbarSpec(n=64, n_h=8, n_l=8, p=48, q=56)
     network, _ = generate_synthetic(GenParams(clusters=4, pre_range=(4, 40), post_range=(4, 40),
                                               density=0.12, seed=7))
-    placement = map_network(network, Hardware(crossbar_count=4, spec=spec, tech=tech))
+    placement = map_network(network, Hardware(crossbar_count=4, spec=spec))
     for save, load, value in ((save_spec, load_spec, spec), (save_tech, load_tech, tech),
                               (save_network, load_network, network), (save_placement, load_placement, placement)):
         save(value, tmp_path / "doc.json")
@@ -155,8 +155,7 @@ def test_network_and_placement_documents_read_back_equal(network, spec):
     equal values, the seats of neurons with no synapse among them."""
     assert network_from_json(json.loads(_dumps(network_to_json(network)))) == network
     try:
-        placement = map_network(network, Hardware(crossbar_count=len(network.clusters), spec=spec,
-                                                  tech=preset("16nm")))
+        placement = map_network(network, Hardware(crossbar_count=len(network.clusters), spec=spec))
     except Infeasible:
         assume(False)
     assert placement_from_json(json.loads(_dumps(placement_to_json(placement)))) == placement
@@ -202,7 +201,7 @@ _SYNAPSE_COLUMN_ERRORS = [
 
 def test_synapse_column_errors_name_the_column_and_index():
     network = mapping_demo_network()
-    placement = map_network(network, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4), tech=preset("16nm")))
+    placement = map_network(network, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4)))
     for edits, message in _SYNAPSE_COLUMN_ERRORS:
         network_doc, placement_doc = (json.loads(json.dumps(doc))
                                       for doc in (network_to_json(network), placement_to_json(placement)))
@@ -350,8 +349,7 @@ def test_write_json_matches_json_dumps_on_readme_size_documents(tmp_path):
     """The 64-cluster README workload (pre/post 8:120, density 0.12, seed 7) and its placement."""
     network, _ = generate_synthetic(GenParams(clusters=64, pre_range=(8, 120), post_range=(8, 120),
                                               density=0.12, seed=7))
-    placement = map_network(network, Hardware(crossbar_count=64, spec=CrossbarSpec(n=128, n_h=16, n_l=16),
-                                              tech=preset("16nm")))
+    placement = map_network(network, Hardware(crossbar_count=64, spec=CrossbarSpec(n=128, n_h=16, n_l=16)))
     for doc in (network_to_json(network), placement_to_json(placement)):
         write_json(doc, tmp_path / "doc.json")
         _assert_written(tmp_path / "doc.json", doc)

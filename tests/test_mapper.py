@@ -478,7 +478,7 @@ def test_map_network_cells_equal_assign_cluster_cells():
             a = assign_cluster(cluster, spec)
         except Infeasible:
             continue
-        xb, = map_network(Network(clusters=(cluster,)), Hardware(crossbar_count=1, spec=spec, tech=TECH)).crossbars
+        xb, = map_network(Network(clusters=(cluster,)), Hardware(crossbar_count=1, spec=spec)).crossbars
         assert xb.cluster is cluster
         assert a.cluster is cluster
         assert np.array_equal(a.rows, xb.rows) and np.array_equal(a.cols, xb.cols)
@@ -555,7 +555,7 @@ def test_select_configuration_degenerate_axis_stays_collapsed():
 def test_fixture_all_collapsed_when_partition_contains():
     net = mapping_demo_network()
     spec = CrossbarSpec(n=8, p=4, q=4)
-    placement = map_network(net, Hardware(crossbar_count=3, spec=spec, tech=TECH))
+    placement = map_network(net, Hardware(crossbar_count=3, spec=spec))
     assert all(xb.config is CONFIG_00 for xb in placement.crossbars)
 
 
@@ -601,7 +601,7 @@ def test_cheapest_config_matches_reference(spec):
 def test_map_network_fixture_utilizations():
     net = mapping_demo_network()
     spec = CrossbarSpec(n=4)
-    placement = map_network(net, Hardware(crossbar_count=3, spec=spec, tech=TECH))
+    placement = map_network(net, Hardware(crossbar_count=3, spec=spec))
     utils = {xb.cluster_id: synapse_utilization(len(xb.synapses), 4)
              for xb in placement.crossbars}
     assert utils[0] == pytest.approx(0.25)
@@ -614,12 +614,12 @@ def test_map_network_fixture_utilizations():
 def test_map_network_capacity():
     net = mapping_demo_network()
     with pytest.raises(CapacityExceeded):
-        map_network(net, Hardware(crossbar_count=2, spec=CrossbarSpec(n=4), tech=TECH))
+        map_network(net, Hardware(crossbar_count=2, spec=CrossbarSpec(n=4)))
 
 
 def test_map_network_stats():
     net = mapping_demo_network()
-    placement = map_network(net, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4), tech=TECH))
+    placement = map_network(net, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4)))
     by_cluster = {xb.cluster_id: xb for xb in placement.crossbars}
     assert by_cluster[0].m == 3 and by_cluster[0].n_hrs == 1
     assert by_cluster[2].m == 2 and by_cluster[2].n_hrs == 2
@@ -631,7 +631,7 @@ def test_optimized_beats_control_on_expanded_count(rng):
         params = GenParams(clusters=8, pre_range=(8, 110), post_range=(8, 110),
                            density=0.1, seed=seed)
         net, _ = generate_synthetic(params)
-        hw = Hardware(crossbar_count=8, spec=spec, tech=TECH)
+        hw = Hardware(crossbar_count=8, spec=spec)
         optimized = map_network(net, hw)
         control = map_network_control(net, hw, seed=seed)
         n_opt = sum(1 for xb in optimized.crossbars if xb.config is CONFIG_11)
@@ -645,7 +645,7 @@ def test_control_mapper_rejects_region_specs():
     net = mapping_demo_network()
     spec = CrossbarSpec(n=8, n_h=2, n_l=2)
     with pytest.raises(ValidationError):
-        map_network_control(net, Hardware(crossbar_count=3, spec=spec, tech=TECH))
+        map_network_control(net, Hardware(crossbar_count=3, spec=spec))
 
 
 def test_map_network_deterministic(rng):
@@ -654,20 +654,20 @@ def test_map_network_deterministic(rng):
     clusters = [planted_cluster(rng, k, spec, size_hi=100, id_base=1000 * k)
                 for k in range(5)]
     net = Network(clusters=tuple(clusters))
-    hw = Hardware(crossbar_count=5, spec=spec, tech=TECH)
+    hw = Hardware(crossbar_count=5, spec=spec)
     assert map_network(net, hw) == map_network(net, hw)
 
 
 def test_placement_round_trip(tmp_path):
     net = mapping_demo_network()
-    placement = map_network(net, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4), tech=TECH))
+    placement = map_network(net, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4)))
     path = tmp_path / "placement.json"
     save_placement(placement, path)
     assert load_placement(path) == placement
 
 
 def test_crossbar_columns_are_read_only_shared_and_compared_by_value():
-    placement = map_network(mapping_demo_network(), Hardware(crossbar_count=3, spec=CrossbarSpec(n=4), tech=TECH))
+    placement = map_network(mapping_demo_network(), Hardware(crossbar_count=3, spec=CrossbarSpec(n=4)))
     xb = placement.crossbars[0]
     columns = ((xb.cluster, "pre"), (xb.cluster, "post"), (xb.cluster, "state"), (xb, "rows"), (xb, "cols"))
     assert not any(getattr(holder, name).flags.writeable for holder, name in columns)
@@ -681,7 +681,7 @@ def test_crossbar_columns_are_read_only_shared_and_compared_by_value():
 def test_check_placement_detects_corruption():
     net = mapping_demo_network()
     spec = CrossbarSpec(n=4, n_h=2, n_l=0)
-    placement = map_network(net, Hardware(crossbar_count=3, spec=spec, tech=TECH))
+    placement = map_network(net, Hardware(crossbar_count=3, spec=spec))
     assert check_placement(placement) == []
     # move one synapse's pre-neuron onto the row of another
     xb = placement.crossbars[0]
@@ -699,7 +699,7 @@ def _replace_first_crossbar(placement, xb):
 
 @pytest.mark.parametrize("row", [-1, 500])
 def test_check_placement_reports_cells_outside_crossbar(row):
-    placement = map_network(mapping_demo_network(), Hardware(crossbar_count=3, spec=CrossbarSpec(n=4), tech=TECH))
+    placement = map_network(mapping_demo_network(), Hardware(crossbar_count=3, spec=CrossbarSpec(n=4)))
     xb = placement.crossbars[0]
     s = xb.synapses[0]
     moved = dataclasses.replace(xb, **seated_cluster((dataclasses.replace(s, row=row),) + xb.synapses[1:]))
@@ -720,7 +720,7 @@ def test_pair_checks_match_brute_force(rng):
 
 def test_check_placement_reports_illegal_configuration():
     spec = CrossbarSpec(n=4, p=2, q=2, control=ControlMode.SINGLE)
-    placement = map_network(mapping_demo_network(), Hardware(crossbar_count=3, spec=spec, tech=TECH))
+    placement = map_network(mapping_demo_network(), Hardware(crossbar_count=3, spec=spec))
     assert check_placement(placement) == []
     xb = dataclasses.replace(placement.crossbars[0], config=CONFIG_01)
     problems = check_placement(_replace_first_crossbar(placement, xb))

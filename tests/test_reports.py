@@ -32,7 +32,7 @@ TECH = preset("16nm")
 
 def _reports():
     net = mapping_demo_network()
-    placement = map_network(net, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4), tech=TECH))
+    placement = map_network(net, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4)))
     trains = [SpikeTrain(neuron=nid, times=(0.1, 0.2, 0.35)) for nid in range(4)]
     latency = latency_stats(placement, TECH)
     energy = energy_report(placement, activity_from_trains(trains, placement.routes, 1.0), TECH)

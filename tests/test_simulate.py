@@ -47,7 +47,7 @@ from xbarsim import ControlMode
 from xbarsim.fixtures import isi_demo, mapping_demo_network
 from xbarsim import simulate, techmodel
 from xbarsim.crossbar import legal_configurations
-from xbarsim.simulate import LatencyStats, _synapse_spike_counts, synapse_latency_totals
+from xbarsim.simulate import LatencyStats, synapse_latency_totals
 from xbarsim.techmodel import PRESETS, TechnologyParams
 from xbarsim.errors import (
     EmptyCounts,
@@ -75,7 +75,7 @@ def zero_delay_tech(reference: TechnologyParams | None = None) -> TechnologyPara
 
 
 def default_if_neuron(tech: TechnologyParams) -> IFNeuron:
-    """Default neuron: increments scale with state conductance, LRS1 -> 0.8."""
+    """Default neuron: increments scale as 1/resistance, LRS1 -> 0.8."""
     lrs1 = tech.state("LRS1").resistance
     increments = {s.label: 0.8 * lrs1 / s.resistance for s in tech.states}
     return IFNeuron(v_threshold=1.0, v_increment_per_state=increments)
@@ -95,7 +95,7 @@ def mixed_placement(rng):
     net = Network(clusters=tuple(clusters))
     crossbars = []
     for spec in (CrossbarSpec(n=32, p=20, q=20), CrossbarSpec(n=32, p=16, q=24)):
-        crossbars += map_network(net, Hardware(crossbar_count=6, spec=spec, tech=TECH)).crossbars
+        crossbars += map_network(net, Hardware(crossbar_count=6, spec=spec)).crossbars
     crossbars = tuple(dataclasses.replace(xb, crossbar_id=i) for i, xb in enumerate(crossbars))
     assert {xb.config for xb in crossbars} == set(CONFIGURATIONS)
     return Placement(crossbars=crossbars, crossbar_count=len(crossbars))
@@ -177,8 +177,7 @@ def propagate(placement, trains, tech):
 
 def test_propagate_zero_delay_identity():
     net = mapping_demo_network()
-    placement = map_network(net, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4),
-                                          tech=zero_delay_tech()))
+    placement = map_network(net, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4)))
     trains = [SpikeTrain(neuron=0, times=(1e-6, 2e-6)), SpikeTrain(neuron=5, times=(3e-6,))]
     arrivals = propagate(placement, trains, zero_delay_tech())
     for a in arrivals:
@@ -199,7 +198,7 @@ def test_propagate_conserves_spike_counts(rng):
     spec = CrossbarSpec(n=16, n_h=4, n_l=4)
     cluster = planted_cluster(rng, 0, spec, size_hi=12)
     net = Network(clusters=(cluster,))
-    placement = map_network(net, Hardware(crossbar_count=1, spec=spec, tech=TECH))
+    placement = map_network(net, Hardware(crossbar_count=1, spec=spec))
     trains = [SpikeTrain(neuron=nid, times=tuple(np.sort(rng.uniform(0, 1, size=3))))
               for nid in cluster.pre_neurons]
     arrivals = propagate(placement, trains, TECH)
@@ -211,7 +210,7 @@ def test_propagate_conserves_spike_counts(rng):
 
 def test_propagate_unknown_neuron():
     net = mapping_demo_network()
-    placement = map_network(net, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4), tech=TECH))
+    placement = map_network(net, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4)))
     with pytest.raises(UnknownNeuron):
         propagate(placement, [SpikeTrain(neuron=777, times=(0.1,))], TECH)
 
@@ -485,7 +484,7 @@ def test_synapse_latency_totals_match_path_latency(rng):
     spec = CrossbarSpec(n=32, n_h=8, n_l=8, p=24, q=24)
     cluster = planted_cluster(rng, 0, spec, size_hi=30)
     net = Network(clusters=(cluster,))
-    placement = map_network(net, Hardware(crossbar_count=1, spec=spec, tech=TECH))
+    placement = map_network(net, Hardware(crossbar_count=1, spec=spec))
     mapped = placement.crossbars[0]
     for config in CONFIGURATIONS:
         # the mapped synapses, then one synapse on every active cell, so the
@@ -657,19 +656,33 @@ _INT64 = st.integers(-(2**63), 2**63 - 1)
        extra=st.lists(st.one_of(_INT64, st.integers(-5, 5)), max_size=20),
        picks=st.lists(st.integers(0, 100), max_size=30))
 @example(counts={}, extra=[0, -1, 2**63 - 1], picks=[])
-def test_synapse_spike_counts_equal_dict_lookups(counts, extra, picks):
-    # Placed ids (intp) that the activity counts, some repeated, and ones it does not.
+def test_charge_equals_dict_lookups(counts, extra, picks):
+    # Placed ids (intp) that the activity counts, some repeated, and ones it does not;
+    # each seated on its own crossbar with two synapses.
     known = [nid for nid in counts if -(2**63) <= nid < 2**63]
     pre = extra + [known[i % len(known)] for i in picks if known]
+    crossbars = [CrossbarPlacement(k, Cluster.from_columns(k, (nid,), (0, 1), [0, 0], [0, 1], [0, 0]),
+                                   CrossbarSpec(n=4), CONFIG_11, [0], [0, 1]) for k, nid in enumerate(pre)]
     activity = Activity(spike_counts=counts, routed_spike_hops=0.0, duration=1.0)
-    got = _synapse_spike_counts(activity, np.array(pre, dtype=np.intp))
-    assert got.dtype == float
-    assert got.tolist() == [float(counts.get(nid, 0)) for nid in pre]
+    spiking, access = simulate._SynapseTable(crossbars, TECH).charge(activity)
+    expected = np.array([float(counts.get(nid, 0)) for nid in pre for _ in range(2)])
+    assert access.dtype == float
+    assert access.tolist() == (expected * TECH.p_wordline_raise).tolist()
+    assert spiking.tolist() == (expected > 0).tolist()
+
+
+def test_energy_follows_edited_spike_counts():
+    placement = map_network(mapping_demo_network(), Hardware(crossbar_count=3, spec=CrossbarSpec(n=4)))
+    activity = Activity(spike_counts={0: 2}, routed_spike_hops=0.0, duration=1.0)
+    energy_report(placement, activity, TECH)  # an earlier evaluation must not freeze the counts
+    activity.spike_counts[1] = 7
+    fresh = Activity(spike_counts={0: 2, 1: 7}, routed_spike_hops=0.0, duration=1.0)
+    assert energy_report(placement, activity, TECH) == energy_report(placement, fresh, TECH)
 
 
 def test_energy_routing_and_spikes():
     net = mapping_demo_network()
-    placement = map_network(net, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4), tech=TECH))
+    placement = map_network(net, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4)))
     trains = [SpikeTrain(neuron=nid, times=(0.1, 0.2)) for nid in (0, 1, 2, 3, 4)]
     activity = activity_from_trains(trains, placement.routes, duration=1.0)
     # neuron 4 feeds the single route with 2 hops
@@ -689,9 +702,9 @@ def test_optimized_spec_shrinks_placed_latency_spread(rng):
         clusters = [planted_cluster(rng, k, spec, size_hi=100, id_base=1000 * k)
                     for k in range(5)]
         net = Network(clusters=tuple(clusters))
-        optimized = map_network(net, Hardware(crossbar_count=5, spec=spec, tech=TECH))
+        optimized = map_network(net, Hardware(crossbar_count=5, spec=spec))
         control = map_network_control(net, Hardware(
-            crossbar_count=5, spec=CrossbarSpec(n=128), tech=TECH), seed=seed)
+            crossbar_count=5, spec=CrossbarSpec(n=128)), seed=seed)
         diff_opt = latency_stats(optimized, TECH).aggregate.diff
         diff_ctl = latency_stats(control, TECH).aggregate.diff
         assert diff_opt <= diff_ctl
@@ -705,8 +718,8 @@ def test_double_control_never_worse(rng):
         base = CrossbarSpec(n=128, p=96, q=96)
         single = CrossbarSpec(n=128, p=96, q=96, control=ControlMode.SINGLE)
         activity = activity_from_trains(trains, net.routes, duration=1.0)
-        pl_double = map_network(net, Hardware(crossbar_count=6, spec=base, tech=TECH))
-        pl_single = map_network(net, Hardware(crossbar_count=6, spec=single, tech=TECH))
+        pl_double = map_network(net, Hardware(crossbar_count=6, spec=base))
+        pl_single = map_network(net, Hardware(crossbar_count=6, spec=single))
         e_double = energy_report(pl_double, activity, TECH).total_j
         e_single = energy_report(pl_single, activity, TECH).total_j
         assert e_double <= e_single
@@ -721,7 +734,7 @@ def test_activity_validation():
 
 def test_energy_total_is_sum():
     net = mapping_demo_network()
-    placement = map_network(net, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4), tech=TECH))
+    placement = map_network(net, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4)))
     trains = [SpikeTrain(neuron=0, times=(0.1,))]
     report = energy_report(placement, activity_from_trains(trains, (), 1.0), TECH)
     assert report.total_j == pytest.approx(
@@ -816,6 +829,6 @@ def test_neuron_isi_distortion_matches_sort_merge(rng):
 
 def test_neuron_isi_distortion_unknown_neuron():
     net = mapping_demo_network()
-    placement = map_network(net, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4), tech=TECH))
+    placement = map_network(net, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4)))
     with pytest.raises(UnknownNeuron):
         neuron_isi_distortion(placement, [SpikeTrain(neuron=777, times=(0.1, 0.2))], TECH)

@@ -407,8 +407,8 @@ def test_flow_never_builds_the_synapse_view(monkeypatch, tmp_path):
 
     monkeypatch.setattr(Cluster, "synapses", property(refuse))
     tech = preset("16nm")
-    map_network(network, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4, n_h=1, n_l=1), tech=tech))
-    map_network_control(network, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4), tech=tech))
+    map_network(network, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4, n_h=1, n_l=1)))
+    map_network_control(network, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4)))
     sweep_pq([network], CrossbarSpec(n=4, n_h=1, n_l=1), tech, [(2, 2), (3, 4), (4, 4)])
     network_to_json(network)
     with pytest.raises(Infeasible) as exc:
