@@ -25,8 +25,8 @@ from xbarsim import (
 tech = preset("16nm")
 params = GenParams(clusters=8, pre_range=(8, 90), post_range=(8, 90), density=0.12,
                    spike_rate=30.0, duration=1.0, seed=7)
-network, trains = generate_synthetic(params)
-activity = activity_from_trains(trains, network.routes, duration=1.0)
+network, trace = generate_synthetic(params)
+activity = activity_from_trains(trace, network.routes, duration=1.0)
 print(f"workload: {len(network.clusters)} clusters, "
       f"{sum(len(c.state) for c in network.clusters)} synapses, "
       f"{activity.total_spikes} spikes over 1.0 time units")

@@ -84,6 +84,7 @@ from .workload import (
     GenParams,
     Network,
     Route,
+    SpikeTrace,
     SpikeTrain,
     Synapse,
     generate_synthetic,

@@ -101,12 +101,11 @@ def cmd_gen(args) -> int:
         duration=args.duration,
         seed=args.seed,
     )
-    network, trains = generate_synthetic(params)
+    network, trace = generate_synthetic(params)
     save_network(network, args.out_network)
-    save_spikes(trains, args.out_spikes)
+    save_spikes(trace, args.out_spikes)
     synapses = sum(len(c.state) for c in network.clusters)
-    spikes = sum(len(t.times) for t in trains)
-    print(f"{len(network.clusters)} clusters, {synapses} synapses, {spikes} spikes "
+    print(f"{len(network.clusters)} clusters, {synapses} synapses, {len(trace)} spikes "
           f"-> {args.out_network}, {args.out_spikes}")
     return 0
 
@@ -176,15 +175,15 @@ def cmd_map(args) -> int:
 
 def cmd_simulate(args) -> int:
     placement = load_placement(args.placement)
-    trains = load_spikes(args.spikes)
+    trace = load_spikes(args.spikes)
     tech = resolve_tech(args.node)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     latency = latency_stats(placement, tech)
-    activity = activity_from_trains(trains, placement.routes, args.duration)
+    activity = activity_from_trains(trace, placement.routes, args.duration)
     energy = energy_report(placement, activity, tech)
-    distortions = neuron_isi_distortion(placement, trains, tech)
+    distortions = neuron_isi_distortion(placement, trace, tech)
 
     write_latency_csv(latency, out / "latency.csv")
     write_energy_csv(energy, out / "energy.csv")

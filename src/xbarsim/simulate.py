@@ -1,8 +1,12 @@
 """Event-level evaluation of a placement.
 
-Spike trains drive pre-synaptic neurons; every spike reaches each of the
-neuron's synapses after that cell's path latency, so cells with unequal
-latency skew the inter-spike intervals seen downstream (ISI distortion).
+A spike trace (workload.SpikeTrace) drives pre-synaptic neurons; every spike
+reaches each of the neuron's synapses after that cell's path latency, so
+cells with unequal latency skew the inter-spike intervals seen downstream
+(ISI distortion). The trace is read as columns: a neuron's spike count and
+its first and last tick are the bounds of its run, and a tick is tick / 1e9
+seconds. SpikeTrain is the per-train form of compute_isi, isi_distortion
+and if_neuron_fire.
 The energy ledger charges leakage on the active array shape, per-spike and
 per-hop constants, and the wordline-raise overhead of driving isolation
 transistors when a far-region cell is accessed.
@@ -27,7 +31,7 @@ from .errors import (
 )
 from .mapper import CrossbarPlacement, Placement
 from .techmodel import TechnologyParams, sense_latency, tap_delays
-from .workload import SpikeTrain
+from .workload import SpikeTrace, SpikeTrain
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,10 @@ def _activity(counts: dict, routes, duration: float) -> Activity:
     return Activity(spike_counts=counts, routed_spike_hops=float(hops), duration=duration)
 
 
-def activity_from_trains(trains, routes, duration: float) -> Activity:
-    return _activity({t.neuron: len(t.times) for t in trains if t.times}, routes, duration)
+def activity_from_trains(trace: SpikeTrace, routes, duration: float) -> Activity:
+    """Activity of the trace: each spiking neuron's spike count, its run length in the trace."""
+    ids, bounds = trace.runs()
+    return _activity(dict(zip(ids.tolist(), np.diff(bounds).tolist())), routes, duration)
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +251,6 @@ def _setups(placement: Placement) -> tuple[list, np.ndarray]:
     return list(index), np.array(at, dtype=np.intp)
 
 
-def _spike_times(placement: Placement, trains) -> dict:
-    """{pre-neuron id: spike times}; every train must belong to a placed pre-neuron."""
-    known = {nid for xb in placement.crossbars for nid in xb.cluster.pre_neurons}
-    by_neuron = {}
-    for t in trains:
-        if t.neuron not in known:
-            raise UnknownNeuron(f"neuron {t.neuron} spikes but is not placed as a pre-synaptic neuron")
-        by_neuron[t.neuron] = t.times
-    return by_neuron
-
-
 def if_neuron_fire(neuron: IFNeuron, arrivals, out_neuron: int = -1) -> SpikeTrain:
     """Event-driven integrate-and-fire over (time, state_label) arrivals.
 
@@ -380,30 +375,42 @@ def average_latency_delta(m: int, n: int, delta: float) -> float:
 # ISI distortion at neuron granularity
 
 
-def neuron_isi_distortion(placement: Placement, trains, tech: TechnologyParams) -> dict:
+def neuron_isi_distortion(placement: Placement, trace: SpikeTrace, tech: TechnologyParams) -> dict:
     """Per post-neuron |ISI(out) - ISI(in)| of the merged trains at its column.
 
     The average ISI of a merged train of k spikes is (last - first) / (k - 1),
     so only the spike count and the first and last input and arrival times
     are needed; a synapse's arrivals are its pre-neuron's spikes shifted by
-    one path latency. Post-neurons whose merged train has fewer than two
-    spikes are omitted.
+    one path latency. Each neuron's count and first and last tick come from
+    the bounds of its run in the trace, and its times in seconds are
+    tick / 1e9. Post-neurons whose merged train has fewer than two spikes are
+    omitted. A neuron of the trace that is placed as no pre-neuron is an
+    UnknownNeuron, the first in neuron order.
     """
-    by_neuron = _spike_times(placement, trains)
-    posts = np.unique(np.array([nid for xb in placement.crossbars for nid in xb.cluster.post_neurons], np.intp))
     table = _SynapseTable(placement.crossbars, tech)
-    delay, _ = table.evaluate(*_setups(placement))
     (pre_ids, of_pre), (post_ids, of_post) = table.pre, table.post
-    times = [by_neuron.get(nid, ()) for nid in pre_ids.tolist()]
-    spikes = np.array([len(t) for t in times], dtype=float)
+    ids, bounds = trace.runs()
+    unplaced = np.flatnonzero(~np.isin(ids, pre_ids))
+    if unplaced.size:
+        raise UnknownNeuron(f"neuron {ids[unplaced[0]]} spikes but is not placed as a pre-synaptic neuron")
+    posts = np.unique(post_ids)
+    delay, _ = table.evaluate(*_setups(placement))
+    # Each placed pre-neuron's run in the trace, where it has one.
+    run = np.searchsorted(ids, pre_ids)
+    has = run < len(ids)
+    has[has] = ids[run[has]] == pre_ids[has]
+    run = run[has]
+    spikes, first, last = np.zeros(len(pre_ids)), np.zeros(len(pre_ids)), np.zeros(len(pre_ids))
+    spikes[has] = bounds[run + 1] - bounds[run]
+    first[has] = trace.tick[bounds[run]] / 1e9
+    last[has] = trace.tick[bounds[run + 1] - 1] / 1e9
     live = spikes[of_pre] > 0
     of_pre, delay = of_pre[live], delay[live]
     at = np.searchsorted(posts, post_ids)[of_post[live]]
     k = np.bincount(at, weights=spikes[of_pre], minlength=len(posts))
     first_in, first_out = np.full(len(posts), inf), np.full(len(posts), inf)
     last_in, last_out = np.full(len(posts), -inf), np.full(len(posts), -inf)
-    first = np.array([t[0] if t else 0.0 for t in times])[of_pre]
-    last = np.array([t[-1] if t else 0.0 for t in times])[of_pre]
+    first, last = first[of_pre], last[of_pre]
     np.minimum.at(first_in, at, first)
     np.maximum.at(last_in, at, last)
     first += delay

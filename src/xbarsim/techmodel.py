@@ -26,7 +26,7 @@ absolute seconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import inf
 
@@ -107,6 +107,20 @@ class TechnologyParams:
         res = [s.resistance for s in self.states]
         if any(a >= b for a, b in zip(res, res[1:])):
             raise ValidationError(f"state resistances must strictly increase LRS1<LRS2<LRS3<HRS, got {res}")
+
+    def __hash__(self):
+        # Hashed once: each tap_delays and corner_extremes cache lookup hashes the
+        # parameters, which field by field costs about as much as the lookup.
+        try:
+            return vars(self)["_hash"]
+        except KeyError:
+            value = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self):
+        # A str hashes differently in another process, so a pickle leaves the hash out.
+        return {name: value for name, value in vars(self).items() if name != "_hash"}
 
     def state(self, label: str) -> ResistanceState:
         for s in self.states:

@@ -11,6 +11,12 @@ documents store a cluster as one object, read by _cluster_from_json, whose
 "synapses" holds one list per column. Synapse, PlacedSynapse and `.synapses`
 are read-only compatibility views that the benchmark harness and the tests
 read.
+
+A spike trace is a SpikeTrace, also read-only columns: a neuron id and a
+tick, the time in whole nanoseconds, per spike. The generator, the trace
+file and the evaluator (simulate) all use it as it is; seconds are tick / 1e9
+wherever a float time is needed. SpikeTrain, one neuron's times in seconds,
+is the per-train form that SpikeTrace.from_trains converts.
 """
 
 from __future__ import annotations
@@ -195,6 +201,9 @@ class Network:
 
 @dataclass(frozen=True)
 class SpikeTrain:
+    """One neuron's spike times in seconds: the per-train form of compute_isi,
+    isi_distortion and if_neuron_fire. A whole trace is a SpikeTrace."""
+
     neuron: int
     times: tuple[float, ...]  # seconds, strictly increasing
 
@@ -208,14 +217,107 @@ class SpikeTrain:
         if not all(map(lt, times, times[1:])):
             raise ValidationError(f"neuron {self.neuron}: spike times must strictly increase")
 
+
+def _rises(neuron: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per row after the first: whether it comes after the row before it,
+    in a higher neuron or at a later time t of the same neuron."""
+    return (neuron[1:] > neuron[:-1]) | ((neuron[1:] == neuron[:-1]) & (t[1:] > t[:-1]))
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class SpikeTrace:
+    """A spike trace: one row per spike in two read-only int64 columns,
+    `neuron` and `tick`, the spike's time in whole nanoseconds. Rows are
+    sorted by neuron, then tick.
+
+    SpikeTrace(neuron, tick) takes the columns in any row order and sorts
+    them. It checks each neuron's times in seconds, tick / 1e9, as SpikeTrain
+    checks a train's: the first neuron whose seconds are not >= 0 and
+    distinct raises SpikeTrain's ValidationError. Every trace thus saves and
+    loads back unchanged. SpikeTrace.from_trains converts SpikeTrain records.
+    == and hash() compare values.
+    """
+
+    neuron: np.ndarray
+    tick: np.ndarray
+
+    def __init__(self, neuron, tick):
+        neuron, tick = np.array(neuron, dtype=np.int64), np.array(tick, dtype=np.int64)
+        if neuron.ndim != 1 or neuron.shape != tick.shape:
+            raise ValidationError(f"spike trace: neuron and tick columns of shapes {neuron.shape} and {tick.shape}")
+        t = tick / 1e9
+        rises = _rises(neuron, t)
+        if not rises.all():
+            order = np.lexsort((tick, neuron))
+            neuron, tick, t = neuron[order], tick[order], t[order]
+            rises = _rises(neuron, t)
+        bad = t < 0
+        bad[1:] |= ~rises
+        if bad.any():  # sorted, so a neuron with a time below 0 has one in its first row
+            i = int(np.argmax(bad))
+            problem = "be >= 0" if t[i] < 0 else "strictly increase"
+            raise ValidationError(f"neuron {neuron[i]}: spike times must {problem}")
+        neuron.flags.writeable = tick.flags.writeable = False
+        vars(self).update(neuron=neuron, tick=tick)
+
     @classmethod
-    def _prechecked(cls, neuron: int, times: tuple[float, ...]) -> SpikeTrain:
-        """A train whose times the caller has checked as __post_init__ checks them:
-        a tuple of floats, finite, >= 0 and strictly increasing."""
-        train = object.__new__(cls)
-        object.__setattr__(train, "neuron", neuron)
-        object.__setattr__(train, "times", times)
-        return train
+    def from_trains(cls, trains) -> SpikeTrace:
+        """The trace of SpikeTrain records, each time t as the whole number
+        of nanoseconds ns with ns / 1e9 == t: rint(t * 1e9) or, where that
+        product rounded to a neighbouring tick, the tick beside it. Trains of
+        one neuron merge.
+
+        A time that is on no tick of that grid or whose ns no int64 holds,
+        and a neuron id no int64 holds, is a ValidationError naming the
+        train's neuron; so is a tick that two trains of one neuron share.
+        """
+        trains = list(trains)
+        ends = list(accumulate(len(train.times) for train in trains))
+        t = np.fromiter(chain.from_iterable(train.times for train in trains), dtype=np.float64,
+                        count=ends[-1] if ends else 0)
+        with np.errstate(over="ignore"):  # a time whose ns no float holds is refused with the others
+            scaled = t * 1e9
+        fits = scaled < 2.0**63
+        ns = np.rint(np.where(fits, scaled, 0)).astype(np.int64)
+        miss = np.flatnonzero(fits & (ns / 1e9 != t))
+        for step in (-1, 1):  # from 2**51 ns on, t * 1e9 can round to a neighbour of t's tick
+            near = ns[miss] + step
+            hit = near / 1e9 == t[miss]
+            ns[miss[hit]] = near[hit]
+            miss = miss[~hit]
+        bad = ~fits
+        bad[miss] = True
+        if bad.any():
+            i = int(np.argmax(bad))
+            problem = "is not a whole number of nanoseconds" if fits[i] else "has more nanoseconds than an int64 holds"
+            neuron = trains[bisect_right(ends, i)].neuron
+            raise ValidationError(f"neuron {neuron}: spike time {t[i].item()!r} s {problem}")
+        try:
+            ids = np.array([train.neuron for train in trains], dtype=np.int64)
+        except OverflowError:
+            outside = next(train.neuron for train in trains if not -2**63 <= train.neuron < 2**63)
+            raise ValidationError(f"neuron {_brief(outside)}: id does not fit int64") from None
+        return cls(np.repeat(ids, [len(train.times) for train in trains]), ns)
+
+    def __len__(self) -> int:
+        return len(self.tick)
+
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(each neuron that spikes, in order; bounds, one entry longer: neuron
+        k's spikes are rows bounds[k]:bounds[k + 1])."""
+        start = np.ones(len(self), dtype=bool)
+        start[1:] = self.neuron[1:] != self.neuron[:-1]
+        bounds = np.append(np.flatnonzero(start), len(self))
+        return self.neuron[bounds[:-1]], bounds
+
+    def _key(self) -> tuple:
+        return self.neuron.tobytes(), self.tick.tobytes()
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 # ---------------------------------------------------------------------------
@@ -333,69 +435,22 @@ _SPIKE_COLUMNS = {"neuron": np.intp, "time_ns": np.int64}
 _EARLIER_SPIKE_HEADERS = {"neuron,time_us": "the earlier layout, with times in float microseconds"}
 
 
-def load_spikes(path) -> list[SpikeTrain]:
+def load_spikes(path) -> SpikeTrace:
     """Read a spike trace CSV with header `neuron,time_ns` (times in whole
-    nanoseconds, each ns / 1e9 seconds in memory).
-
-    One train per neuron, in neuron order, its times sorted; the first train
-    in that order whose times are not >= 0 and distinct raises the
-    SpikeTrain constructor's ValidationError. A trace with the earlier
-    `neuron,time_us` header is a ParseError that names that layout.
+    nanoseconds), its rows in any order, as a SpikeTrace, which checks them.
+    A trace with the earlier `neuron,time_us` header is a ParseError that
+    names that layout.
     """
-    neuron, ns = read_numeric_columns(path, _SPIKE_COLUMNS, "spike", _EARLIER_SPIKE_HEADERS)
-    if not neuron.size:
-        return []
-    t = ns / 1e9
-    if not np.all((neuron[1:] > neuron[:-1]) | ((neuron[1:] == neuron[:-1]) & (t[1:] > t[:-1]))):
-        order = np.lexsort((t, neuron))  # rows not in save_spikes' order
-        neuron, t = neuron[order], t[order]
-    same = neuron[1:] == neuron[:-1]
-    bounds = np.flatnonzero(np.concatenate(([True], ~same, [True])))
-    # SpikeTrain's checks, on every train at once: a time that is not finite and >= 0, or
-    # not above the time before it in its train.
-    bad = ~(np.isfinite(t) & (t >= 0))
-    bad[1:] |= same & ~(t[1:] > t[:-1])
-    if bad.any():  # the constructor raises the error of the train that holds the first bad time
-        k = np.searchsorted(bounds, np.argmax(bad), side="right") - 1
-        SpikeTrain(neuron=int(neuron[bounds[k]]), times=t[bounds[k]:bounds[k + 1]].tolist())
-        raise AssertionError("a spike train failed the array check but not SpikeTrain's")
-    times, bounds = t.tolist(), bounds.tolist()
-    return [SpikeTrain._prechecked(nid, tuple(times[start:end]))
-            for nid, start, end in zip(neuron[bounds[:-1]].tolist(), bounds, bounds[1:])]
+    return SpikeTrace(*read_numeric_columns(path, _SPIKE_COLUMNS, "spike", _EARLIER_SPIKE_HEADERS))
 
 
-def save_spikes(trains, path) -> None:
+def save_spikes(trace: SpikeTrace, path) -> None:
     """Write a spike trace CSV with header `neuron,time_ns`: a row per spike,
-    each time t as the whole number of nanoseconds ns with ns / 1e9 == t,
-    rint(t * 1e9) or, where that product rounded to a neighbouring tick, the
-    tick beside it.
-
-    A time that is on no tick of that grid or whose ns no int64 holds is a
-    ValidationError, raised before the file is opened, so that load_spikes
-    reads back exactly the trains saved.
-    """
-    trains = list(trains)
-    ends = list(accumulate(len(train.times) for train in trains))
-    t = np.fromiter(chain.from_iterable(train.times for train in trains), dtype=np.float64,
-                    count=ends[-1] if ends else 0)
-    with np.errstate(over="ignore"):  # a time whose ns no float holds is refused with the others
-        scaled = t * 1e9
-    fits = scaled < 2.0**63
-    ns = np.rint(np.where(fits, scaled, 0)).astype(np.int64)
-    miss = np.flatnonzero(fits & (ns / 1e9 != t))
-    for step in (-1, 1):  # from 2**51 ns on, t * 1e9 can round to a neighbour of t's tick
-        near = ns[miss] + step
-        hit = near / 1e9 == t[miss]
-        ns[miss[hit]] = near[hit]
-        miss = miss[~hit]
-    bad = ~fits
-    bad[miss] = True
-    if bad.any():
-        i = int(np.argmax(bad))
-        problem = "is not a whole number of nanoseconds" if fits[i] else "has more nanoseconds than an int64 holds"
-        raise ValidationError(f"neuron {trains[bisect_right(ends, i)].neuron}: spike time {t[i].item()!r} s {problem}")
-    write_grouped_table(path, _SPIKE_COLUMNS, ((train.neuron, ns[end - len(train.times):end].tolist())
-                                               for train, end in zip(trains, ends)))
+    in the trace's order, each time as its tick."""
+    ids, bounds = trace.runs()
+    ticks, bounds = trace.tick.tolist(), bounds.tolist()
+    write_grouped_table(path, _SPIKE_COLUMNS,
+                        zip(ids.tolist(), (ticks[start:end] for start, end in zip(bounds, bounds[1:]))))
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +489,8 @@ class GenParams:
             raise InvalidParams(f"spike_rate must be finite and >= 0, duration > 0 and at most {MAX_DURATION} s")
 
 
-def generate_synthetic(params: GenParams) -> tuple[Network, list[SpikeTrain]]:
-    """Deterministic random workload: clusters, routes, Poisson spike trains."""
+def generate_synthetic(params: GenParams) -> tuple[Network, SpikeTrace]:
+    """Deterministic random workload: clusters, routes, and a Poisson spike trace of the pre-neurons."""
     rng = np.random.default_rng(params.seed)
     mix_labels = sorted(params.state_mix)
     mix_probs = np.array([params.state_mix[k] for k in mix_labels])
@@ -474,9 +529,9 @@ def generate_synthetic(params: GenParams) -> tuple[Network, list[SpikeTrain]]:
 _GAP_BLOCK = 4096  # Poisson gaps drawn per Generator call
 
 
-def _poisson_trains(rng, neurons, rate: float, duration: float) -> list[SpikeTrain]:
+def _poisson_trains(rng, neurons, rate: float, duration: float) -> SpikeTrace:
     """Poisson spike times from [0, duration) per neuron, in order, on the
-    nanosecond grid; a neuron that does not spike gets no train.
+    nanosecond grid; a neuron that does not spike has no rows.
 
     The gaps come from rng in blocks: a block equals as many scalar draws,
     and each neuron's running sum adds its gaps in order, so the drawn times
@@ -486,10 +541,10 @@ def _poisson_trains(rng, neurons, rate: float, duration: float) -> list[SpikeTra
     Each drawn time t becomes the tick floor(t * 1e9), all in one pass. A
     tick at or below the tick before it in the same train moves to that tick
     plus 1, so every train strictly increases (and a train with such moves
-    may end past duration). A time is its tick / 1e9 seconds.
+    may end past duration).
     """
     if rate == 0:
-        return []
+        return SpikeTrace((), ())
 
     scale = 1.0 / rate
     # Endless: iter() stops only when a block equals None.
@@ -509,6 +564,4 @@ def _poisson_trains(rng, neurons, rate: float, duration: float) -> list[SpikeTra
         train = slice(bounds[k], bounds[k + 1])
         i = np.arange(train.stop - train.start)
         ticks[train] = np.maximum.accumulate(ticks[train] - i) + i
-    times = (ticks / 1e9).tolist()
-    return [SpikeTrain._prechecked(nid, tuple(times[start:end]))
-            for nid, start, end in zip(owners, bounds, bounds[1:])]
+    return SpikeTrace(np.repeat(owners, np.diff(bounds)), ticks)

@@ -12,6 +12,7 @@ from xbarsim import (
     CrossbarSpec,
     Cluster,
     Hardware,
+    SpikeTrace,
     SpikeTrain,
     Synapse,
     map_network,
@@ -44,6 +45,14 @@ def elmore_tap_oracle(position, line_length, r_unit, c_unit):
         downstream_caps = line_length - i + 1
         total += r_unit * downstream_caps * c_unit
     return total
+
+
+def trains_of(trace: SpikeTrace) -> list[SpikeTrain]:
+    """The trace as one SpikeTrain per neuron that spikes, in neuron order, its times tick / 1e9 seconds."""
+    per_neuron = {}
+    for nid, tick in zip(trace.neuron.tolist(), trace.tick.tolist()):
+        per_neuron.setdefault(nid, []).append(tick / 1e9)
+    return [SpikeTrain(nid, tuple(times)) for nid, times in per_neuron.items()]
 
 
 def random_cluster(rng, cid, n_pre, n_post, density, state_probs=None, id_base=0):
@@ -270,7 +279,8 @@ def write_boundary_files(directory):
     save_network(network, directory / "other" / "net.json")
     save_spec(spec, directory / "spec.json")
     pre = [nid for c in network.clusters for nid in c.pre_neurons]
-    save_spikes([SpikeTrain(neuron=nid, times=(0.1, (20 + nid) / 100)) for nid in pre], directory / "spk.csv")
+    save_spikes(SpikeTrace.from_trains([SpikeTrain(neuron=nid, times=(0.1, (20 + nid) / 100)) for nid in pre]),
+                directory / "spk.csv")
     placement = map_network(network, Hardware(crossbar_count=3, spec=spec))
     save_placement(placement, directory / "placement.json")
     (directory / "bad.json").write_text("{not json")

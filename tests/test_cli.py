@@ -9,7 +9,7 @@ from xbarsim.cli import main, resolve_tech
 from xbarsim.crossbar import CrossbarSpec
 from xbarsim.fixtures import mapping_demo_network
 from xbarsim.techmodel import preset, save_tech
-from xbarsim.workload import SpikeTrain
+from xbarsim.workload import SpikeTrace, SpikeTrain
 from xbarsim.errors import ValidationError
 
 from conftest import BAD_NETWORKS, BAD_PLACEMENTS, write_boundary_files
@@ -151,7 +151,7 @@ def test_simulate_unknown_neuron_is_domain_error(tmp_path):
     assert run(["map", "--network", str(net_path), "--spec", str(spec_path),
                 "--out", str(place_path)]) == 0
     spk_bad = tmp_path / "bad.csv"
-    save_spikes([SpikeTrain(neuron=999, times=(1e-6,))], spk_bad)
+    save_spikes(SpikeTrace.from_trains([SpikeTrain(neuron=999, times=(1e-6,))]), spk_bad)
     assert run(["simulate", "--placement", str(place_path), "--spikes", str(spk_bad),
                 "--duration", "1.0", "--out", str(tmp_path / "r")]) == 3
 
@@ -163,7 +163,8 @@ def _simulate_one_unplaced_spike(tmp_path, capsys, neuron):
     save_spec(CrossbarSpec(n=4), spec_path)
     assert run(["map", "--network", str(net_path), "--spec", str(spec_path), "--out", str(place_path)]) == 0
     spikes = tmp_path / "spikes.csv"
-    save_spikes([SpikeTrain(neuron=0, times=(1e-6, 2e-6)), SpikeTrain(neuron=neuron, times=(1e-6,))], spikes)
+    # Written as text: a trace in memory holds no neuron id beyond int64.
+    spikes.write_bytes(f"neuron,time_ns\r\n0,1000\r\n0,2000\r\n{neuron},1000\r\n".encode())
     capsys.readouterr()
     code = _exit_code(["simulate", "--placement", str(place_path), "--spikes", str(spikes),
                        "--duration", "1.0", "--out", str(tmp_path / "r")])

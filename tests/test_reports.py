@@ -4,6 +4,7 @@ from xbarsim import (
     CrossbarSpec,
     GenParams,
     Hardware,
+    SpikeTrace,
     SpikeTrain,
     activity_from_trains,
     energy_report,
@@ -33,10 +34,10 @@ TECH = preset("16nm")
 def _reports():
     net = mapping_demo_network()
     placement = map_network(net, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4)))
-    trains = [SpikeTrain(neuron=nid, times=(0.1, 0.2, 0.35)) for nid in range(4)]
+    trace = SpikeTrace.from_trains([SpikeTrain(neuron=nid, times=(0.1, 0.2, 0.35)) for nid in range(4)])
     latency = latency_stats(placement, TECH)
-    energy = energy_report(placement, activity_from_trains(trains, placement.routes, 1.0), TECH)
-    distortions = neuron_isi_distortion(placement, trains, TECH)
+    energy = energy_report(placement, activity_from_trains(trace, placement.routes, 1.0), TECH)
+    distortions = neuron_isi_distortion(placement, trace, TECH)
     return latency, energy, distortions
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 
 import numpy as np
@@ -22,6 +23,7 @@ from xbarsim import (
     Network,
     PlacedSynapse,
     Placement,
+    SpikeTrace,
     SpikeTrain,
     activity_from_trains,
     average_latency_delta,
@@ -58,7 +60,7 @@ from xbarsim.errors import (
     ValidationError,
 )
 
-from conftest import MEMO_SPECS, planted_cluster, random_cluster, seated_cluster
+from conftest import MEMO_SPECS, planted_cluster, random_cluster, seated_cluster, trains_of
 
 TECH = preset("16nm")
 
@@ -85,6 +87,12 @@ def one_crossbar(spec, config, placed):
     xb = CrossbarPlacement(crossbar_id=0, spec=spec, config=config,
                            **seated_cluster([PlacedSynapse(*t) for t in placed]))
     return Placement(crossbars=(xb,), crossbar_count=1)
+
+
+def random_trace(rng, neurons, counts, horizon=10**6) -> SpikeTrace:
+    """counts[i] distinct random ticks below `horizon` ns for neurons[i]."""
+    ticks = [rng.choice(horizon, size=count, replace=False) for count in counts]
+    return SpikeTrace(np.repeat(neurons, counts), np.concatenate(ticks) if ticks else ())
 
 
 def mixed_placement(rng):
@@ -160,9 +168,20 @@ class ArrivalTrain:
     times: tuple[float, ...]
 
 
+def spike_times_reference(placement, trains) -> dict:
+    """{pre-neuron id: spike times}; every train must belong to a placed pre-neuron."""
+    known = {nid for xb in placement.crossbars for nid in xb.cluster.pre_neurons}
+    by_neuron = {}
+    for t in trains:
+        if t.neuron not in known:
+            raise UnknownNeuron(f"neuron {t.neuron} spikes but is not placed as a pre-synaptic neuron")
+        by_neuron[t.neuron] = t.times
+    return by_neuron
+
+
 def propagate(placement, trains, tech):
     """Per-synapse arrival trains: spike time plus the cell's path latency."""
-    by_neuron = simulate._spike_times(placement, trains)
+    by_neuron = spike_times_reference(placement, trains)
     arrivals = []
     for xb in placement.crossbars:
         for idx, (s, delay) in enumerate(zip(xb.synapses, synapse_latency_totals(xb, tech).tolist())):
@@ -409,14 +428,14 @@ def test_evaluators_index_columns_not_synapse_views(rng, monkeypatch):
     """No evaluator walks PlacedSynapse views: with them unavailable, every result is unchanged."""
     placement = mixed_placement(rng)
     pre = sorted({nid for xb in placement.crossbars for nid in xb.cluster.pre_neurons})
-    trains = [SpikeTrain(nid, tuple(np.sort(rng.uniform(0, 1e-3, size=3)))) for nid in pre[::2]]
-    activity = activity_from_trains(trains, (), 1.0)
+    trace = random_trace(rng, pre[::2], [3] * len(pre[::2]))
+    activity = activity_from_trains(trace, (), 1.0)
     net = Network(clusters=(random_cluster(rng, 0, 10, 12, 0.5),
                             random_cluster(rng, 1, 14, 8, 0.5, id_base=100)))
 
     def evaluate():
         return (latency_stats(placement, TECH), energy_report(placement, activity, TECH),
-                neuron_isi_distortion(placement, trains, TECH),
+                neuron_isi_distortion(placement, trace, TECH),
                 sweep_pq([net], CrossbarSpec(n=32, n_h=4, n_l=4), TECH, [(32, 32), (24, 20), (16, 16)]))
 
     expected = evaluate()
@@ -683,8 +702,8 @@ def test_energy_follows_edited_spike_counts():
 def test_energy_routing_and_spikes():
     net = mapping_demo_network()
     placement = map_network(net, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4)))
-    trains = [SpikeTrain(neuron=nid, times=(0.1, 0.2)) for nid in (0, 1, 2, 3, 4)]
-    activity = activity_from_trains(trains, placement.routes, duration=1.0)
+    trace = SpikeTrace.from_trains([SpikeTrain(neuron=nid, times=(0.1, 0.2)) for nid in (0, 1, 2, 3, 4)])
+    activity = activity_from_trains(trace, placement.routes, duration=1.0)
     # neuron 4 feeds the single route with 2 hops
     assert activity.routed_spike_hops == 4.0
     assert activity.total_spikes == 10
@@ -714,10 +733,10 @@ def test_double_control_never_worse(rng):
     for seed in range(5):
         params = GenParams(clusters=6, pre_range=(4, 100), post_range=(4, 100),
                            density=0.1, seed=seed)
-        net, trains = generate_synthetic(params)
+        net, trace = generate_synthetic(params)
         base = CrossbarSpec(n=128, p=96, q=96)
         single = CrossbarSpec(n=128, p=96, q=96, control=ControlMode.SINGLE)
-        activity = activity_from_trains(trains, net.routes, duration=1.0)
+        activity = activity_from_trains(trace, net.routes, duration=1.0)
         pl_double = map_network(net, Hardware(crossbar_count=6, spec=base))
         pl_single = map_network(net, Hardware(crossbar_count=6, spec=single))
         e_double = energy_report(pl_double, activity, TECH).total_j
@@ -735,8 +754,8 @@ def test_activity_validation():
 def test_energy_total_is_sum():
     net = mapping_demo_network()
     placement = map_network(net, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4)))
-    trains = [SpikeTrain(neuron=0, times=(0.1,))]
-    report = energy_report(placement, activity_from_trains(trains, (), 1.0), TECH)
+    trace = SpikeTrace.from_trains([SpikeTrain(neuron=0, times=(0.1,))])
+    report = energy_report(placement, activity_from_trains(trace, (), 1.0), TECH)
     assert report.total_j == pytest.approx(
         report.static_j + report.spike_j + report.routing_j + report.access_overhead_j)
 
@@ -751,18 +770,18 @@ def test_neuron_isi_distortion_matches_two_synapse_example():
     placed = [(0, 100, "LRS1", 0, 0), (1, 100, "HRS", 9, 0)]
     placement = one_crossbar(spec, CONFIG_11, placed)
     t1, t2 = 1.0, 2.0
-    trains = [SpikeTrain(neuron=0, times=(t1,)), SpikeTrain(neuron=1, times=(t2,))]
+    trace = SpikeTrace.from_trains([SpikeTrain(neuron=0, times=(t1,)), SpikeTrain(neuron=1, times=(t2,))])
     x = path_latency(0, 0, TECH.state("LRS1"), CONFIG_11, spec, TECH).total
     y = path_latency(9, 0, TECH.state("HRS"), CONFIG_11, spec, TECH).total
-    distortions = neuron_isi_distortion(placement, trains, TECH)
+    distortions = neuron_isi_distortion(placement, trace, TECH)
     assert distortions[100] == pytest.approx(abs(y - x), rel=1e-9)
 
 
 def test_neuron_isi_distortion_single_synapse_is_zero():
     spec = CrossbarSpec(n=8)
     placement = one_crossbar(spec, CONFIG_11, [(0, 100, "LRS2", 3, 4)])
-    trains = [SpikeTrain(neuron=0, times=(0.5, 1.0, 2.0))]
-    distortions = neuron_isi_distortion(placement, trains, TECH)
+    trace = SpikeTrace.from_trains([SpikeTrain(neuron=0, times=(0.5, 1.0, 2.0))])
+    distortions = neuron_isi_distortion(placement, trace, TECH)
     assert distortions[100] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -816,11 +835,11 @@ def test_neuron_isi_distortion_matches_sort_merge(rng):
             if draw < 0.2:
                 continue                                  # no train at all
             count = 0 if draw < 0.3 else int(rng.integers(1, 4))
-            trains.append(SpikeTrain(nid, tuple(np.sort(rng.uniform(0, 1e-3, size=count)))))
+            trains.append(SpikeTrain(nid, tuple(np.sort(rng.choice(10**6, size=count, replace=False)) / 1e9)))
         # exact: t + delay rounds monotonically in t, so a synapse's first and
         # last arrivals are its pre-neuron's first and last spikes shifted
         expected = _sort_merge_isi(placement, trains, TECH)
-        assert neuron_isi_distortion(placement, trains, TECH) == expected
+        assert neuron_isi_distortion(placement, SpikeTrace.from_trains(trains), TECH) == expected
         posts = [set(xb.cluster.post_neurons) for xb in placement.crossbars]
         seen_shared += sum(map(len, posts)) > len(set().union(*posts))
         seen_silent += len(placed) > sum(1 for t in trains if t.times)
@@ -830,5 +849,95 @@ def test_neuron_isi_distortion_matches_sort_merge(rng):
 def test_neuron_isi_distortion_unknown_neuron():
     net = mapping_demo_network()
     placement = map_network(net, Hardware(crossbar_count=3, spec=CrossbarSpec(n=4)))
-    with pytest.raises(UnknownNeuron):
-        neuron_isi_distortion(placement, [SpikeTrain(neuron=777, times=(0.1, 0.2))], TECH)
+    trace = SpikeTrace.from_trains([SpikeTrain(neuron=999, times=(0.1,)), SpikeTrain(neuron=0, times=(0.1, 0.2)),
+                                    SpikeTrain(neuron=777, times=(0.1, 0.2))])
+    with pytest.raises(UnknownNeuron, match="^neuron 777 spikes but is not placed as a pre-synaptic neuron$"):
+        neuron_isi_distortion(placement, trace, TECH)
+
+
+# ---------------------------------------------------------------------------
+# the trace evaluators against their per-train forms
+
+
+def activity_reference(trains, routes, duration: float) -> Activity:
+    """activity_from_trains as it read SpikeTrain records: a count per train that has times."""
+    counts = {t.neuron: len(t.times) for t in trains if t.times}
+    hops = sum(counts.get(r.src_neuron, 0) * r.hops for r in routes)
+    return Activity(spike_counts=counts, routed_spike_hops=float(hops), duration=duration)
+
+
+def isi_reference(placement, trains, tech) -> dict:
+    """neuron_isi_distortion as it read SpikeTrain records: each placed
+    pre-neuron's times looked up in a dict, its first and last time read
+    from them."""
+    by_neuron = spike_times_reference(placement, trains)
+    posts = np.unique(np.array([nid for xb in placement.crossbars for nid in xb.cluster.post_neurons], np.intp))
+    table = simulate._SynapseTable(placement.crossbars, tech)
+    delay, _ = table.evaluate(*simulate._setups(placement))
+    (pre_ids, of_pre), (post_ids, of_post) = table.pre, table.post
+    times = [by_neuron.get(nid, ()) for nid in pre_ids.tolist()]
+    spikes = np.array([len(t) for t in times], dtype=float)
+    live = spikes[of_pre] > 0
+    of_pre, delay = of_pre[live], delay[live]
+    at = np.searchsorted(posts, post_ids)[of_post[live]]
+    k = np.bincount(at, weights=spikes[of_pre], minlength=len(posts))
+    first_in, first_out = np.full(len(posts), np.inf), np.full(len(posts), np.inf)
+    last_in, last_out = np.full(len(posts), -np.inf), np.full(len(posts), -np.inf)
+    first = np.array([t[0] if t else 0.0 for t in times])[of_pre]
+    last = np.array([t[-1] if t else 0.0 for t in times])[of_pre]
+    np.minimum.at(first_in, at, first)
+    np.maximum.at(last_in, at, last)
+    first += delay
+    last += delay
+    np.minimum.at(first_out, at, first)
+    np.maximum.at(last_out, at, last)
+    keep = k >= 2
+    gaps = k[keep] - 1
+    distortion = np.abs((last_out[keep] - first_out[keep]) / gaps - (last_in[keep] - first_in[keep]) / gaps)
+    return dict(zip(posts[keep].tolist(), distortion.tolist()))
+
+
+@functools.cache
+def _oracle_placements() -> dict:
+    """{name: (placement, a trace generated with it)}: the demo network on 4x4
+    crossbars, and a small synthetic network on a partitioned 8x8 crossbar."""
+    net, trace = generate_synthetic(GenParams(clusters=3, pre_range=(2, 8), post_range=(2, 8), density=0.4,
+                                              spike_rate=200.0, duration=0.05, seed=3))
+    demo = mapping_demo_network()
+    return {"demo": (map_network(demo, Hardware(3, CrossbarSpec(n=4))),
+                     SpikeTrace.from_trains([SpikeTrain(nid, (0.1, 0.2)) for nid in range(4)])),
+            "synthetic": (map_network(net, Hardware(3, CrossbarSpec(n=8, n_h=2, n_l=2, p=5, q=6))), trace)}
+
+
+def _outcome(evaluate):
+    """The distortions as float.hex, or the exception's type and message."""
+    try:
+        return {post: value.hex() for post, value in evaluate().items()}
+    except UnknownNeuron as exc:
+        return type(exc), str(exc)
+
+
+# Ticks near each other, so that neurons share first and last times, and anywhere below 2**51 ns.
+_ORACLE_TICKS = st.integers(0, 50) | st.integers(0, 2**51)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["demo", "synthetic"]), generated=st.booleans())
+def test_trace_evaluators_match_per_train_reference(data, name, generated):
+    """activity_from_trains and neuron_isi_distortion read the trace's columns
+    and give what the per-train forms give: the same Activity, the same
+    distortions bit for bit, and the same UnknownNeuron for a spike from a
+    neuron placed as no pre-neuron (a post-neuron, or one of no cluster)."""
+    placement, trace = _oracle_placements()[name]
+    if not generated:
+        placed = sorted({nid for xb in placement.crossbars for nid in xb.cluster.pre_neurons})
+        others = sorted({nid for xb in placement.crossbars for nid in xb.cluster.post_neurons}) + [-1, 10**6]
+        neurons = placed + data.draw(st.lists(st.sampled_from(others), max_size=2))
+        ticks = data.draw(st.dictionaries(st.sampled_from(neurons), st.sets(_ORACLE_TICKS, min_size=1, max_size=6),
+                                          max_size=8))
+        rows = data.draw(st.permutations([(nid, tick) for nid, ts in ticks.items() for tick in ts]))
+        trace = SpikeTrace([nid for nid, _ in rows], [tick for _, tick in rows])
+    trains = trains_of(trace)
+    assert activity_from_trains(trace, placement.routes, 1.0) == activity_reference(trains, placement.routes, 1.0)
+    assert _outcome(lambda: neuron_isi_distortion(placement, trace, TECH)) == \
+        _outcome(lambda: isi_reference(placement, trains, TECH))

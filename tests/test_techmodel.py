@@ -1,4 +1,9 @@
 import dataclasses
+import json
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -137,6 +142,32 @@ def test_tap_delays_keys_on_every_field():
         want = techmodel._tap_delays.__wrapped__(other_spec, CONFIG_11, other_tech)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert not all(np.array_equal(a, b) for a, b in zip(got, before))
+
+
+def test_equal_parameters_built_apart_share_one_tap_delays_entry():
+    """The hash is computed once per instance, and equal parameters still hash
+    alike: a preset, the same node built again, its JSON round trip and a
+    pickle of it made by a process whose str hashes differ all hit the entry
+    the first one made."""
+    tech = preset("16nm")
+    spec = CrossbarSpec(n=13, n_h=2, n_l=3, p=7, q=5)
+    first = tap_delays(spec, CONFIG_11, tech)
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    pickled = subprocess.run(
+        [sys.executable, "-c", "import pickle, sys; from xbarsim import preset; tech = preset('16nm'); "
+                               "hash(tech); sys.stdout.buffer.write(pickle.dumps(tech))"],
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True, check=True).stdout
+    others = (preset("16nm"), techmodel._preset("16nm", 16.0, 10.0, 3.8),
+              techmodel.TechnologyParams.from_json(json.loads(json.dumps(tech.to_json()))),
+              pickle.loads(pickled))
+    before = techmodel._tap_delays.cache_info()
+    for other in others:
+        assert other == tech and hash(other) == hash(tech)
+        assert tap_delays(spec, CONFIG_11, other)[0] is first[0]
+    after = techmodel._tap_delays.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (len(others), 0)
+    assert hash(dataclasses.replace(tech, e_spike=2 * tech.e_spike)) != hash(tech)
 
 
 def test_path_latency_worst_cell_iso_count():

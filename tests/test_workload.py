@@ -16,6 +16,7 @@ from xbarsim import (
     Hardware,
     Network,
     Route,
+    SpikeTrace,
     SpikeTrain,
     Synapse,
     assign_cluster,
@@ -27,6 +28,7 @@ from xbarsim import (
     map_network_control,
     preset,
     save_network,
+    save_spec,
     save_spikes,
     sweep_pq,
     workload,
@@ -37,6 +39,8 @@ from xbarsim.errors import Infeasible, InvalidParams, ParseError, ValidationErro
 from xbarsim import files
 from xbarsim.files import read_table
 from xbarsim.workload import network_from_json, network_to_json
+
+from conftest import trains_of
 
 
 def cluster_error_reference(cid, pre_neurons, post_neurons, triples):
@@ -64,8 +68,8 @@ def cluster_error_reference(cid, pre_neurons, post_neurons, triples):
 def poisson_trains_reference(rng, neurons, rate, duration):
     """Poisson trains drawn one scalar gap at a time until the running time reaches duration,
     each time t then put on the nanosecond grid one at a time: tick floor(t * 1e9), moved to
-    the train's previous tick plus 1 if at or below it, and t = tick / 1e9."""
-    trains = []
+    the train's previous tick plus 1 if at or below it."""
+    rows = []
     for nid in neurons:
         times = []
         t = 0.0
@@ -79,9 +83,8 @@ def poisson_trains_reference(rng, neurons, rate, duration):
         for t in times:
             tick = math.floor(t * 1e9)
             ticks.append(tick if not ticks or tick > ticks[-1] else ticks[-1] + 1)
-        if ticks:
-            trains.append(SpikeTrain(neuron=nid, times=tuple(tick / 1e9 for tick in ticks)))
-    return trains
+        rows += [(nid, tick) for tick in ticks]
+    return SpikeTrace([nid for nid, _ in rows], [tick for _, tick in rows])
 
 
 def load_spikes_reference(path) -> list[SpikeTrain]:
@@ -172,7 +175,8 @@ def test_load_spikes_groups_by_neuron_and_sorts(tmp_path):
     per_neuron = {}
     for n, t in rows:
         per_neuron.setdefault(n, []).append(t / 1e9)
-    assert load_spikes(path) == [SpikeTrain(n, tuple(sorted(ts))) for n, ts in sorted(per_neuron.items())]
+    trains = [SpikeTrain(n, tuple(sorted(ts))) for n, ts in sorted(per_neuron.items())]
+    assert load_spikes(path) == SpikeTrace.from_trains(trains)
 
 
 def test_generate_deterministic():
@@ -193,12 +197,12 @@ def test_generate_deterministic():
 def test_generated_trains_match_scalar_draws(seed, rate, duration, clusters):
     params = GenParams(clusters=clusters, pre_range=(1, 4), post_range=(1, 2), density=0.5,
                        spike_rate=rate, duration=duration, seed=seed)
-    trains, want = _generated_and_reference_trains(params)
-    assert _hex_trains(trains) == _hex_trains(want)
+    trace, want = _generated_and_reference_trains(params)
+    assert trace == want
 
 
 def _generated_and_reference_trains(params):
-    """generate_synthetic's trains, and poisson_trains_reference's from the same rng state."""
+    """generate_synthetic's trace, and poisson_trains_reference's from the same rng state."""
     states = []
     real = workload._poisson_trains
 
@@ -207,11 +211,11 @@ def _generated_and_reference_trains(params):
         return real(rng, *args)
 
     with mock.patch.object(workload, "_poisson_trains", spy):
-        network, trains = generate_synthetic(params)
+        network, trace = generate_synthetic(params)
     rng = np.random.default_rng()
     rng.bit_generator.state = states[0]
     neurons = [nid for c in network.clusters for nid in c.pre_neurons]
-    return trains, poisson_trains_reference(rng, neurons, params.spike_rate, params.duration)
+    return trace, poisson_trains_reference(rng, neurons, params.spike_rate, params.duration)
 
 
 def _hex_trains(trains):
@@ -224,21 +228,22 @@ def test_generated_ticks_that_clash_move_past_the_tick_before(tmp_path):
     in the scalar reference, and the train runs past the duration."""
     params = GenParams(clusters=1, pre_range=(3, 3), post_range=(1, 1), density=1.0,
                        spike_rate=2e9, duration=2e-7, seed=4)
-    trains, want = _generated_and_reference_trains(params)
-    assert _hex_trains(trains) == _hex_trains(want)
+    trace, want = _generated_and_reference_trains(params)
+    assert trace == want
+    trains = trains_of(trace)
     assert len(trains) == 3 and all(len(t.times) > 200 and t.times[-1] > 2e-7 for t in trains)
-    save_spikes(trains, tmp_path / "spikes.csv")
-    assert load_spikes(tmp_path / "spikes.csv") == trains
+    save_spikes(trace, tmp_path / "spikes.csv")
+    assert load_spikes(tmp_path / "spikes.csv") == trace
 
 
 def test_trains_generated_up_to_the_longest_duration_save_and_read_back(tmp_path):
     """Up to MAX_DURATION (2**51 ns) every generated tick converts to seconds and back exactly."""
     params = GenParams(clusters=2, pre_range=(3, 3), post_range=(1, 1), density=1.0,
                        spike_rate=2e-5, duration=workload.MAX_DURATION, seed=1)
-    _, trains = generate_synthetic(params)
-    assert sum(len(t.times) for t in trains) > 100
-    save_spikes(trains, tmp_path / "spikes.csv")
-    assert load_spikes(tmp_path / "spikes.csv") == trains
+    _, trace = generate_synthetic(params)
+    assert len(trace) > 100
+    save_spikes(trace, tmp_path / "spikes.csv")
+    assert load_spikes(tmp_path / "spikes.csv") == trace
     with pytest.raises(InvalidParams, match="duration"):
         GenParams(clusters=1, pre_range=(1, 1), post_range=(1, 1), density=1.0,
                   duration=workload.MAX_DURATION * (1 + 1e-15))
@@ -263,13 +268,13 @@ def test_saved_traces_read_back_exactly(tmp_path_factory, ticks, floats):
     trains += [SpikeTrain(nid, tuple(sorted(set(ts)))) for nid, ts in floats.items() if nid not in ticks]
     path = tmp_path_factory.mktemp("trace") / "spikes.csv"
     try:
-        save_spikes(trains, path)
+        save_spikes(SpikeTrace.from_trains(trains), path)
     except ValidationError:
         assert floats or max(t for ts in ticks.values() for t in ts) > 2**51
         assert not path.exists()
         return
     saved = sorted((t for t in trains if t.times), key=lambda t: t.neuron)
-    assert _hex_trains(load_spikes(path)) == _hex_trains(saved)
+    assert _hex_trains(trains_of(load_spikes(path))) == _hex_trains(saved)
 
 
 @settings(max_examples=300, deadline=None)
@@ -278,9 +283,9 @@ def test_saved_traces_read_back_exactly(tmp_path_factory, ticks, floats):
 def test_every_tick_below_2_52_ns_saves_and_reads_back(tmp_path_factory, tick):
     path = tmp_path_factory.mktemp("trace") / "spikes.csv"
     train = SpikeTrain(3, (tick / 1e9,))
-    save_spikes([train], path)
+    save_spikes(SpikeTrace.from_trains([train]), path)
     assert path.read_text() == f"neuron,time_ns\n3,{tick}\n"
-    assert load_spikes(path) == [train]
+    assert load_spikes(path) == SpikeTrace.from_trains([train]) == SpikeTrace([3], [tick])
 
 
 @settings(max_examples=300, deadline=None)
@@ -293,11 +298,11 @@ def test_save_spikes_accepts_exactly_the_times_on_a_tick(tmp_path_factory, t):
     tick = round(Fraction(t) * 10**9)
     path = tmp_path_factory.mktemp("trace") / "spikes.csv"
     if tick / 1e9 == t:
-        save_spikes([SpikeTrain(0, (t,))], path)
+        save_spikes(SpikeTrace.from_trains([SpikeTrain(0, (t,))]), path)
         assert path.read_text() == f"neuron,time_ns\n0,{tick}\n"
     else:
         with pytest.raises(ValidationError, match="is not a whole number of nanoseconds"):
-            save_spikes([SpikeTrain(0, (t,))], path)
+            save_spikes(SpikeTrace.from_trains([SpikeTrain(0, (t,))]), path)
         assert not path.exists()
 
 
@@ -310,9 +315,57 @@ def test_save_spikes_accepts_exactly_the_times_on_a_tick(tmp_path_factory, t):
 def test_save_spikes_refuses_times_off_the_nanosecond_grid(tmp_path, t, problem):
     path = tmp_path / "spikes.csv"
     with pytest.raises(ValidationError) as exc:
-        save_spikes([SpikeTrain(4, (0.5,)), SpikeTrain(9, (0.0, t)), SpikeTrain(12, (t,))], path)
+        save_spikes(SpikeTrace.from_trains([SpikeTrain(4, (0.5,)), SpikeTrain(9, (0.0, t)), SpikeTrain(12, (t,))]),
+                    path)
     assert str(exc.value) == f"neuron 9: spike time {t!r} s {problem}"
     assert not path.exists()
+
+
+def test_spike_trace_sorts_its_rows_and_checks_each_neuron():
+    trace = SpikeTrace([7, 3, 7, 3], [5, 9, 1, 2])
+    assert trace.neuron.tolist() == [3, 3, 7, 7] and trace.tick.tolist() == [2, 9, 1, 5]
+    assert trace.neuron.dtype == trace.tick.dtype == np.int64 and len(trace) == 4
+    assert trace == SpikeTrace([3, 3, 7, 7], [2, 9, 1, 5])
+    assert hash(trace) == hash(SpikeTrace([3, 7, 3, 7], [9, 5, 2, 1]))
+    assert trace != SpikeTrace([3, 3, 7, 7], [2, 9, 1, 6])
+    ids, bounds = trace.runs()
+    assert ids.tolist() == [3, 7] and bounds.tolist() == [0, 2, 4]
+    ids, bounds = SpikeTrace((), ()).runs()
+    assert ids.tolist() == [] and bounds.tolist() == [0]
+    with pytest.raises(ValueError):
+        trace.tick[0] = 0
+    for neuron, tick, message in (([1, 2, 2], [4, 0, -1], "neuron 2: spike times must be >= 0"),
+                                  ([1, 2, 2], [4, 3, 3], "neuron 2: spike times must strictly increase"),
+                                  ([5, 5], [2**62, 2**62 + 1], "neuron 5: spike times must strictly increase"),
+                                  ([1, 2], [4], "spike trace: neuron and tick columns of shapes (2,) and (1,)")):
+        with pytest.raises(ValidationError) as exc:
+            SpikeTrace(neuron, tick)
+        assert str(exc.value) == message
+
+
+def test_spike_trace_from_trains_merges_trains_of_one_neuron():
+    trace = SpikeTrace.from_trains([SpikeTrain(4, (0.5, 0.75)), SpikeTrain(1, ()), SpikeTrain(4, (0.25,))])
+    assert trace == SpikeTrace([4, 4, 4], [250_000_000, 500_000_000, 750_000_000])
+    with pytest.raises(ValidationError, match="^neuron 4: spike times must strictly increase$"):
+        SpikeTrace.from_trains([SpikeTrain(4, (0.5,)), SpikeTrain(4, (0.5,))])
+    with pytest.raises(ValidationError, match="^neuron 1180591620717411303424: id does not fit int64$"):
+        SpikeTrace.from_trains([SpikeTrain(4, (0.5,)), SpikeTrain(2**70, (0.5,))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(-2**63, 2**63 - 1) | st.integers(0, 5),
+                               st.integers(0, 2**51) | st.integers(0, 2**63 - 1)), max_size=30))
+@example(rows=[(0, 2**63 - 1), (0, 2**63 - 2)])  # 1 ns apart, the same float second
+def test_every_spike_trace_saves_and_loads_back_tick_for_tick(tmp_path_factory, rows):
+    """load_spikes(save_spikes(trace)) == trace for every trace the constructor accepts."""
+    try:
+        trace = SpikeTrace([nid for nid, _ in rows], [tick for _, tick in rows])
+    except ValidationError as exc:  # only ticks of one neuron whose seconds tick / 1e9 coincide
+        assert "strictly increase" in str(exc)
+        return
+    path = tmp_path_factory.mktemp("trace") / "spikes.csv"
+    save_spikes(trace, path)
+    assert load_spikes(path) == trace
 
 
 # Faults injected into a valid cluster: an index out of range, a huge index, a
@@ -418,6 +471,21 @@ def test_flow_never_builds_the_synapse_view(monkeypatch, tmp_path):
                      "--out-spikes", str(tmp_path / "s.csv")]) == 0
 
 
+def test_gen_and_simulate_build_no_spike_train(monkeypatch, tmp_path):
+    """gen, map and simulate hold the trace as columns, and construct no SpikeTrain."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("SpikeTrain constructed")
+
+    monkeypatch.setattr(SpikeTrain, "__init__", refuse)
+    net, spikes, spec, place = (tmp_path / name for name in ("n.json", "s.csv", "spec.json", "p.json"))
+    save_spec(CrossbarSpec(n=128, n_h=16, n_l=16, p=96, q=96), spec)
+    assert cli.main(["gen", "--clusters", "3", "--pre", "8:40", "--post", "8:40", "--out-network", str(net),
+                     "--out-spikes", str(spikes)]) == 0
+    assert cli.main(["map", "--network", str(net), "--spec", str(spec), "--out", str(place)]) == 0
+    assert cli.main(["simulate", "--placement", str(place), "--spikes", str(spikes), "--duration", "1.0",
+                     "--out", str(tmp_path / "reports")]) == 0
+
+
 def test_generate_density_one_complete_bipartite():
     params = GenParams(clusters=2, pre_range=(3, 3), post_range=(4, 4),
                        density=1.0, seed=0)
@@ -458,7 +526,8 @@ def test_generate_invalid_params():
 def test_generate_spike_trains_poisson_like():
     params = GenParams(clusters=1, pre_range=(50, 50), post_range=(2, 2),
                        density=0.2, spike_rate=100.0, duration=2.0, seed=3)
-    _, trains = generate_synthetic(params)
+    _, trace = generate_synthetic(params)
+    trains = trains_of(trace)
     counts = [len(t.times) for t in trains]
     mean_rate = sum(counts) / (50 * 2.0)
     assert 80 < mean_rate < 120
@@ -471,9 +540,9 @@ def test_spike_csv_round_trip(tmp_path):
     trains = [SpikeTrain(neuron=3, times=(0.001, 0.0025, 0.004)),
               SpikeTrain(neuron=7, times=(0.0001,))]
     path = tmp_path / "spikes.csv"
-    save_spikes(trains, path)
+    save_spikes(SpikeTrace.from_trains(trains), path)
     assert path.read_text() == "neuron,time_ns\n3,1000000\n3,2500000\n3,4000000\n7,100000\n"
-    assert load_spikes(path) == trains
+    assert load_spikes(path) == SpikeTrace.from_trains(trains)
 
 
 def test_spike_csv_header_check(tmp_path):
@@ -550,7 +619,8 @@ def test_load_spikes_matches_reference_loader(tmp_path_factory, text):
     """Same trains, bit for bit, or the same exception and message, on any trace."""
     path = tmp_path_factory.mktemp("trace") / "spikes.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert _spike_outcome(load_spikes, path) == _spike_outcome(load_spikes_reference, path)
+    assert _spike_outcome(lambda path: trains_of(load_spikes(path)), path) == \
+        _spike_outcome(load_spikes_reference, path)
 
 
 @pytest.mark.parametrize("text", ["neuron,time_ns\n", "neuron,time_ns", "neuron,time_ns\r\n\r\n\n\r"])
@@ -560,7 +630,7 @@ def test_load_spikes_reads_a_trace_without_rows_as_empty(tmp_path, text):
     path.write_bytes(text.encode())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert load_spikes(path) == []
+        assert load_spikes(path) == SpikeTrace((), ())
     assert caught == []
 
 
@@ -576,13 +646,13 @@ def test_load_spikes_names_the_line_of_a_neuron_cell_int_refuses(tmp_path, cell)
 
 def test_load_spikes_parses_written_traces_in_numpy(tmp_path, monkeypatch):
     """A trace as save_spikes writes it never reaches the checked csv reader."""
-    _, trains = generate_synthetic(GenParams(clusters=3, pre_range=(4, 9), post_range=(4, 9), density=0.3, seed=5))
+    _, trace = generate_synthetic(GenParams(clusters=3, pre_range=(4, 9), post_range=(4, 9), density=0.3, seed=5))
     path = tmp_path / "spikes.csv"
-    save_spikes(trains, path)
+    save_spikes(trace, path)
     expected = load_spikes_reference(path)
 
     def refuse(*args):
         raise AssertionError("the checked reader read a well-formed trace")
 
     monkeypatch.setattr(files, "read_table", refuse)
-    assert load_spikes(path) == expected
+    assert trains_of(load_spikes(path)) == expected
