@@ -125,8 +125,14 @@ def _sweep_range(text: str) -> range:
 
 
 def _state_mix(text: str) -> dict:
-    pairs = (part.partition("=") for part in text.split(","))
-    return {label.strip(): float(frac) for label, _, frac in pairs}
+    """LABEL=FRACTION pairs; a fraction that is not finite or a repeated label is refused."""
+    mix = {}
+    for label, _, frac in (part.partition("=") for part in text.split(",")):
+        label, value = label.strip(), float(frac)
+        if label in mix or not math.isfinite(value):
+            raise ValueError(text)
+        mix[label] = value
+    return mix
 
 
 def _int_set(text: str) -> list[int]:

@@ -34,8 +34,9 @@ STATE_LABELS = (LRS1, LRS2, LRS3, HRS)
 # cluster and placement columns store.
 _STATE_CODE = {label: code for code, label in enumerate(STATE_LABELS)}
 
-# The largest crossbar dimension N a spec takes. The latency evaluator builds
-# N x N float arrays (simulate._corner_extremes), 134 MB each at this bound.
+# The largest crossbar dimension N a spec takes. It bounds the O(N) arrays a
+# spec sizes: the tap delays of every cached setup (techmodel.tap_delays) and
+# the mapper's slot vectors. No evaluator builds an N x N array.
 MAX_N = 4096
 
 
@@ -54,7 +55,7 @@ class CrossbarSpec:
     """The tuple <N, N_h, N_l, P, Q> plus the control-granularity flag.
 
     Baseline (unpartitioned, unconstrained) is n_h = n_l = 0, p = q = n.
-    N is at most MAX_N.
+    N is at most MAX_N, which bounds the O(N) arrays built from a spec.
     """
 
     n: int

@@ -25,7 +25,6 @@ from .simulate import (
     _activity,
     _energy,
     _overall_extremes,
-    _setups,
     _SynapseTable,
     corner_extremes,
 )
@@ -120,9 +119,9 @@ def sweep_pq(networks, base_spec: CrossbarSpec, tech: TechnologyParams, grid,
         mapped = map_network(network, hardware)
         table = _SynapseTable(mapped.crossbars, tech)
         charge = table.charge(activity)
-        e0, l0, v0, _ = _evaluate_setups(table, charge, base, *_setups(mapped), activity)
         extents = [(int(xb.rows[xb.cluster.pre].max()), int(xb.cols[xb.cluster.post].max()))
                    for xb in mapped.crossbars]
+        e0, l0, v0, _ = _evaluate_setups(table, charge, base, *_point_setups(base, extents), activity)
         points = []
         for p, q in grid:
             spec = replace(base_spec, p=p, q=q)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import product
 from math import inf
 
 import numpy as np
@@ -296,6 +297,11 @@ def corner_extremes(spec: CrossbarSpec, tech: TechnologyParams,
     slowest current path the crossbar could ever exercise given its region
     rules, independent of any particular workload. Results are memoized in a
     bounded cache keyed on (spec, config, tech) and shared by every caller.
+
+    Each axis's tap delays are cut into bands at N_h and N - N_l. The region
+    rule is constant on every (row band, column band) pair, so each pair is
+    folded in whole from its bands' minima, maxima and sums, in O(N) memory.
+    Rounded addition is monotone: best and worst are the per-cell extremes.
     """
     return _corner_extremes(spec, tech, config)
 
@@ -303,19 +309,18 @@ def corner_extremes(spec: CrossbarSpec, tech: TechnologyParams,
 @lru_cache(maxsize=256)
 def _corner_extremes(spec: CrossbarSpec, tech: TechnologyParams, config: Configuration) -> LatencyStats:
     row, col = tap_delays(spec, config, tech)
-    base = row[:, None] + col[None, :]
-    r_idx = np.arange(len(row))[:, None]
-    c_idx = np.arange(len(col))[None, :]
+    cuts = (0, spec.n_h, spec.n - spec.n_l, spec.n)
+    rows = [(a, row[a:b]) for a, b in zip(cuts, cuts[1:]) if row[a:b].size]
+    cols = [(a, col[a:b]) for a, b in zip(cuts, cuts[1:]) if col[a:b].size]
     best, worst, total, count = inf, -inf, 0.0, 0
     for state in tech.states:
-        mask = ~_barred(r_idx, c_idx, _STATE_CODE[state.label], spec)
-        if not mask.any():
-            continue
-        totals = base[mask] + sense_latency(state, tech)
-        best = min(best, float(totals.min()))
-        worst = max(worst, float(totals.max()))
-        total += float(totals.sum())
-        count += totals.size
+        sense = sense_latency(state, tech)
+        for (i, r), (j, c) in product(rows, cols):
+            if not _barred(i, j, _STATE_CODE[state.label], spec):
+                best = min(best, float(r.min() + c.min() + sense))
+                worst = max(worst, float(r.max() + c.max() + sense))
+                total += len(c) * float(r.sum()) + len(r) * float(c.sum()) + len(r) * len(c) * sense
+                count += len(r) * len(c)
     return LatencyStats.of(best, worst, total / count)
 
 

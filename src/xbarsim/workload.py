@@ -483,8 +483,8 @@ class GenParams:
             raise InvalidParams(f"density must be in (0,1], got {self.density}")
         if set(self.state_mix) - set(STATE_LABELS):
             raise InvalidParams(f"unknown states in mix: {set(self.state_mix) - set(STATE_LABELS)}")
-        if any(v < 0 for v in self.state_mix.values()) or abs(sum(self.state_mix.values()) - 1.0) > 1e-9:
-            raise InvalidParams("state_mix fractions must be non-negative and sum to 1")
+        if not all(0 <= v <= 1 for v in self.state_mix.values()) or abs(sum(self.state_mix.values()) - 1.0) > 1e-9:
+            raise InvalidParams(f"state_mix fractions must be finite, in [0, 1] and sum to 1, got {self.state_mix}")
         if not (0 <= self.spike_rate < inf and 0 < self.duration <= MAX_DURATION):
             raise InvalidParams(f"spike_rate must be finite and >= 0, duration > 0 and at most {MAX_DURATION} s")
 

@@ -289,6 +289,8 @@ def test_readme_flow_never_reaches_the_checked_csv_reader(tmp_path, monkeypatch)
 @pytest.mark.parametrize("option, value", [
     ("--mix", "HRS=abc"),
     ("--mix", "HRS"),
+    ("--mix", "HRS=nan,LRS1=1"),
+    ("--mix", "HRS=0.5,LRS1=0.5,HRS=0.5"),
     ("--pre", "8:x"),
     ("--post", "8:x"),
     ("--post", "many"),

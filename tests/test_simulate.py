@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import inspect
+import tracemalloc
+from math import inf
 
 import numpy as np
 import pytest
@@ -48,7 +50,7 @@ from xbarsim import (
 from xbarsim import ControlMode
 from xbarsim.fixtures import isi_demo, mapping_demo_network
 from xbarsim import simulate, techmodel
-from xbarsim.crossbar import legal_configurations
+from xbarsim.crossbar import _STATE_CODE, MAX_N, _barred, legal_configurations
 from xbarsim.simulate import LatencyStats, synapse_latency_totals
 from xbarsim.techmodel import PRESETS, TechnologyParams
 from xbarsim.errors import (
@@ -371,6 +373,65 @@ def test_corner_extremes_match_brute_force_path_latency():
             assert stats.best == pytest.approx(min(totals), rel=1e-12)
             assert stats.worst == pytest.approx(max(totals), rel=1e-12)
             assert stats.mean == pytest.approx(sum(totals) / len(totals), rel=1e-12)
+
+
+def corner_extremes_by_mask(spec, tech, config) -> LatencyStats:
+    """Reference corner extremes: every active cell's row + col tap delay in
+    one N x N array, gathered through one region mask per state."""
+    row, col = tap_delays(spec, config, tech)
+    base = row[:, None] + col[None, :]
+    r_idx = np.arange(len(row))[:, None]
+    c_idx = np.arange(len(col))[None, :]
+    best, worst, total, count = inf, -inf, 0.0, 0
+    for state in tech.states:
+        mask = ~_barred(r_idx, c_idx, _STATE_CODE[state.label], spec)
+        if not mask.any():
+            continue
+        totals = base[mask] + sense_latency(state, tech)
+        best = min(best, float(totals.min()))
+        worst = max(worst, float(totals.max()))
+        total += float(totals.sum())
+        count += totals.size
+    return LatencyStats.of(best, worst, total / count)
+
+
+@st.composite
+def legal_specs(draw):
+    """Any legal spec of N <= 48, in either control mode."""
+    n = draw(st.integers(1, 48))
+    n_h = draw(st.integers(0, n))
+    n_l = draw(st.integers(0, n - n_h))
+    return CrossbarSpec(n=n, n_h=n_h, n_l=n_l, p=draw(st.integers(1, n)), q=draw(st.integers(1, n)),
+                        control=draw(st.sampled_from(ControlMode)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(legal_specs())
+@example(CrossbarSpec(n=12, n_h=6, n_l=3, p=4, q=9))                               # P < N_h
+@example(CrossbarSpec(n=10, n_h=4, n_l=6, p=7, q=10, control=ControlMode.SINGLE))  # N_h + N_l = N
+@example(CrossbarSpec(n=1, n_h=1))
+def test_corner_extremes_equal_mask_oracle(spec):
+    """The band kernel's best, worst, diff and ratio equal the per-cell mask
+    kernel's bit for bit; only the mean's summation order differs."""
+    for tech in PRESETS.values():
+        for config in legal_configurations(spec):
+            got = simulate._corner_extremes.__wrapped__(spec, tech, config)
+            want = corner_extremes_by_mask(spec, tech, config)
+            assert [v.hex() for v in (got.best, got.worst, got.diff, got.ratio)] == \
+                [v.hex() for v in (want.best, want.worst, want.diff, want.ratio)]
+            assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=0)
+
+
+def test_corner_extremes_allocate_no_n_by_n_array():
+    # One float N x N array at N = MAX_N is 134 MB; the kernel's state is O(N).
+    spec = CrossbarSpec(n=MAX_N, n_h=64, n_l=64, p=3000, q=3000)
+    tracemalloc.start()
+    try:
+        simulate._corner_extremes.__wrapped__(spec, TECH, CONFIG_11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_latency_stats_extremes_once_per_spec_and_config(rng, monkeypatch):

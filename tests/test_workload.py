@@ -515,6 +515,11 @@ def test_generate_invalid_params():
     with pytest.raises(InvalidParams):
         GenParams(clusters=1, pre_range=(1, 2), post_range=(1, 2), density=0.5,
                   duration=0.0)
+    # Every comparison with NaN is False, so a NaN fraction passes a sign check
+    # and a sum check; it would fail only in generate_synthetic's draw.
+    with pytest.raises(InvalidParams, match="state_mix"):
+        GenParams(clusters=1, pre_range=(1, 2), post_range=(1, 2), density=0.5,
+                  state_mix={"HRS": float("nan"), "LRS1": 1.0})
     # Rejected on construction, so generate_synthetic (which would never
     # return for an infinite duration) is not reached.
     for bad in ({"duration": float("inf")}, {"duration": float("nan")},
