@@ -42,7 +42,7 @@ from .reports import (
     write_sweep_csv,
 )
 from .simulate import activity_from_trains, energy_report, latency_stats, neuron_isi_distortion
-from .techmodel import PRESETS, TechnologyParams, load_tech
+from .techmodel import PRESETS, TechnologyParams, _require_finite, load_tech
 from .workload import GenParams, generate_synthetic, load_network, load_spikes, save_network, save_spikes
 
 TECH_DIR_ENV = "XBARSIM_TECH_DIR"
@@ -183,14 +183,18 @@ def cmd_simulate(args) -> int:
     placement = load_placement(args.placement)
     trace = load_spikes(args.spikes)
     tech = resolve_tech(args.node)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     latency = latency_stats(placement, tech)
     activity = activity_from_trains(trace, placement.routes, args.duration)
     energy = energy_report(placement, activity, tech)
     distortions = neuron_isi_distortion(placement, trace, tech)
+    stats = [latency.aggregate, latency.extremes] + [s for xb in latency.per_crossbar for s in (xb.placed, xb.extremes)]
+    _require_finite(tech, "latency", [x for s in stats for x in dataclasses.astuple(s)])
+    _require_finite(tech, "energy", [*dataclasses.astuple(energy), energy.total_j])
+    _require_finite(tech, "ISI distortion", distortions.values())
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_latency_csv(latency, out / "latency.csv")
     write_energy_csv(energy, out / "energy.csv")
     write_isi_csv(distortions, out / "isi.csv")

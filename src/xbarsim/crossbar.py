@@ -162,6 +162,16 @@ def legal_configurations(spec: CrossbarSpec) -> tuple[Configuration, ...]:
     return CONFIGURATIONS
 
 
+def _cheapest_config(max_row: int, max_col: int, spec: CrossbarSpec) -> Configuration:
+    """Cheapest legal configuration containing cells up to (max_row, max_col):
+    the rows expand to N only if a cell reaches row P, the columns only if one
+    reaches column Q, both at once under single control. P = Q = N reports '11'."""
+    rows_out, cols_out = max_row >= spec.p, max_col >= spec.q
+    if spec.p == spec.n and spec.q == spec.n or spec.control is ControlMode.SINGLE and (rows_out or cols_out):
+        return CONFIG_11
+    return CONFIGURATIONS[2 * cols_out + rows_out]
+
+
 def region_of(row: int, col: int, spec: CrossbarSpec) -> Region:
     """Region of the cell at 0-based (row, col)."""
     if not (0 <= row < spec.n and 0 <= col < spec.n):

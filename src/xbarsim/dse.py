@@ -2,12 +2,12 @@
 
 The P/Q sweep maps each workload once and builds its synapse table once
 (the cells and states of every crossbar, and their wordline charge under
-one seeded activity draw). At each candidate partition it picks the
-configurations once per extent class and re-evaluates, once per distinct
-configuration, only the terms that depend on it, then normalizes energy,
-mean path latency, and corner-extremes variation against the degenerate
-partition P = Q = N. The N_h/N_l sweep is pure geometry: how far the region
-rules pull the fastest and slowest achievable paths together.
+one seeded activity draw). At each candidate partition it picks each
+crossbar's configuration from its extent (crossbar._cheapest_config),
+re-evaluates once per distinct configuration what depends on it, then
+normalizes energy, mean path latency, and corner-extremes variation against
+the degenerate partition P = Q = N. The N_h/N_l sweep is pure geometry: how
+far the region rules pull the fastest and slowest achievable paths together.
 """
 
 from __future__ import annotations
@@ -17,18 +17,19 @@ from math import isfinite
 
 import numpy as np
 
-from .crossbar import CONFIG_11, CrossbarSpec
+from .crossbar import CONFIG_11, CrossbarSpec, _cheapest_config
 from .errors import InvalidGrid, NoFeasibleKnee, ValidationError
-from .mapper import Hardware, _cheapest_config, map_network
+from .mapper import Hardware, map_network
 from .simulate import (
     Activity,
     _activity,
     _energy,
     _overall_extremes,
+    _setups,
     _SynapseTable,
     corner_extremes,
 )
-from .techmodel import TechnologyParams
+from .techmodel import TechnologyParams, _require_finite
 from .workload import Network
 
 
@@ -69,23 +70,6 @@ def _evaluate_setups(table: _SynapseTable, charge, spec: CrossbarSpec, setups, a
     return float(energy), float(latencies.mean()), variation, expanded / len(at)
 
 
-def _point_setups(spec: CrossbarSpec, extents) -> tuple[list, np.ndarray]:
-    """(the distinct (spec, config) setups, each crossbar's index into them)
-    of crossbars with the given (max row, max column) extents on `spec`.
-
-    Every configuration spans P or N rows and Q or N columns, and every cell
-    lies below N, so a crossbar's cheapest configuration depends only on its
-    extent class (max row >= P, max column >= Q). It is picked once per
-    class, from the class's first crossbar.
-    """
-    classes = [(row >= spec.p, col >= spec.q) for row, col in extents]
-    index, of_class = {}, {}
-    for cls, extent in zip(classes, extents):
-        if cls not in of_class:
-            of_class[cls] = index.setdefault(_cheapest_config(*extent, spec), len(index))
-    return [(spec, config) for config in index], np.array([of_class[cls] for cls in classes], dtype=np.intp)
-
-
 def sweep_pq(networks, base_spec: CrossbarSpec, tech: TechnologyParams, grid,
              *, spike_rate: float = 30.0, duration: float = 1.0, seed: int = 0,
              names=None) -> list[list[SweepPoint]]:
@@ -95,11 +79,12 @@ def sweep_pq(networks, base_spec: CrossbarSpec, tech: TechnologyParams, grid,
     mapped once, at P = Q = N: the mapper's cell assignment reads only N,
     N_h and N_l, so every grid point reuses it. Its synapse table (cells,
     states and wordline charge) and its crossbars' extents are built once
-    too. A grid point picks configurations once per extent class (see
-    _point_setups) and re-evaluates only what depends on them: the path
-    latencies gathered from tap_delays, the far-cell multiplier, the static
-    weight and the corner extremes, each looked up once per distinct
-    configuration. A network that cannot be mapped raises Infeasible.
+    too. A grid point picks each crossbar's configuration from its extent
+    (crossbar._cheapest_config) and re-evaluates only what depends on them:
+    the path latencies gathered from tap_delays, the far-cell multiplier, the
+    static weight and the corner extremes, each looked up once per distinct
+    configuration. A network that cannot be mapped raises Infeasible; a
+    technology whose values overflow, or zero a P = Q = N value, ValidationError.
     """
     grid = list(grid)
     if not grid:
@@ -121,14 +106,19 @@ def sweep_pq(networks, base_spec: CrossbarSpec, tech: TechnologyParams, grid,
         charge = table.charge(activity)
         extents = [(int(xb.rows[xb.cluster.pre].max()), int(xb.cols[xb.cluster.post].max()))
                    for xb in mapped.crossbars]
-        e0, l0, v0, _ = _evaluate_setups(table, charge, base, *_point_setups(base, extents), activity)
-        points = []
-        for p, q in grid:
-            spec = replace(base_spec, p=p, q=q)
-            e, l, v, frac = _evaluate_setups(table, charge, spec, *_point_setups(spec, extents), activity)
-            points.append(SweepPoint(network=name, p=p, q=q,
-                                     norm_energy=e / e0, norm_latency=l / l0,
-                                     norm_variation=v / v0, expanded_fraction=frac))
+        scores = []
+        for spec in [base] + [replace(base_spec, p=p, q=q) for p, q in grid]:
+            setups, at = _setups((spec, _cheapest_config(row, col, spec)) for row, col in extents)
+            scores.append(_evaluate_setups(table, charge, spec, setups, at, activity))
+        (e0, l0, v0, _), *scores = scores
+        if not all(isfinite(x) and x != 0 for x in (e0, l0, v0)):
+            raise ValidationError(f"technology {tech.node_label!r}: {name!r} at P = Q = N has energy {e0}, "
+                                  f"mean latency {l0} and variation {v0}; the sweep needs them finite and non-zero")
+        points = [SweepPoint(network=name, p=p, q=q, norm_energy=e / e0, norm_latency=l / l0,
+                             norm_variation=v / v0, expanded_fraction=frac)
+                  for (p, q), (e, l, v, frac) in zip(grid, scores)]
+        _require_finite(tech, f"sweep value for {name!r}",
+                        [x for pt in points for x in (pt.norm_energy, pt.norm_latency, pt.norm_variation)])
         sweeps.append(points)
     return sweeps
 

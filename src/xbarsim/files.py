@@ -1,13 +1,13 @@
 """The file boundary: every JSON document and CSV table is read and written here.
 
-JSON is written as `json.dumps(doc, sort_keys=True, separators=(",", ":"))`
-and a newline: compact, on one line, encoded by json's C encoder before the
-file is opened. `python -m json.tool` lays such a file out for reading. JSON
-is read by the C scanner, which refuses the NaN and Infinity tokens. CSV is
-written in the csv module's default dialect (CRLF line ends). A numeric table
-is parsed whole by numpy's C text reader, and read again by the checked reader
-if numpy refuses anything in it, so that it gives the checked reader's values
-and errors. The checked reader, read_table, reads any table row by row.
+JSON is written as `json.dumps(doc, sort_keys=True, separators=(",", ":"),
+allow_nan=False)` and a newline: compact, on one line, encoded by json's C
+encoder before the file is opened. `python -m json.tool` lays it out for
+reading. JSON is read by the C scanner. Neither takes NaN or Infinity. CSV
+is written in the csv module's default dialect (CRLF line ends). A numeric
+table is parsed whole by numpy's C text reader, and read again by the checked
+reader if numpy refuses anything in it, so that it gives the checked reader's
+values and errors. The checked reader, read_table, reads any table row by row.
 
 Undecodable input (bad JSON or CSV, non-UTF-8 bytes, an integer literal
 beyond Python's digit limit, a wrong header or row width, a bad value) raises
@@ -50,9 +50,9 @@ def read_json(path):
 
 
 def write_json(doc, path) -> None:
-    """`doc` as compact JSON with sorted keys, on one line. The text is encoded
-    before `path` is opened, so a document json refuses leaves the file as it was."""
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """`doc` as compact JSON with sorted keys, on one line; a NaN or infinity is json's ValueError.
+    The text is encoded before `path` is opened, so a document json refuses leaves the file as it was."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 

@@ -3,10 +3,12 @@
 Placement pushes HRS-heavy neurons toward low row/column indices (the short
 paths, where region A admits only HRS) and keeps every synapse on a cell
 whose region permits its state. Configuration selection then picks the
-cheapest array shape that contains the used cells, so the full '11' shape is
-used only when nothing smaller holds them. An Assignment and a
-CrossbarPlacement are each a cluster and two seat vectors; a synapse's cell
-is derived from them, never stored.
+cheapest array shape that contains the used cells by a closed-form rule
+(crossbar._cheapest_config): it expands the rows only if a cell reaches row
+P and the columns only if one reaches column Q (both together under single
+control), so '11' is used only when nothing smaller holds them. An
+Assignment and a CrossbarPlacement are each a cluster and two seat vectors;
+a synapse's cell is derived from them, never stored.
 
 The algorithm is greedy-with-repair and fully deterministic. Its only state
 is two seat vectors: `rows` (a row per pre-neuron index) and `cols`.
@@ -30,12 +32,10 @@ is two seat vectors: `rows` (a row per pre-neuron index) and `cols`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .crossbar import (
-    CONFIG_11,
     HRS,
     LRS1,
     STATE_LABELS,
@@ -43,10 +43,9 @@ from .crossbar import (
     Configuration,
     CrossbarSpec,
     _barred,
+    _cheapest_config,
     config_by_name,
     config_dimensions,
-    legal_configurations,
-    static_energy_weight,
 )
 from .errors import CapacityExceeded, IllegalConfig, Infeasible, ValidationError
 from .files import _brief, json_ints, read_json, write_json
@@ -488,28 +487,6 @@ def select_configuration(assignment: Assignment, spec: CrossbarSpec) -> Configur
     return _cheapest_config(assignment.rows[c.pre].max(), assignment.cols[c.post].max(), spec)
 
 
-def _cheapest_config(max_row: int, max_col: int, spec: CrossbarSpec) -> Configuration:
-    """Cheapest legal configuration containing cells up to (max_row, max_col).
-
-    Weight ties can only occur between configurations with identical
-    dimensions (degenerate P or Q); they go to the one with fewer control
-    bits raised. A fully degenerate partition (P = Q = N) has no isolation
-    transistors at all and reports the baseline '11'.
-    """
-    if spec.p == spec.n and spec.q == spec.n:
-        return CONFIG_11
-    return next(config for rows, cols, config in _config_candidates(spec) if max_row < rows and max_col < cols)
-
-
-@lru_cache(maxsize=64)
-def _config_candidates(spec: CrossbarSpec) -> tuple[tuple[int, int, Configuration], ...]:
-    """(rows, cols, configuration) of each legal configuration, cheapest
-    first: by static energy weight, then by control bits raised."""
-    ranked = sorted(legal_configurations(spec), key=lambda config: (
-        static_energy_weight(config, spec), config.wl_iso_ctrl + config.bl_iso_ctrl))
-    return tuple((*config_dimensions(config, spec), config) for config in ranked)
-
-
 def _map_clusters(network: Network, hardware: Hardware, seats) -> Placement:
     """First-fit in descending synapse count; seats(cluster) gives a cluster's seat vectors."""
     if len(network.clusters) > hardware.crossbar_count:
@@ -645,6 +622,8 @@ def placement_from_json(doc: dict) -> Placement:
             )
             for x in doc["crossbars"]
         )
+        if not crossbars:
+            raise ValueError("crossbars: a placement document needs at least one crossbar")
         return Placement(crossbars=crossbars,
                          crossbar_count=json_ints([doc["crossbar_count"]], "crossbar_count")[0],
                          routes=_routes_from_json(doc.get("routes", [])))

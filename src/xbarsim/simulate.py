@@ -244,11 +244,11 @@ def _laid(arrays, width: int) -> np.ndarray:
     return out
 
 
-def _setups(placement: Placement) -> tuple[list, np.ndarray]:
-    """(the distinct (spec, config) setups of the placement's crossbars in
-    first-use order, each crossbar's index into them)."""
+def _setups(pairs) -> tuple[list, np.ndarray]:
+    """(the distinct (spec, config) setups in first-use order, each
+    crossbar's index into them), given one (spec, config) pair per crossbar."""
     index = {}
-    at = [index.setdefault((xb.spec, xb.config), len(index)) for xb in placement.crossbars]
+    at = [index.setdefault(pair, len(index)) for pair in pairs]
     return list(index), np.array(at, dtype=np.intp)
 
 
@@ -343,7 +343,7 @@ def latency_stats(placement: Placement, tech: TechnologyParams) -> LatencyReport
     if not placement.crossbars:
         raise EmptyPlacement("placement maps no crossbars")
     table = _SynapseTable(placement.crossbars, tech)
-    setups, at = _setups(placement)
+    setups, at = _setups((xb.spec, xb.config) for xb in placement.crossbars)
     totals, _ = table.evaluate(setups, at)
     extremes = [corner_extremes(spec, tech, config) for spec, config in setups]
     placed = np.split(totals, np.cumsum(table.sizes)[:-1])  # per crossbar
@@ -399,7 +399,7 @@ def neuron_isi_distortion(placement: Placement, trace: SpikeTrace, tech: Technol
     if unplaced.size:
         raise UnknownNeuron(f"neuron {ids[unplaced[0]]} spikes but is not placed as a pre-synaptic neuron")
     posts = np.unique(post_ids)
-    delay, _ = table.evaluate(*_setups(placement))
+    delay, _ = table.evaluate(*_setups((xb.spec, xb.config) for xb in placement.crossbars))
     # Each placed pre-neuron's run in the trace, where it has one.
     run = np.searchsorted(ids, pre_ids)
     has = run < len(ids)
@@ -443,7 +443,7 @@ def energy_report(placement: Placement, activity: Activity, tech: TechnologyPara
     expansion (2x); collapsed-region accesses stay at 1x.
     """
     table = _SynapseTable(placement.crossbars, tech)
-    setups, at = _setups(placement)
+    setups, at = _setups((xb.spec, xb.config) for xb in placement.crossbars)
     return _energy(setups, at, table.evaluate(setups, at, table.charge(activity))[1], activity, tech)
 
 

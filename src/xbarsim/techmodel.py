@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from math import inf
+from math import inf, isfinite
 
 import numpy as np
 
@@ -161,6 +161,13 @@ def load_tech(path) -> TechnologyParams:
 
 def save_tech(tech: TechnologyParams, path) -> None:
     write_json(tech.to_json(), path)
+
+
+def _require_finite(tech: TechnologyParams, what: str, values) -> None:
+    """Refuse non-finite values, naming the technology: each of its parameters
+    is finite, but their products and sums can overflow."""
+    if not all(map(isfinite, values)):
+        raise ValidationError(f"technology {tech.node_label!r} gives a non-finite {what}: its values overflow")
 
 
 _C_WL_45 = 0.4  # chosen so r_wl * c_wl = 1 at 45nm

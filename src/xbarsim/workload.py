@@ -416,6 +416,8 @@ def network_from_json(doc: dict) -> Network:
         _object(doc, "document", "network", ("clusters",))
         clusters = tuple(_cluster_from_json(c, f"clusters[{i}]")
                          for i, c in enumerate(_objects(doc["clusters"], "clusters", "cluster")))
+        if not clusters:
+            raise ValueError("clusters: a network document needs at least one cluster")
         routes = _routes_from_json(doc.get("routes", []))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad network document: {exc}") from exc

@@ -228,6 +228,7 @@ BAD_PLACEMENTS = {
     "cluster-repeated": lambda doc: doc["crossbars"][1]["cluster"].update(id=doc["crossbars"][0]["cluster"]["id"]),
     "route-src-cluster-missing": lambda doc: doc["routes"][0].update(src_cluster=99),
     "route-dst-neuron-missing": lambda doc: doc["routes"][0].update(dst_neuron=99),
+    "crossbars-empty": lambda doc: doc.update(crossbars=[]),
 }
 
 
@@ -243,6 +244,7 @@ BAD_NETWORKS = {
     "id-inf": _first_cluster(lambda cluster: cluster.update(id=math.inf)),
     "cluster-not-an-object": lambda doc: doc["clusters"].__setitem__(0, 3),
     "clusters-not-a-list": lambda doc: doc.update(clusters=3),
+    "clusters-empty": lambda doc: doc.update(clusters=[]),
     "cluster-pre-missing": _first_cluster(lambda cluster: cluster.pop("pre")),
     "route-not-an-object": lambda doc: doc["routes"].__setitem__(0, 3),
     "routes-not-a-list": lambda doc: doc.update(routes=3),
@@ -269,6 +271,8 @@ def write_boundary_files(directory):
     no float holds), tech-inf.json and tech-nan.json (a non-finite energy),
     tech-bool.json and tech-string.json (an energy of true and of "2.36e-11"),
     tech-ohms-bool.json (a state of true ohms), tech-node-int.json (node 5),
+    tech-c-sense-overflow.json and tech-t-iso-overflow.json (finite values,
+    c_sense 1e305 and t_iso_on 1.7e308, whose latencies overflow),
     net-<name>.json for each BAD_NETWORKS entry and placement-<name>.json for
     each BAD_PLACEMENTS entry.
     """
@@ -306,6 +310,8 @@ def write_boundary_files(directory):
     states[0]["ohms"] = True
     (directory / "tech-ohms-bool.json").write_text(json.dumps({**tech, "states": states}))
     (directory / "tech-node-int.json").write_text(json.dumps({**tech, "node": 5}))
+    (directory / "tech-c-sense-overflow.json").write_text(json.dumps({**tech, "c_sense": 1e305}))
+    (directory / "tech-t-iso-overflow.json").write_text(json.dumps({**tech, "t_iso_on": 1.7e308}))
     doc = json.loads((directory / "net.json").read_text())
     for name, edit in BAD_NETWORKS.items():
         bad = copy.deepcopy(doc)

@@ -380,6 +380,13 @@ MALFORMED_INPUTS = {
     "gen-seed-negative": ["gen", "--clusters", "2", "--seed", "-1", "--out-network", "out", "--out-spikes", "out"],
     "dse-seed-negative": _dse("--seed", "-1"),
     "dse-tolerance-nan": _dse("--tolerance", "nan"),
+    # empty documents, and a technology whose finite values overflow in the evaluation
+    "map-crossbars-1-network-clusters-empty": _map("--crossbars", "1", network="net-clusters-empty.json"),
+    "dse-network-clusters-empty": ["dse", "--networks", "net-clusters-empty.json", "--spec", "spec.json",
+                                   "--grid", "2,4", "--out", "out"],
+    "simulate-node-c-sense-overflow": _simulate("--node", "tech-c-sense-overflow.json"),
+    "dse-node-c-sense-overflow": _dse("--node", "tech-c-sense-overflow.json"),
+    "dse-node-t-iso-overflow": _dse("--node", "tech-t-iso-overflow.json"),
 }
 
 
@@ -413,6 +420,10 @@ MALFORMED_ERRORS = {
     "network-route-not-an-object": "error: bad network document: routes[0]: expected a route object, got 3\n",
     "network-routes-not-a-list": "error: bad network document: routes: expected a list of route objects, got 3\n",
     "placement-cluster-not-an-object": "error: bad placement document: cluster: expected a cluster object, got [3]\n",
+    "network-clusters-empty": "error: bad network document: clusters: a network document needs at least one cluster\n",
+    "placement-crossbars-empty":
+        "error: bad placement document: crossbars: a placement document needs at least one crossbar\n",
+    "simulate-node-c-sense-overflow": "error: technology '16nm' gives a non-finite latency: its values overflow\n",
 }
 
 
@@ -428,6 +439,19 @@ def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, name):
     assert not (tmp_path / "out").exists()
     if name in MALFORMED_ERRORS:
         assert err == MALFORMED_ERRORS[name]
+
+
+def test_simulate_overflowing_isolation_delay_is_usage_error(tmp_path, capsys):
+    # t_iso_on = 1.7e308 is finite, but a path through a closed isolation transistor overflows.
+    _, spk_path, _, place_path, _ = _pipeline(tmp_path)
+    tech_path = tmp_path / "tech.json"
+    tech_path.write_text(json.dumps({**preset("16nm").to_json(), "t_iso_on": 1.7e308}))
+    out = tmp_path / "overflow"
+    assert run(["simulate", "--placement", str(place_path), "--spikes", str(spk_path), "--duration", "0.2",
+                "--node", str(tech_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: technology '16nm' gives a non-finite latency: its values overflow\n"
+    assert not out.exists()
 
 
 def test_version_flag():

@@ -28,7 +28,7 @@ from xbarsim import (
 )
 from xbarsim.errors import Infeasible, InvalidGrid, NoFeasibleKnee, ValidationError
 from xbarsim.fixtures import mapping_demo_network
-from xbarsim.mapper import _cheapest_config
+from xbarsim.crossbar import _cheapest_config
 from xbarsim.simulate import _setups, _SynapseTable
 
 from conftest import planted_cluster
@@ -136,8 +136,8 @@ def test_sweep_maps_each_network_once(monkeypatch):
 
 
 def test_sweep_work_per_point_scales_with_configurations(monkeypatch):
-    # Per network and grid point, sweep_pq picks configurations at most once
-    # per extent class, and gathers tap delays and corner extremes once per
+    # Per network and grid point, sweep_pq picks each crossbar's configuration
+    # by one O(1) call, and gathers tap delays and corner extremes once per
     # distinct configuration, however many crossbars share it.
     nets = [fitting_network(seed=5, hi=100), fitting_network(seed=6, hi=120)]
     base = CrossbarSpec(n=128, n_h=16, n_l=16)
@@ -180,16 +180,26 @@ def test_sweep_work_per_point_scales_with_configurations(monkeypatch):
             configs = sorted({_cheapest_config(*(int(c.max()) for c in xb.cells()), spec).name
                               for xb in mapped.crossbars})
             most = max(most, len(configs))
-            assert sum(name == "cheapest" for name, _ in events) <= 4
+            assert sum(name == "cheapest" for name, _ in events) == len(mapped.crossbars)
             assert sorted(args[1].name for name, args in events if name == "taps") == configs
             assert sorted(args[2].name for name, args in events if name == "extremes") == configs
     assert most == 4  # some point mixes all four configurations
 
 
+@pytest.mark.parametrize("field, value", [("c_sense", 1e305), ("t_iso_on", 1.7e308)])
+def test_sweep_refuses_a_technology_whose_values_overflow(field, value):
+    # Every value is finite, but the latencies (c_sense) or the partitioned
+    # points' latencies through an isolation transistor (t_iso_on) are not.
+    tech = dataclasses.replace(TECH, **{field: value})
+    with pytest.raises(ValidationError, match="^technology '16nm'"):
+        sweep_pq([fitting_network(seed=1)], CrossbarSpec(n=128), tech, [(16, 16), (128, 128)])
+
+
 def _evaluate(placement, spec, tech, activity):
     """(energy, mean path latency, corner-extremes variation, expanded fraction) of a placement on `spec`."""
     table = _SynapseTable(placement.crossbars, tech)
-    return dse_mod._evaluate_setups(table, table.charge(activity), spec, *_setups(placement), activity)
+    setups, at = _setups((xb.spec, xb.config) for xb in placement.crossbars)
+    return dse_mod._evaluate_setups(table, table.charge(activity), spec, setups, at, activity)
 
 
 def test_seeded_activity_equals_per_neuron_scalar_draws():

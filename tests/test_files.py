@@ -307,7 +307,7 @@ def test_read_table_rejects_malformed_tables(tmp_path, text, message):
         list(read_table(path, {"a": int, "b": int}, "test"))
 
 
-# --- write_json: the bytes of json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+# --- write_json: the bytes of json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 # strings built from JSON's structural characters, escapes and non-ASCII text
 _TRICKY_TEXT = st.lists(st.sampled_from(["\0", "}", "{", ",", ": ", "}\0{", '"', "\\", "\n", "a", "\u00e9",
@@ -324,7 +324,7 @@ def _containers(children):
 
 
 def _expected(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _assert_written(path, doc):
@@ -340,9 +340,29 @@ def _assert_written(path, doc):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=st.recursive(_SCALARS, _containers, max_leaves=20))
 def test_write_json_matches_json_dumps(tmp_path, doc):
+    # A document with a NaN or infinite number is json's ValueError, and no file is written.
     path = tmp_path / "doc.json"
+    path.unlink(missing_ok=True)  # tmp_path is shared by every example
+    try:
+        _expected(doc)
+    except ValueError as theirs:
+        with pytest.raises(ValueError) as ours:
+            write_json(doc, path)
+        assert str(ours.value) == str(theirs)
+        assert not path.exists()
+        return
     write_json(doc, path)
     _assert_written(path, doc)
+
+
+@pytest.mark.parametrize("doc", [{"x": float("inf")}, [float("nan")], {"a": [1.0, -float("inf")]}, {float("inf"): 1}])
+def test_write_json_refuses_non_finite_numbers_and_keeps_the_earlier_file(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    write_json({"kept": [1, 2, 3]}, path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(doc, path)
+    assert path.read_bytes() == before
 
 
 def test_write_json_matches_json_dumps_on_readme_size_documents(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -35,11 +36,11 @@ from xbarsim import (
     static_energy_weight,
     synapse_utilization,
 )
-from xbarsim.crossbar import HRS, LRS1, STATE_LABELS, _STATE_CODE, legal_configurations
+from xbarsim.crossbar import HRS, LRS1, STATE_LABELS, _STATE_CODE, _cheapest_config, legal_configurations
 from xbarsim.fixtures import mapping_demo_network
 from xbarsim import mapper
 from xbarsim.mapper import _swap_repair, _violations, load_placement
-from xbarsim.workload import _sorted_pairs
+from xbarsim.workload import _sorted_pairs, network_from_json, network_to_json
 from xbarsim.errors import CapacityExceeded, Infeasible, ValidationError
 
 from conftest import MEMO_SPECS, planted_cluster, random_cluster, seated_cluster
@@ -595,7 +596,26 @@ def cheapest_config_reference(max_row, max_col, spec):
 def test_cheapest_config_matches_reference(spec):
     for max_row in range(spec.n):
         for max_col in range(spec.n):
-            assert mapper._cheapest_config(max_row, max_col, spec) is cheapest_config_reference(max_row, max_col, spec)
+            assert _cheapest_config(max_row, max_col, spec) is cheapest_config_reference(max_row, max_col, spec)
+
+
+def test_cheapest_config_matches_reference_on_every_small_spec():
+    # Every spec with N 1-8: every P and Q, both control modes, every extent
+    # (17,544 cases). The rule reads neither N_h nor N_l.
+    for n in range(1, 9):
+        for p, q, control in itertools.product(range(1, n + 1), range(1, n + 1), ControlMode):
+            test_cheapest_config_matches_reference(CrossbarSpec(n=n, p=p, q=q, control=control))
+
+
+def test_empty_documents_are_refused_but_the_empty_network_maps():
+    # Network(()) maps to a placement of no crossbars (which the evaluators
+    # refuse as EmptyPlacement), but neither document may be empty.
+    placement = map_network(Network(()), Hardware(crossbar_count=1, spec=CrossbarSpec(n=4)))
+    assert placement.crossbars == ()
+    with pytest.raises(ValidationError, match="^bad placement document: crossbars: .* at least one crossbar$"):
+        mapper.placement_from_json(mapper.placement_to_json(placement))
+    with pytest.raises(ValidationError, match="^bad network document: clusters: .* at least one cluster$"):
+        network_from_json(network_to_json(Network(())))
 
 
 def test_map_network_fixture_utilizations():

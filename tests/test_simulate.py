@@ -720,7 +720,8 @@ def test_kernel_matches_cell_by_cell_oracle(case, tech):
     cell, and its access energy the per-synapse sum, bit for bit."""
     placement, activity = case
     table = simulate._SynapseTable(placement.crossbars, tech)
-    latencies, access_j = table.evaluate(*simulate._setups(placement), table.charge(activity))
+    setups, at = simulate._setups((xb.spec, xb.config) for xb in placement.crossbars)
+    latencies, access_j = table.evaluate(setups, at, table.charge(activity))
     expected = [t for xb in placement.crossbars for t in latencies_by_cell(xb, tech)]
     assert np.array_equal(latencies, expected)
     assert access_j == access_overhead_by_synapse(placement, activity, tech)
@@ -934,7 +935,7 @@ def isi_reference(placement, trains, tech) -> dict:
     by_neuron = spike_times_reference(placement, trains)
     posts = np.unique(np.array([nid for xb in placement.crossbars for nid in xb.cluster.post_neurons], np.intp))
     table = simulate._SynapseTable(placement.crossbars, tech)
-    delay, _ = table.evaluate(*simulate._setups(placement))
+    delay, _ = table.evaluate(*simulate._setups((xb.spec, xb.config) for xb in placement.crossbars))
     (pre_ids, of_pre), (post_ids, of_post) = table.pre, table.post
     times = [by_neuron.get(nid, ()) for nid in pre_ids.tolist()]
     spikes = np.array([len(t) for t in times], dtype=float)
