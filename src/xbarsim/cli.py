@@ -13,6 +13,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import cost_per_bit, die_area_overhead, total_bits
 from .crossbar import (
@@ -184,10 +186,11 @@ def cmd_simulate(args) -> int:
     trace = load_spikes(args.spikes)
     tech = resolve_tech(args.node)
 
-    latency = latency_stats(placement, tech)
-    activity = activity_from_trains(trace, placement.routes, args.duration)
-    energy = energy_report(placement, activity, tech)
-    distortions = neuron_isi_distortion(placement, trace, tech)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing technology is refused below
+        latency = latency_stats(placement, tech)
+        activity = activity_from_trains(trace, placement.routes, args.duration)
+        energy = energy_report(placement, activity, tech)
+        distortions = neuron_isi_distortion(placement, trace, tech)
     stats = [latency.aggregate, latency.extremes] + [s for xb in latency.per_crossbar for s in (xb.placed, xb.extremes)]
     _require_finite(tech, "latency", [x for s in stats for x in dataclasses.astuple(s)])
     _require_finite(tech, "energy", [*dataclasses.astuple(energy), energy.total_j])

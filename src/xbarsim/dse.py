@@ -107,9 +107,10 @@ def sweep_pq(networks, base_spec: CrossbarSpec, tech: TechnologyParams, grid,
         extents = [(int(xb.rows[xb.cluster.pre].max()), int(xb.cols[xb.cluster.post].max()))
                    for xb in mapped.crossbars]
         scores = []
-        for spec in [base] + [replace(base_spec, p=p, q=q) for p, q in grid]:
-            setups, at = _setups((spec, _cheapest_config(row, col, spec)) for row, col in extents)
-            scores.append(_evaluate_setups(table, charge, spec, setups, at, activity))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing technology is refused below
+            for spec in [base] + [replace(base_spec, p=p, q=q) for p, q in grid]:
+                setups, at = _setups((spec, _cheapest_config(row, col, spec)) for row, col in extents)
+                scores.append(_evaluate_setups(table, charge, spec, setups, at, activity))
         (e0, l0, v0, _), *scores = scores
         if not all(isfinite(x) and x != 0 for x in (e0, l0, v0)):
             raise ValidationError(f"technology {tech.node_label!r}: {name!r} at P = Q = N has energy {e0}, "

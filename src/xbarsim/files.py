@@ -130,16 +130,15 @@ _NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def read_numeric_columns(path, header: dict, what: str, earlier: dict | None = None) -> list[np.ndarray]:
-    """A whole CSV table of numbers, one numpy array per column.
+    """A whole CSV table of integers, one numpy array per column.
 
-    `header` maps each column name, in order, to the numpy dtype of its
-    cells: a float dtype, parsed as float() parses, or an integer dtype,
-    parsed as int() parses and refused outside the dtype's range. `earlier`
-    is read_table's.
+    `header` maps each column name, in order, to the integer numpy dtype of
+    its cells, parsed as int() parses and refused outside the dtype's range.
+    `earlier` is read_table's.
 
     numpy.loadtxt's C reader parses an ASCII table. On such text it refuses
-    every cell that int() or float() refuses and reads the same value where
-    both accept one; it warns on a table with no rows. Any error or warning
+    every cell that int() refuses and reads the same value where both
+    accept one; it warns on a table with no rows. Any error or warning
     from it hands the file to read_table, which reads it again from the start,
     row by row: it raises the ParseError that names the bad line, or returns
     what only Python accepts (1_000, digits outside ASCII). Both paths thus
@@ -164,9 +163,7 @@ def read_numeric_columns(path, header: dict, what: str, earlier: dict | None = N
 
 
 def _cell_parser(name: str, dtype):
-    """The checked parse of a cell of column `name`: float(), or int() within the range of the integer `dtype`."""
-    if np.issubdtype(dtype, np.floating):
-        return float
+    """The checked parse of a cell of column `name`: int() within the range of the integer `dtype`."""
     low, high = np.iinfo(dtype).min, np.iinfo(dtype).max
 
     def parse(cell: str) -> int:

@@ -8,7 +8,9 @@ cheapest array shape that contains the used cells by a closed-form rule
 P and the columns only if one reaches column Q (both together under single
 control), so '11' is used only when nothing smaller holds them. An
 Assignment and a CrossbarPlacement are each a cluster and two seat vectors;
-a synapse's cell is derived from them, never stored.
+a synapse's cell is derived from them, never stored. Both mappers place a
+cluster by an Assignment (map_network's from assign_cluster) and
+select_configuration.
 
 The algorithm is greedy-with-repair and fully deterministic. Its only state
 is two seat vectors: `rows` (a row per pre-neuron index) and `cols`.
@@ -72,12 +74,6 @@ class Assignment:
     cluster: Cluster
     rows: np.ndarray
     cols: np.ndarray
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.cluster == other.cluster and np.array_equal(self.rows, other.rows)
-                and np.array_equal(self.cols, other.cols))
 
     @property
     def row_of_pre(self) -> dict:
@@ -262,20 +258,23 @@ def assign_cluster(cluster: Cluster, spec: CrossbarSpec) -> Assignment:
     return Assignment(cluster, *_seats(cluster, spec))
 
 
-def _seats(cluster: Cluster, spec: CrossbarSpec) -> tuple[np.ndarray, np.ndarray]:
-    """assign_cluster's seat vectors: a row per pre-neuron index and a column
-    per post-neuron index, as read-only intp arrays."""
-    n = spec.n
+def _require_fit(cluster: Cluster, n: int) -> None:
+    """Raise Infeasible if the cluster's neurons outnumber an n x n crossbar's rows or columns."""
     n_pre, n_post = len(cluster.pre_neurons), len(cluster.post_neurons)
     if n_pre > n or n_post > n:
         raise Infeasible(f"cluster {cluster.id} ({n_pre}x{n_post}) exceeds {n}x{n} crossbar",
                          cluster_id=cluster.id,
                          violations=[f"cluster dimensions {n_pre}x{n_post}"])
 
+
+def _seats(cluster: Cluster, spec: CrossbarSpec) -> tuple[np.ndarray, np.ndarray]:
+    """assign_cluster's seat vectors: a row per pre-neuron index and a column
+    per post-neuron index, as read-only intp arrays."""
+    _require_fit(cluster, spec.n)
     is_hrs = cluster.state == _STATE_CODE[HRS]
     not_hrs, not_lrs1 = ~is_hrs, cluster.state != _STATE_CODE[LRS1]
-    hrs_pre = np.bincount(cluster.pre[is_hrs], minlength=n_pre)
-    hrs_post = np.bincount(cluster.post[is_hrs], minlength=n_post)
+    hrs_pre = np.bincount(cluster.pre[is_hrs], minlength=len(cluster.pre_neurons))
+    hrs_post = np.bincount(cluster.post[is_hrs], minlength=len(cluster.post_neurons))
     # Seats by descending HRS count, ties in index order: a stable sort's ranks.
     rows = np.argsort(np.argsort(-hrs_pre, kind="stable"))
     cols = np.argsort(np.argsort(-hrs_post, kind="stable"))
@@ -377,7 +376,10 @@ def _band_stage(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols)
                 domain[v] = old
 
     def propagate(var, band):
-        # Commits var (plus everything it forces) or rolls itself back.
+        # Commits var (plus everything it forces) or rolls itself back. A
+        # queued variable is uncommitted and its domain holds its band: the
+        # caller checks var, a forced one is queued once, when its domain
+        # shrinks to that band, and a later cut of it ends the trial.
         undo = []
         queue = [(var, band)]
         qi = 0
@@ -385,12 +387,7 @@ def _band_stage(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols)
         while ok and qi < len(queue):
             v, b = queue[qi]
             qi += 1
-            if committed[v] == b:
-                continue
             axis = int(v >= n_pre)
-            if committed[v] != -1 or not domain[v] & (1 << b):
-                ok = False
-                break
             undo.append((v, -1))  # commit marker
             committed[v] = b
             used[axis][b] += 1
@@ -398,9 +395,9 @@ def _band_stage(cluster, not_hrs, not_lrs1, spec, hrs_pre, hrs_post, rows, cols)
                 # Cut band b from each uncommitted partner's domain, logging
                 # the old domain. A partner left with no band fails the trial;
                 # one left with a single band is forced. No committed partner
-                # holds b: adjacency is symmetric, so its own commit cut b from
-                # v, and v's commit check fails first. The cut is inlined, as a
-                # call per partner costs more than the cut.
+                # holds b: adjacency is symmetric, so its commit cut b from v's
+                # domain. The cut is inlined, as a call per partner costs more
+                # than the cut.
                 bit = 1 << b
                 for w in (adj_near if b == NEAR else adj_far)[v]:
                     if committed[w] != -1:
@@ -487,24 +484,23 @@ def select_configuration(assignment: Assignment, spec: CrossbarSpec) -> Configur
     return _cheapest_config(assignment.rows[c.pre].max(), assignment.cols[c.post].max(), spec)
 
 
-def _map_clusters(network: Network, hardware: Hardware, seats) -> Placement:
-    """First-fit in descending synapse count; seats(cluster) gives a cluster's seat vectors."""
+def _map_clusters(network: Network, hardware: Hardware, assign) -> Placement:
+    """First-fit in descending synapse count; assign(cluster) gives a cluster's Assignment."""
     if len(network.clusters) > hardware.crossbar_count:
         raise CapacityExceeded(f"{len(network.clusters)} clusters > {hardware.crossbar_count} crossbars")
     spec = hardware.spec
     order = sorted(network.clusters, key=lambda c: (-len(c.state), c.id))
     crossbars = []
     for crossbar_id, cluster in enumerate(order):
-        rows, cols = seats(cluster)
-        config = _cheapest_config(rows[cluster.pre].max(), cols[cluster.post].max(), spec)
-        crossbars.append(CrossbarPlacement(crossbar_id, cluster, spec, config, rows, cols))
+        a = assign(cluster)
+        crossbars.append(CrossbarPlacement(crossbar_id, cluster, spec, select_configuration(a, spec), a.rows, a.cols))
     return Placement(crossbars=tuple(crossbars), crossbar_count=hardware.crossbar_count,
                      routes=network.routes)
 
 
 def map_network(network: Network, hardware: Hardware) -> Placement:
     """Map clusters to crossbars, first-fit in descending synapse count."""
-    return _map_clusters(network, hardware, lambda cluster: _seats(cluster, hardware.spec))
+    return _map_clusters(network, hardware, lambda cluster: assign_cluster(cluster, hardware.spec))
 
 
 def map_network_control(network: Network, hardware: Hardware, seed: int = 0) -> Placement:
@@ -519,10 +515,11 @@ def map_network_control(network: Network, hardware: Hardware, seed: int = 0) -> 
     rng = np.random.default_rng(seed)
 
     def shuffled(cluster):
-        n_pre, n_post = len(cluster.pre_neurons), len(cluster.post_neurons)
-        if n_pre > spec.n or n_post > spec.n:
-            raise Infeasible(f"cluster {cluster.id} exceeds crossbar", cluster_id=cluster.id)
-        return rng.permutation(spec.n)[:n_pre], rng.permutation(spec.n)[:n_post]
+        _require_fit(cluster, spec.n)
+        rows = rng.permutation(spec.n)[:len(cluster.pre_neurons)]
+        cols = rng.permutation(spec.n)[:len(cluster.post_neurons)]
+        rows.flags.writeable = cols.flags.writeable = False
+        return Assignment(cluster, rows, cols)
 
     return _map_clusters(network, hardware, shuffled)
 

@@ -83,21 +83,10 @@ class TechnologyParams:
     states: tuple = DEFAULT_STATES
 
     def __post_init__(self):
-        positive = {
-            "feature_size_nm": self.feature_size_nm,
-            "r_wordline_unit": self.r_wordline_unit,
-            "r_bitline_unit": self.r_bitline_unit,
-            "c_wordline_unit": self.c_wordline_unit,
-            "c_bitline_unit": self.c_bitline_unit,
-            "c_sense": self.c_sense,
-            "leakage_per_cell": self.leakage_per_cell,
-            "e_spike": self.e_spike,
-            "e_route_hop": self.e_route_hop,
-            "p_wordline_raise": self.p_wordline_raise,
-        }
         # Every value finite, so that each TechnologyParams has a JSON document.
-        for name, value in positive.items():
-            if not 0 < value < inf:
+        for name in _JSON_NUMBERS:
+            value = getattr(self, name)
+            if name != "t_iso_on" and not 0 < value < inf:
                 raise ValidationError(f"{name} must be strictly positive and finite, got {value}")
         if not 0 <= self.t_iso_on < inf:
             raise ValidationError(f"t_iso_on must be finite and >= 0, got {self.t_iso_on}")

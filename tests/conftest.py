@@ -1,6 +1,7 @@
 """Shared helpers: independent oracles, workload builders and malformed input files."""
 
 import copy
+import itertools
 import json
 import math
 
@@ -16,6 +17,7 @@ from xbarsim import (
     SpikeTrain,
     Synapse,
     map_network,
+    permits,
     preset,
     region_of,
     save_network,
@@ -96,6 +98,41 @@ def planted_cluster(rng, cid, spec: CrossbarSpec, size_hi=128, lo_d=0.02, hi_d=0
                    pre_neurons=tuple(range(id_base, id_base + n_pre)),
                    post_neurons=tuple(range(id_base + n_pre, id_base + n_pre + n_post)),
                    synapses=tuple(synapses))
+
+
+def feasible_by_enumeration(cluster, spec: CrossbarSpec) -> bool:
+    """Whether some injective seating of the cluster puts each synapse on a cell whose region permits
+    its state (crossbar.permits): every seating is tried for N <= 4, every band choice above that."""
+    if spec.n > 4:
+        return feasible_by_bands(cluster, spec)
+    slots = range(spec.n)
+    return _some_choice_permits(cluster, spec, slots, itertools.permutations(slots, len(cluster.pre_neurons)),
+                                itertools.permutations(slots, len(cluster.post_neurons)))
+
+
+def feasible_by_bands(cluster, spec: CrossbarSpec) -> bool:
+    """The same verdict from every choice of band per neuron: near (slots < N_h), middle or far
+    (slots >= N - N_l), each band taking at most its slot count per axis. A cell's region depends
+    only on its row's band and its column's, so the band's first slot stands for it."""
+    caps = (spec.n_h, spec.n - spec.n_h - spec.n_l, spec.n_l)
+    # An empty band's stand-in slot is clipped into the crossbar; no choice takes that band.
+    firsts = [min(slot, spec.n - 1) for slot in (0, spec.n_h, spec.n - spec.n_l)]
+
+    def choices(k):
+        return [bands for bands in itertools.product(range(3), repeat=k)
+                if all(bands.count(band) <= cap for band, cap in enumerate(caps))]
+
+    return _some_choice_permits(cluster, spec, firsts, choices(len(cluster.pre_neurons)),
+                                choices(len(cluster.post_neurons)))
+
+
+def _some_choice_permits(cluster, spec, slots, row_choices, col_choices) -> bool:
+    """Whether some pair of a row choice and a column choice permits every synapse; a choice
+    holds an index into `slots` per neuron."""
+    allowed = np.array([[[permits(r, c, label, spec) for c in slots] for r in slots] for label in STATE_LABELS])
+    rows = np.array(list(row_choices), dtype=np.intp).reshape(-1, len(cluster.pre_neurons))
+    cols = np.array(list(col_choices), dtype=np.intp).reshape(-1, len(cluster.post_neurons))
+    return bool(allowed[cluster.state, rows[:, None, cluster.pre], cols[None, :, cluster.post]].all(-1).any())
 
 
 def seated_cluster(synapses, cluster_id=0, row_of_pre=None, col_of_post=None) -> dict:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import warnings
 
 import pytest
 
@@ -391,10 +392,14 @@ MALFORMED_INPUTS = {
 
 
 def _exit_code(argv):
-    try:
-        return run(argv)
-    except SystemExit as exc:
-        return exc.code
+    """run(argv)'s exit code, argparse's too, with every warning raised, so that one the command would print
+    fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return run(argv)
+        except SystemExit as exc:
+            return exc.code
 
 
 @pytest.mark.parametrize("argv", [_simulate(), _map(), _dse(), _map("--crossbars", "3")])
@@ -424,6 +429,11 @@ MALFORMED_ERRORS = {
     "placement-crossbars-empty":
         "error: bad placement document: crossbars: a placement document needs at least one crossbar\n",
     "simulate-node-c-sense-overflow": "error: technology '16nm' gives a non-finite latency: its values overflow\n",
+    "dse-node-c-sense-overflow": "error: technology '16nm': 'net' at P = Q = N has energy inf, mean latency inf "
+                                 "and variation 0.0; the sweep needs them finite and non-zero\n",
+    # the partitioned points' paths cross an isolation transistor whose delay overflows their sums
+    "dse-node-t-iso-overflow": "error: technology '16nm' gives a non-finite sweep value for 'net': its values "
+                               "overflow\n",
 }
 
 
@@ -447,11 +457,35 @@ def test_simulate_overflowing_isolation_delay_is_usage_error(tmp_path, capsys):
     tech_path = tmp_path / "tech.json"
     tech_path.write_text(json.dumps({**preset("16nm").to_json(), "t_iso_on": 1.7e308}))
     out = tmp_path / "overflow"
-    assert run(["simulate", "--placement", str(place_path), "--spikes", str(spk_path), "--duration", "0.2",
-                "--node", str(tech_path), "--out", str(out)]) == 2
+    assert _exit_code(["simulate", "--placement", str(place_path), "--spikes", str(spk_path), "--duration", "0.2",
+                       "--node", str(tech_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == "error: technology '16nm' gives a non-finite latency: its values overflow\n"
     assert not out.exists()
+
+
+def test_simulate_overflowing_sense_load_is_usage_error(tmp_path, monkeypatch, capsys):
+    # c_sense = 1e305 is finite, but every sensing delay overflows, and the ISI distortions then take inf - inf.
+    monkeypatch.chdir(tmp_path)
+    _, spk_path, _, place_path, _ = _pipeline(tmp_path)
+    tech_path = tmp_path / "tech.json"
+    tech_path.write_text(json.dumps({**preset("16nm").to_json(), "c_sense": 1e305}))
+    assert _exit_code(_simulate("--node", str(tech_path), placement=str(place_path), spikes=str(spk_path),
+                                duration="0.2")) == 2
+    assert capsys.readouterr().err == "error: technology '16nm' gives a non-finite latency: its values overflow\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_dse_full_grid_sweeps_every_pq_pair(tmp_path, capsys):
+    for name in ("a", "b"):
+        save_network(mapping_demo_network(), tmp_path / f"{name}.json")
+    save_spec(CrossbarSpec(n=4), tmp_path / "spec.json")
+    out = tmp_path / "sweep.csv"
+    assert run(["dse", "--networks", str(tmp_path / "a.json"), str(tmp_path / "b.json"), "--spec",
+                str(tmp_path / "spec.json"), "--grid", "2,4", "--full-grid", "--out", str(out)]) == 0
+    assert [line.split(",")[:3] for line in out.read_text().splitlines()[1:]] == [
+        [name, p, q] for name in ("a", "b") for p in ("2", "4") for q in ("2", "4")]
+    assert re.fullmatch(r"sweep table -> \S+\nselected P=[24] Q=[24]\n", capsys.readouterr().out)
 
 
 def test_version_flag():
